@@ -25,6 +25,7 @@ from .ensemble import (
     INPUT_SOURCES,
     FusionConfig,
     VoteModel,
+    check_vote_weights,
     run_approach,
     weight_search,
 )
@@ -140,7 +141,9 @@ def _parse_weights(text: str) -> dict[str, float]:
         values = [float(p) for p in parts]
     except ValueError:
         raise CliError(f"bad --weights value in {text!r}", 2) from None
-    return dict(zip(INPUT_SOURCES, values))
+    weights = dict(zip(INPUT_SOURCES, values))
+    _input(check_vote_weights, weights)
+    return weights
 
 
 def _variant_dirs(root: Path, variant: str) -> dict[str, Path]:
@@ -197,9 +200,14 @@ def load_model(path: Path):
             name: model_from_json(json.dumps(entry))
             for name, entry in payload["models"].items()
         }
-        return VoteModel(
+        try:
+            weights = {k: float(v) for k, v in payload["weights"].items()}
+        except (TypeError, ValueError):
+            raise CliError(f"bad vote weight in {path}", 2) from None
+        return _input(
+            VoteModel,
             models=models,
-            weights={k: float(v) for k, v in payload["weights"].items()},
+            weights=weights,
             combination_rule=payload["combination_rule"],
         )
     if payload.get("kind") == "single":

@@ -8,8 +8,8 @@ probability distributions by a weighted average.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -46,9 +46,17 @@ class FusionConfig:
             raise InvalidParamsError(
                 f"weights must cover exactly the input sources {INPUT_SOURCES}"
             )
-        if any(w <= 0 for w in weights.values()):
-            raise InvalidParamsError("all vote weights must be positive")
+        check_vote_weights(weights)
         object.__setattr__(self, "weights", weights)
+
+
+def check_vote_weights(weights: Mapping[str, float]) -> None:
+    """Reject any vote weight that is not a positive, finite number."""
+    for name, w in weights.items():
+        if not (w > 0 and math.isfinite(w)):
+            raise InvalidParamsError(
+                f"vote weight for {name!r} must be positive and finite, got {w!r}"
+            )
 
 
 @dataclass
@@ -59,36 +67,55 @@ class VoteModel:
     weights: dict[str, float]
     combination_rule: str = AVERAGE_OF_PROBABILITIES
 
+    def __post_init__(self):
+        check_vote_weights(self.weights)
+
     @property
     def class_labels(self) -> tuple[str, ...]:
         return next(iter(self.models.values())).class_labels
+
+
+def _decimal(x: float) -> tuple[int, int]:
+    """``(m, e)`` with ``m * 10**e`` the decimal that ``repr(float(x))`` denotes."""
+    digits, _, exponent = repr(float(x)).partition("e")
+    whole, _, fraction = digits.partition(".")
+    return int(whole + fraction), int(exponent or 0) - len(fraction)
 
 
 def vote_predict(vote_model: VoteModel, rows_by_source: Mapping[str, Sequence]) -> tuple[float, ...]:
     """Weighted average of the base models' class distributions.
 
     Weights and probabilities are read as the decimal numbers their
-    shortest float representation denotes and averaged with exact
-    rational arithmetic, so the textbook example lands on its decimal
-    answer and scaling all weights by a representable constant leaves
-    the output bit-for-bit unchanged.
+    shortest float representation denotes and averaged exactly, so the
+    textbook example lands on its decimal answer and scaling all weights
+    by a representable constant leaves the output bit-for-bit unchanged.
+
+    Each decimal is held as an integer mantissa and a power-of-ten
+    exponent.  Every weighted sum, and the total weight, is brought to
+    the smallest exponent among its terms and summed as a plain integer;
+    each output is then one ``int / int`` true division.  CPython rounds
+    that division correctly, so it returns the float nearest the exact
+    rational mean: the same float an exact ``Fraction`` average would.
     """
     missing = set(vote_model.models) - set(rows_by_source)
     if missing:
         raise SchemaMismatchError(f"instance lacks parts for sources {sorted(missing)}")
     labels = vote_model.class_labels
-    sums = [Fraction(0)] * len(labels)
-    total_weight = Fraction(0)
+    weight_terms = []
+    prob_terms = [[] for _ in labels]
     for name in sorted(vote_model.models):
         model = vote_model.models[name]
         if model.class_labels != labels:
             raise SchemaMismatchError("base models disagree on class labels")
-        weight = Fraction(str(float(vote_model.weights[name])))
-        total_weight += weight
+        w_m, w_e = _decimal(vote_model.weights[name])
+        weight_terms.append((w_m, w_e))
         dist = predict(model, rows_by_source[name])
-        for i, p in enumerate(dist):
-            sums[i] += weight * Fraction(str(float(p)))
-    return tuple(float(s / total_weight) for s in sums)
+        for terms, p in zip(prob_terms, dist):
+            p_m, p_e = _decimal(p)
+            terms.append((w_m * p_m, w_e + p_e))
+    low = min(e for terms in (weight_terms, *prob_terms) for _, e in terms)
+    total = sum(m * 10 ** (e - low) for m, e in weight_terms)
+    return tuple(sum(m * 10 ** (e - low) for m, e in terms) / total for terms in prob_terms)
 
 
 def vote_predict_label(vote_model: VoteModel, rows_by_source) -> str:

@@ -313,7 +313,8 @@ def cross_validate(
 def _predict_row(model, prepared: PreparedData, row: int):
     if prepared.kind == "merged":
         return predict(model, prepared.merged.rows[row])
-    assert isinstance(model, VoteModel)
+    if not isinstance(model, VoteModel):
+        raise SchemaMismatchError("per-source data needs a vote model")
     parts = {name: table.rows[row] for name, table in prepared.per_source.items()}
     return vote_predict(model, parts)
 

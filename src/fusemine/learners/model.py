@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Union
 
 from ..errors import SchemaMismatchError
@@ -120,7 +121,7 @@ class ExemplarSet:
 Structure = Union[DecisionTree, RuleList, ExemplarSet]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     algorithm: str
     specs: tuple[AttributeSpec, ...]
@@ -128,15 +129,19 @@ class Model:
     structure: Structure
     metadata: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
     def input_indices(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.specs) if s.role == "input")
 
+    @cached_property
+    def _index_by_name(self) -> dict[str, int]:
+        return {s.name: i for i, s in enumerate(self.specs)}
+
     def attr_index(self, name: str) -> int:
-        for i, s in enumerate(self.specs):
-            if s.name == name:
-                return i
-        raise SchemaMismatchError(f"model schema has no attribute {name!r}")
+        try:
+            return self._index_by_name[name]
+        except KeyError:
+            raise SchemaMismatchError(f"model schema has no attribute {name!r}") from None
 
 
 def _laplace(counts: Sequence[float], k: int) -> tuple[float, ...]:
@@ -185,35 +190,53 @@ def _rules_distribution(model: Model, rules: RuleList, enc_values) -> tuple[floa
     raise SchemaMismatchError("rule list failed to cover an instance")
 
 
-def exemplar_distance(model: Model, ex: Exemplar, ranges, enc_values) -> float:
-    total = 0.0
+def _distance_plan(model: Model, ranges, enc_values) -> list[tuple]:
+    """Per-row terms of the exemplar distance, one per input in index order.
+
+    Each term is ``(index, encoded value, range span)``; the span is
+    ``None`` for a nominal input.
+    """
+    plan = []
     for i in model.input_indices:
-        spec = model.specs[i]
-        v = enc_values[i]
-        if spec.is_numeric:
-            lo = ex.lo.get(i, 0.0)
-            hi = ex.hi.get(i, 0.0)
+        if model.specs[i].is_numeric:
             r_lo, r_hi = ranges.get(i, (0.0, 1.0))
-            span = r_hi - r_lo
-            if v < lo:
-                d = (lo - v) / span if span > 0 else 1.0
-            elif v > hi:
-                d = (v - hi) / span if span > 0 else 1.0
+            plan.append((i, enc_values[i], r_hi - r_lo))
+        else:
+            plan.append((i, enc_values[i], None))
+    return plan
+
+
+def _planned_distance(ex: Exemplar, plan) -> float:
+    lo, hi, label_sets = ex.lo, ex.hi, ex.label_sets
+    total = 0.0
+    for i, v, span in plan:
+        if span is None:
+            d = 0.0 if v in label_sets.get(i, ()) else 1.0
+        else:
+            ex_lo = lo.get(i, 0.0)
+            ex_hi = hi.get(i, 0.0)
+            if v < ex_lo:
+                d = (ex_lo - v) / span if span > 0 else 1.0
+            elif v > ex_hi:
+                d = (v - ex_hi) / span if span > 0 else 1.0
             else:
                 d = 0.0
-        else:
-            d = 0.0 if v in ex.label_sets.get(i, frozenset()) else 1.0
         total += d * d
     return total ** 0.5
+
+
+def exemplar_distance(model: Model, ex: Exemplar, ranges, enc_values) -> float:
+    return _planned_distance(ex, _distance_plan(model, ranges, enc_values))
 
 
 def _exemplar_distribution(model: Model, structure: ExemplarSet, enc_values) -> tuple[float, ...]:
     k = len(model.class_labels)
     if not structure.exemplars:
         return tuple(1.0 / k for _ in range(k))
+    plan = _distance_plan(model, structure.ranges, enc_values)
     best = [None] * k
     for ex in structure.exemplars:
-        d = exemplar_distance(model, ex, structure.ranges, enc_values)
+        d = _planned_distance(ex, plan)
         if best[ex.cls] is None or d < best[ex.cls]:
             best[ex.cls] = d
     eps = 1e-9

@@ -129,6 +129,22 @@ class TestTrainAndExplain:
     def test_explain_bad_path_exits_2(self, tmp_path, capsys):
         assert main(["explain", "--model", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("weight", [float("inf"), "heavy"])
+    def test_explain_bad_vote_weight_exits_2(self, workspace, tmp_path, capsys, weight):
+        out = tmp_path / "vote"
+        assert main([
+            "train", "--data", str(workspace / "pre"), "--variant", "discretized",
+            "--approach", "ensemble", "--algorithm", "c45", "--out", str(out),
+        ]) == 0
+        path = out / "model.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["weights"]["online"] = weight
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["explain", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestEval:
     def test_prints_row(self, workspace, capsys):
@@ -146,6 +162,16 @@ class TestEval:
         assert main([
             "eval", "--data", str(workspace / "pre"), "--k", "1",
         ]) == 2
+
+    @pytest.mark.parametrize("weights", ["1,1,inf", "1,1,nan"])
+    def test_non_finite_weight_exits_2(self, workspace, capsys, weights):
+        assert main([
+            "eval", "--data", str(workspace / "pre"), "--variant", "discretized",
+            "--approach", "ensemble", "--algorithm", "c45", "--k", "3",
+            "--weights", weights,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestExperiment:

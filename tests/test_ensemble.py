@@ -1,4 +1,7 @@
+import dataclasses
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,10 +38,10 @@ def constant_model(dist_labels, target):
 
 def fixed_model(dist):
     """Test double emitting a fixed distribution (bypasses structures)."""
-    model = constant_model(STATUS, "Pass")
-    model.metadata = {"degenerate": False}
-    model._fixed = tuple(dist)
-    return model
+    return dataclasses.replace(
+        constant_model(STATUS, "Pass"),
+        metadata={"degenerate": False, "fixed": tuple(dist)},
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -48,7 +51,7 @@ def _patch_predict(monkeypatch):
     real_predict = ens.predict
 
     def fake_predict(model, row):
-        fixed = getattr(model, "_fixed", None)
+        fixed = model.metadata.get("fixed")
         if fixed is not None:
             return fixed
         return real_predict(model, row)
@@ -67,6 +70,29 @@ def vote_of(dists, weights):
 
 
 ROW = {"theory": (0, None), "practice": (0, None), "online": (0, None)}
+
+
+def fraction_vote(dists, weights):
+    """Reference vote in exact rationals: each float read as its shortest
+    decimal, one rounding at the end."""
+    sums = [Fraction(0)] * len(dists[0])
+    total = Fraction(0)
+    for dist, w in zip(dists, weights):
+        weight = Fraction(str(float(w)))
+        total += weight
+        for i, p in enumerate(dist):
+            sums[i] += weight * Fraction(str(float(p)))
+    return tuple(float(s / total) for s in sums)
+
+
+VOTE_WEIGHTS = st.one_of(
+    st.sampled_from([1.0, 2.0, 0.1, 1e-7, 3.5e5, 0.3, 1.5e-7, 1e16, 123456.789]),
+    st.floats(1e-9, 1e9),
+)
+PROBABILITIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 2.2250738585072014e-308, 0.1, 1 / 3]),
+)
 
 
 class TestVotePredict:
@@ -105,6 +131,14 @@ class TestVotePredict:
         scaled = vote_predict(vote_of(dists, [c * w for w in weights]), ROW)
         assert scaled == base
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dists=st.lists(st.tuples(*[PROBABILITIES] * 3), min_size=3, max_size=3),
+        weights=st.lists(VOTE_WEIGHTS, min_size=3, max_size=3),
+    )
+    def test_bit_identical_to_fraction_reference(self, dists, weights):
+        assert vote_predict(vote_of(dists, weights), ROW) == fraction_vote(dists, weights)
+
     def test_output_is_distribution(self):
         vm = vote_of([(0.9, 0.1, 0.0), (0.2, 0.5, 0.3), (0.1, 0.1, 0.8)], [1, 2, 1])
         dist = vote_predict(vm, ROW)
@@ -124,6 +158,13 @@ class TestFusionConfig:
     def test_weights_must_be_positive(self):
         with pytest.raises(InvalidParamsError):
             FusionConfig(weights={"theory": 1.0, "practice": 0.0, "online": 1.0})
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, -1.0])
+    def test_weights_must_be_finite_and_positive(self, bad):
+        with pytest.raises(InvalidParamsError):
+            FusionConfig(weights={"theory": 1.0, "practice": 1.0, "online": bad})
+        with pytest.raises(InvalidParamsError):
+            vote_of([(1, 0, 0)] * 3, [1.0, 1.0, bad])
 
     def test_unknown_approach_rejected(self):
         with pytest.raises(InvalidParamsError):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fusemine.errors import SchemaMismatchError
 from fusemine.learners import (
     RipperParams,
     RuleList,
@@ -108,6 +109,13 @@ class TestRuleSemantics:
                 model.metadata.get("numeric_fill", {}), table.rows[0],
             )
             assert not all(condition_matches(model, c, enc) for c in conds)
+
+    def test_attr_index_by_name(self):
+        model = train("part", planted_dataset(n=60, seed=8), seed=0)
+        for i, spec in enumerate(model.specs):
+            assert model.attr_index(spec.name) == i
+        with pytest.raises(SchemaMismatchError):
+            model.attr_index("NoSuchAttribute")
 
 
 class TestRipperSpecifics:

@@ -7,16 +7,18 @@ runs the full approach-by-variant grid, and ``explain`` prints a stored
 model as IF-THEN text.
 
 Exit codes: 0 success, 2 input or validation failure, 3 pipeline
-failure.  All outputs are deterministic given the flags (files are
-written atomically via a temp file and rename); ``FUSEMINE_THREADS``
-caps grid parallelism.
+failure.  All outputs are deterministic given the flags (each file is
+written to a uniquely named temp file and renamed into place);
+``FUSEMINE_THREADS`` caps grid parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
+import secrets
 import sys
 from pathlib import Path
 
@@ -65,14 +67,6 @@ from .tabular import (
     schema_to_json,
 )
 
-APPROACH_FLAGS = {
-    "merge": "merge",
-    "select": "select",
-    "ensemble": "ensemble",
-    "ensemble-select": "ensemble-select",
-}
-
-
 class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
@@ -87,18 +81,35 @@ def _input(fn, *args, **kwargs):
         raise CliError(str(err), 2) from err
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, content: str | DataTable) -> None:
+    """Write text, or a table as CSV, to a temp file and rename it to ``path``.
+
+    The temp name is unique per call, so concurrent writers never share
+    one; it is removed if the write fails.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    try:
+        if isinstance(content, DataTable):
+            save_csv(content, tmp)
+        else:
+            tmp.write_text(content, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _atomic_save_csv(table: DataTable, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    save_csv(table, tmp)
-    os.replace(tmp, path)
+def _read_json(path: Path, what: str, parse=json.loads):
+    """Parse a JSON input file; a missing or malformed file exits 2."""
+    if not path.is_file():
+        raise CliError(f"{what} {path} not found", 2)
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise CliError(f"{what} {path} is not valid JSON: {err}", 2) from None
+    except FusemineError as err:
+        raise CliError(f"{what} {path}: {err}", 2) from None
 
 
 def save_bundle(bundle: SourceBundle, directory: Path) -> None:
@@ -106,16 +117,15 @@ def save_bundle(bundle: SourceBundle, directory: Path) -> None:
     schemas = {}
     for name in bundle.ordered_names():
         table = bundle[name]
-        _atomic_save_csv(table, directory / f"{name}.csv")
+        _atomic_write(directory / f"{name}.csv", table)
         schemas[name] = json.loads(schema_to_json(table.specs))
     _atomic_write(directory / "schema.json", json.dumps(schemas, indent=2, sort_keys=True) + "\n")
 
 
 def load_bundle(directory: Path) -> SourceBundle:
-    schema_path = directory / "schema.json"
-    if not schema_path.is_file():
-        raise CliError(f"no schema.json in {directory}", 2)
-    schemas = json.loads(schema_path.read_text(encoding="utf-8"))
+    schemas = _read_json(directory / "schema.json", "schema file")
+    if not isinstance(schemas, dict):
+        raise CliError(f"{directory / 'schema.json'} must map source names to schemas", 2)
     sources = {}
     for name in SOURCE_ORDER:
         if name not in schemas:
@@ -170,16 +180,15 @@ def _algorithm_list(text: str) -> list[str]:
 def _approach_list(text: str) -> list[str]:
     if text == "all":
         return list(APPROACHES)
-    if text not in APPROACH_FLAGS:
+    if text not in APPROACHES:
         raise CliError(f"unknown approach {text!r}", 2)
-    return [APPROACH_FLAGS[text]]
+    return [text]
 
 
 def save_model(model, path: Path) -> None:
     if isinstance(model, VoteModel):
         payload = {
             "kind": "vote",
-            "combination_rule": model.combination_rule,
             "weights": model.weights,
             "models": {
                 name: json.loads(model_to_json(base))
@@ -192,26 +201,26 @@ def save_model(model, path: Path) -> None:
 
 
 def load_model(path: Path):
-    if not path.is_file():
-        raise CliError(f"model file {path} not found", 2)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("kind") == "vote":
-        models = {
-            name: model_from_json(json.dumps(entry))
-            for name, entry in payload["models"].items()
-        }
-        try:
-            weights = {k: float(v) for k, v in payload["weights"].items()}
-        except (TypeError, ValueError):
-            raise CliError(f"bad vote weight in {path}", 2) from None
-        return _input(
-            VoteModel,
-            models=models,
-            weights=weights,
-            combination_rule=payload["combination_rule"],
-        )
-    if payload.get("kind") == "single":
-        return model_from_json(json.dumps(payload["model"]))
+    """Read a ``save_model`` file; anything malformed exits 2.
+
+    Keys it does not read, such as the vote rule that older versions
+    stored, are ignored, so older files still load.
+    """
+    payload = _read_json(path, "model file")
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    try:
+        if kind == "vote":
+            return VoteModel(
+                models={
+                    name: model_from_json(json.dumps(entry))
+                    for name, entry in payload["models"].items()
+                },
+                weights={name: float(w) for name, w in payload["weights"].items()},
+            )
+        if kind == "single":
+            return model_from_json(json.dumps(payload["model"]))
+    except (FusemineError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as err:
+        raise CliError(f"malformed model file {path}: {type(err).__name__}: {err}", 2) from None
     raise CliError(f"{path} is not a stored model", 2)
 
 
@@ -244,7 +253,7 @@ def cmd_synth(args) -> int:
     bundle, truth = generate(spec)
     out = Path(args.out)
     save_bundle(bundle, out)
-    _atomic_save_csv(truth, out / "truth.csv")
+    _atomic_write(out / "truth.csv", truth)
     print(f"wrote cohort of {args.n} students to {out}")
     return 0
 
@@ -268,21 +277,11 @@ def cmd_preprocess(args) -> int:
 
 
 def _preprocess_config(args) -> PreprocessConfig:
+    config = PreprocessConfig()
     if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise CliError(f"config file {path} not found", 2)
-        config = PreprocessConfig.from_json(path.read_text(encoding="utf-8"))
-    else:
-        config = PreprocessConfig()
+        config = _read_json(Path(args.config), "config file", PreprocessConfig.from_json)
     if args.seed is not None:
-        config = PreprocessConfig(
-            n_bins=config.n_bins,
-            bin_labels=config.bin_labels,
-            pass_threshold=config.pass_threshold,
-            seed=args.seed,
-            fold_local_refit=config.fold_local_refit,
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
@@ -365,7 +364,7 @@ def cmd_experiment(args) -> int:
     approaches = _approach_list(args.approach)
     weights = _parse_weights(args.weights)
     out = Path(args.out)
-    max_workers = int(os.environ.get("FUSEMINE_THREADS", "1") or "1")
+    max_workers = _thread_cap()
 
     if args.weight_search:
         search_bundle = variants.get("discretized") or next(iter(variants.values()))
@@ -401,6 +400,17 @@ def cmd_experiment(args) -> int:
         f"= {acc:.4f} %Accuracy, {auc:.4f} AUC"
     )
     return 0
+
+
+def _thread_cap() -> int:
+    text = os.environ.get("FUSEMINE_THREADS") or "1"
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise CliError(f"FUSEMINE_THREADS must be a positive integer, got {text!r}", 2)
+    return cap
 
 
 def cmd_explain(args) -> int:
@@ -546,31 +556,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args, argv) -> None:
-    """Fill flags from a JSON run config; explicit flags win.
+def _merge_config(parser, args, argv):
+    """Fill flags from a JSON run config; flags given on the command line win.
 
-    The preprocess subcommand keeps its own config semantics (binning
-    and labeling parameters), so it is left alone here.
+    The config's values become the subcommand's defaults and ``argv`` is
+    parsed again, so argparse itself decides which flags were given,
+    however they were spelled.  The preprocess subcommand keeps its own
+    config semantics (binning and labeling parameters), so it is left
+    alone here.
     """
     path = getattr(args, "config", None)
     if not path or args.command == "preprocess":
-        return
-    config_path = Path(path)
-    if not config_path.is_file():
-        raise CliError(f"config file {config_path} not found", 2)
-    try:
-        payload = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise CliError(f"bad config JSON: {err}", 2) from None
+        return args
+    payload = _read_json(Path(path), "config file")
     if not isinstance(payload, dict):
         raise CliError("run config must be a JSON object", 2)
+    defaults = {}
     for key, value in payload.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr) or attr in ("config", "command", "func"):
             raise CliError(f"unknown config key {key!r} for {args.command}", 2)
-        flag = "--" + key.replace("_", "-")
-        if flag not in argv:
-            setattr(args, attr, value)
+        defaults[attr] = value
+    subcommands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    subcommands.choices[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -578,7 +589,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args, argv)
+        args = _merge_config(parser, args, argv)
         if args.command in ("synth",) and args.n < 3:
             raise CliError("cohort needs at least 3 students", 2)
         if getattr(args, "k", 2) < 2:
@@ -590,7 +601,7 @@ def main(argv=None) -> int:
     except FusemineError as err:
         print(f"pipeline error: {err}", file=sys.stderr)
         return 3
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -23,8 +23,6 @@ APPROACHES = ("merge", "select", "ensemble", "ensemble-select")
 #: Sources carrying input attributes (the exam only contributes the class).
 INPUT_SOURCES = ("theory", "practice", "online")
 
-AVERAGE_OF_PROBABILITIES = "average_of_probabilities"
-
 
 @dataclass(frozen=True)
 class FusionConfig:
@@ -32,15 +30,10 @@ class FusionConfig:
     weights: Mapping[str, float] = field(
         default_factory=lambda: {name: 1.0 for name in INPUT_SOURCES}
     )
-    combination_rule: str = AVERAGE_OF_PROBABILITIES
 
     def __post_init__(self):
         if self.approach not in APPROACHES:
             raise InvalidParamsError(f"unknown approach {self.approach!r}")
-        if self.combination_rule != AVERAGE_OF_PROBABILITIES:
-            raise InvalidParamsError(
-                f"unsupported combination rule {self.combination_rule!r}"
-            )
         weights = dict(self.weights)
         if set(weights) != set(INPUT_SOURCES):
             raise InvalidParamsError(
@@ -65,9 +58,17 @@ class VoteModel:
 
     models: dict[str, Model]
     weights: dict[str, float]
-    combination_rule: str = AVERAGE_OF_PROBABILITIES
 
     def __post_init__(self):
+        if not self.models:
+            raise InvalidParamsError("a vote needs at least one base model")
+        if set(self.weights) != set(self.models):
+            raise InvalidParamsError(
+                f"vote weights {sorted(self.weights)} do not match the base models "
+                f"{sorted(self.models)}"
+            )
+        if len({model.class_labels for model in self.models.values()}) != 1:
+            raise InvalidParamsError("base models disagree on class labels")
         check_vote_weights(self.weights)
 
     @property
@@ -132,11 +133,6 @@ class PreparedData:
     merged: DataTable | None = None
     per_source: dict[str, DataTable] = field(default_factory=dict)
     selected: dict[str, list[str]] = field(default_factory=dict)
-
-    def tables(self) -> dict[str, DataTable]:
-        if self.kind == "merged":
-            return {"merged": self.merged}
-        return dict(self.per_source)
 
 
 def _source_with_class(bundle: SourceBundle, name: str) -> DataTable:

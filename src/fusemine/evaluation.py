@@ -29,7 +29,6 @@ from .errors import (
     TooFewRowsError,
 )
 from .learners import predict
-from .preprocess import PreprocessConfig, fit_params, fuse_bundle, transform_fused
 from .selection import reduce_to, select_best_attributes
 from .tabular import DataTable, SourceBundle
 
@@ -161,6 +160,7 @@ class FoldDetail:
     fold: int
     test_indices: tuple[int, ...]
     accuracy_pct: float
+    selected: dict[str, list[str]] = field(default_factory=dict)
 
 
 @dataclass
@@ -174,7 +174,6 @@ class CvResult:
     folds: list[FoldDetail]
     fold_accuracy_mean: float
     n_rows: int
-    selected: dict[str, list[str]] = field(default_factory=dict)
     weights: dict[str, float] = field(default_factory=dict)
 
 
@@ -231,47 +230,27 @@ def cross_validate(
     params=None,
     plan_seed: int | None = None,
     fold_local_select: bool = False,
-    refit: tuple[SourceBundle, PreprocessConfig, str] | None = None,
-    fold_averaged: bool = False,
 ) -> CvResult:
     """K-fold evaluation of one (approach, algorithm) cell.
 
-    Accuracy pools every held-out prediction (micro average); the
-    ``fold_averaged`` flag reports the mean of per-fold accuracies
-    instead.  ``refit`` re-fits normalization/binning per fold on the
-    raw fused bundle for leakage studies.
+    Accuracy pools every held-out prediction (micro average).  With
+    ``fold_local_select`` the selection approaches choose attributes on
+    each fold's training rows; every fold records what it kept.
     """
     y, labels = _class_vector(bundle)
     plan = _stratified_folds(
         y, len(labels), k, stable_seed(seed, "folds") if plan_seed is None else plan_seed
     )
-    refit_fused = None
-    if refit is not None:
-        raw_bundle, pre_config, variant = refit
-        if variant not in VARIANTS:
-            raise SchemaMismatchError(f"unknown variant {variant!r}")
-        refit_fused = fuse_bundle(raw_bundle, pre_config.class_rule())
-        base = None
-    else:
-        base = _base_prepared(config, bundle, fold_local_select)
+    base = _base_prepared(config, bundle, fold_local_select)
 
     n = len(y)
     predictions: list[int | None] = [None] * n
     pooled: list[tuple[float, ...] | None] = [None] * n
     folds_detail = []
-    label_index = {label: i for i, label in enumerate(labels)}
-    selected_record: dict[str, list[str]] = {}
 
     for fold_no, test_rows in enumerate(plan.folds):
         train_rows = plan.train_indices(fold_no)
-        if refit_fused is not None:
-            fold_bundle = _refit_bundle(refit_fused, refit[1], refit[2], train_rows)
-            fold_base = _base_prepared(config, fold_bundle, fold_local_select=True)
-            prepared = _prepare_for_fold(config, fold_base, train_rows, True)
-        else:
-            prepared = _prepare_for_fold(config, base, train_rows, fold_local_select)
-        if prepared.selected:
-            selected_record = prepared.selected
+        prepared = _prepare_for_fold(config, base, train_rows, fold_local_select)
         train_seed = stable_seed(seed, config.approach, algorithm, fold_no)
         model = train_prepared(
             prepared, config, algorithm, seed=train_seed, params=params,
@@ -286,10 +265,12 @@ def cross_validate(
             if best == y[i]:
                 fold_hits += 1
         folds_detail.append(
-            FoldDetail(fold_no, tuple(test_rows), 100.0 * fold_hits / len(test_rows))
+            FoldDetail(
+                fold_no, tuple(test_rows), 100.0 * fold_hits / len(test_rows),
+                selected=prepared.selected,
+            )
         )
 
-    micro = accuracy(predictions, y)
     fold_mean = sum(f.accuracy_pct for f in folds_detail) / len(folds_detail)
     auc, per_class = auc_weighted(pooled, y, len(labels))
     confusion = [[0] * len(labels) for _ in labels]
@@ -298,14 +279,13 @@ def cross_validate(
     return CvResult(
         algorithm=algorithm,
         approach=config.approach,
-        accuracy_pct=fold_mean if fold_averaged else micro,
+        accuracy_pct=accuracy(predictions, y),
         auc=auc,
         per_class_auc={labels[c]: v for c, v in per_class.items()},
         confusion=confusion,
         folds=folds_detail,
         fold_accuracy_mean=fold_mean,
         n_rows=n,
-        selected=selected_record,
         weights=dict(config.weights),
     )
 
@@ -317,25 +297,6 @@ def _predict_row(model, prepared: PreparedData, row: int):
         raise SchemaMismatchError("per-source data needs a vote model")
     parts = {name: table.rows[row] for name, table in prepared.per_source.items()}
     return vote_predict(model, parts)
-
-
-def _refit_bundle(fused: SourceBundle, pre_config: PreprocessConfig, variant: str,
-                  train_rows: list[int]) -> SourceBundle:
-    train_view = SourceBundle(
-        {
-            name: table.sorted_by_id()
-            for name, table in fused.sources.items()
-        }
-    )
-    sliced = SourceBundle(
-        {
-            name: table.with_rows([table.rows[i] for i in train_rows])
-            for name, table in train_view.sources.items()
-        }
-    )
-    normalization, binning = fit_params(sliced, pre_config)
-    numeric, discretized = transform_fused(train_view, normalization, binning)
-    return numeric if variant == "numeric" else discretized
 
 
 @dataclass

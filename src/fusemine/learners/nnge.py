@@ -74,7 +74,7 @@ def _exclude_members(cls, members, vals, numeric_attrs, nominal_attrs, spans):
     best = None  # (n_separated, margin, attr, is_numeric)
     for a in numeric_attrs:
         v = vals[a]
-        apart = [mv for mv in box_values(members, a) if mv != v]
+        apart = [m[a] for m in members if m[a] != v]
         if not apart:
             continue
         gap = min(abs(mv - v) for mv in apart)
@@ -114,16 +114,6 @@ def _exclude_members(cls, members, vals, numeric_attrs, nominal_attrs, spans):
     return parts
 
 
-def box_values(members, attr):
-    return [m[attr] for m in members]
-
-
-def _split_out(box: _Box, vals, numeric_attrs, nominal_attrs, spans):
-    return _exclude_members(
-        box.cls, box.members, vals, numeric_attrs, nominal_attrs, spans
-    )
-
-
 def build_nnge(enc: Encoded, idx):
     numeric_attrs = [a for a in enc.input_idx if enc.specs[a].is_numeric]
     nominal_attrs = [a for a in enc.input_idx if enc.specs[a].is_nominal]
@@ -146,8 +136,9 @@ def build_nnge(enc: Encoded, idx):
             ]
             for box in conflicts:
                 pos = boxes.index(box)
-                parts = _split_out(box, vals, numeric_attrs, nominal_attrs, spans)
-                boxes[pos : pos + 1] = parts
+                boxes[pos : pos + 1] = _exclude_members(
+                    box.cls, box.members, vals, numeric_attrs, nominal_attrs, spans
+                )
             nearest = None
             for j, box in enumerate(boxes):
                 if box.cls != cls:

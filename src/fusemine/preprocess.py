@@ -3,9 +3,8 @@ and per-session fusion.
 
 The pipeline produces two parallel variants of every bundle: a numeric one
 with all inputs rescaled to [0, 1] and a categorical one with all inputs
-discretized into equal-width bins.  Fitting happens on the full dataset
-before any cross-validation split; a fold-local refit path exists in the
-evaluation module for leakage studies.
+discretized into equal-width bins.  Fitting happens once, on the full
+dataset, before any cross-validation split.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import random
 
 from .errors import (
     EmptyColumnError,
+    InvalidParamsError,
     MixedKindGroupError,
     OutOfRangeScoreError,
     SchemaMismatchError,
@@ -110,16 +110,35 @@ class PreprocessConfig:
     bin_labels: tuple[str, ...] = DEFAULT_BIN_LABELS
     pass_threshold: float = 5.0
     seed: int = 0
-    fold_local_refit: bool = False
+
+    def __post_init__(self):
+        for name, kinds, what in (
+            ("n_bins", int, "an integer"),
+            ("pass_threshold", (int, float), "a number"),
+            ("seed", int, "an integer"),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise InvalidParamsError(
+                    f"preprocess config {name!r} must be {what}, got {value!r}"
+                )
+        labels = self.bin_labels
+        if not (isinstance(labels, tuple) and all(isinstance(label, str) for label in labels)):
+            raise InvalidParamsError(
+                f"preprocess config 'bin_labels' must be a list of strings, got {labels!r}"
+            )
+        BinningParams(n_bins=self.n_bins, labels=self.bin_labels)
+        self.class_rule()
 
     @classmethod
     def from_json(cls, text: str) -> "PreprocessConfig":
         raw = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise InvalidParamsError("preprocess config must be a JSON object")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise SchemaMismatchError(f"unknown preprocess config keys: {sorted(unknown)}")
-        if "bin_labels" in raw:
+        if isinstance(raw.get("bin_labels"), list):
             raw["bin_labels"] = tuple(raw["bin_labels"])
         return cls(**raw)
 
@@ -129,7 +148,6 @@ class PreprocessConfig:
             "bin_labels": list(self.bin_labels),
             "pass_threshold": self.pass_threshold,
             "seed": self.seed,
-            "fold_local_refit": self.fold_local_refit,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -172,9 +190,12 @@ def anonymize(bundle: SourceBundle, seed: int) -> tuple[SourceBundle, dict]:
 def min_max_normalize(
     column: Sequence[float | None], params: NormalizationParams | None = None
 ) -> tuple[list[float | None], NormalizationParams]:
-    """Rescale a numeric column to [0, 1]; a constant column maps to zeros."""
-    present = [v for v in column if v is not None]
+    """Rescale a numeric column to [0, 1]; a constant column maps to zeros.
+
+    Values outside fitted ``params`` clamp to the nearer end.
+    """
     if params is None:
+        present = [v for v in column if v is not None]
         if not present:
             raise EmptyColumnError("cannot normalize a column with no values")
         params = NormalizationParams(min(present), max(present))
@@ -196,8 +217,8 @@ def equal_width_discretize(
     which clamps into the top bin.  A constant column lands entirely in
     the first bin.
     """
-    present = [v for v in column if v is not None]
     if params is None:
+        present = [v for v in column if v is not None]
         if not present:
             raise EmptyColumnError("cannot discretize a column with no values")
         params = BinningParams(minimum=min(present), maximum=max(present))
@@ -213,20 +234,6 @@ def label_class(exam_score: float | None, rule: ClassRule | None = None) -> str:
     if not 0.0 <= exam_score <= 10.0:
         raise OutOfRangeScoreError(f"score {exam_score} outside [0, 10]")
     return passed if exam_score >= rule.pass_threshold else failed
-
-
-def winsorize_column(column: Sequence[float | None], upper_pct: float = 0.99) -> list[float | None]:
-    """Cap values above the given upper percentile (outlier repair helper).
-
-    Not wired into the default pipeline; platform time logs are assumed
-    already repaired upstream.
-    """
-    present = sorted(v for v in column if v is not None)
-    if not present:
-        raise EmptyColumnError("cannot winsorize a column with no values")
-    rank = max(0, min(len(present) - 1, math.ceil(upper_pct * len(present)) - 1))
-    cap = present[rank]
-    return [v if v is None else min(v, cap) for v in column]
 
 
 def _session_groups(table: DataTable):
@@ -361,12 +368,11 @@ def transform_fused(
         for i, spec in enumerate(table.specs):
             column = [row[i] for row in table.rows]
             if spec.role == ROLE_INPUT and spec.is_numeric:
-                norm = normalization[spec.name]
                 bins = binning[spec.name]
                 num_specs.append(spec)
-                num_cols.append([max(0.0, min(1.0, v)) if (v := norm.apply(c)) is not None else None for c in column])
+                num_cols.append(min_max_normalize(column, normalization[spec.name])[0])
                 dis_specs.append(AttributeSpec.nominal(spec.name, bins.labels, role=ROLE_INPUT))
-                dis_cols.append([bins.bin_of(c) for c in column])
+                dis_cols.append(equal_width_discretize(column, bins)[0])
             else:
                 num_specs.append(spec)
                 num_cols.append(column)

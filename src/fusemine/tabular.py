@@ -1,15 +1,16 @@
 """Typed tabular data model, CSV/schema I/O, and id-based joining.
 
 Cell values are plain Python objects interpreted through their attribute
-spec: ``float`` for numeric attributes, ``int`` (a label index) for nominal
-attributes, and ``None`` for a missing value.  Tables are immutable after
-construction and safe to share between concurrent tasks.
+spec: a finite ``float`` for numeric attributes, ``int`` (a label index)
+for nominal attributes, and ``None`` for a missing value.  Tables are
+immutable after construction and safe to share between concurrent tasks.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -91,7 +92,12 @@ def _check_value(spec: AttributeSpec, value):
             raise SchemaMismatchError(
                 f"attribute {spec.name!r} is numeric but got {value!r}"
             )
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise SchemaMismatchError(
+                f"attribute {spec.name!r} needs a finite number but got {value!r}"
+            )
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaMismatchError(
             f"attribute {spec.name!r} is nominal but got {value!r}"
@@ -245,11 +251,6 @@ class SourceBundle:
     def __contains__(self, name: str) -> bool:
         return name in self.sources
 
-    def replace(self, name: str, table: DataTable) -> "SourceBundle":
-        updated = dict(self.sources)
-        updated[name] = table
-        return SourceBundle(updated)
-
 
 def value_to_text(spec: AttributeSpec, value) -> str:
     """Serialize one cell; the empty string encodes a missing value."""
@@ -321,26 +322,19 @@ def schema_to_json(schema: Sequence[AttributeSpec]) -> str:
 
 
 def schema_from_json(text: str) -> tuple[AttributeSpec, ...]:
-    entries = json.loads(text)
-    specs = []
-    for entry in entries:
-        specs.append(
+    """Parse ``schema_to_json`` output; a malformed entry is a schema mismatch."""
+    try:
+        return tuple(
             AttributeSpec(
                 name=entry["name"],
                 kind=entry["kind"],
                 labels=tuple(entry["labels"]) if "labels" in entry else None,
                 role=entry.get("role", ROLE_INPUT),
             )
+            for entry in json.loads(text)
         )
-    return tuple(specs)
-
-
-def load_schema(path) -> tuple[AttributeSpec, ...]:
-    return schema_from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def save_schema(schema: Sequence[AttributeSpec], path) -> None:
-    Path(path).write_text(schema_to_json(schema), encoding="utf-8")
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        raise SchemaMismatchError(f"malformed schema JSON: {err!r}") from None
 
 
 def join_on_id(bundle: SourceBundle, drop_id: bool = True) -> DataTable:

@@ -1,8 +1,17 @@
+import copy
 import json
+import os
+import shutil
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fusemine.cli import main
+from fusemine import cli
+from fusemine.cli import CliError, load_model, main
+from fusemine.ensemble import VoteModel
+from fusemine.learners import Model
+from fusemine.tabular import AttributeSpec, DataTable
 
 COHORT = ["synth", "--n", "57", "--seed", "5", "--out"]
 
@@ -256,3 +265,221 @@ class TestRunConfigFile:
         assert main([
             "eval", "--data", str(workspace / "pre"), "--config", str(config),
         ]) == 2
+
+    def test_explicit_flag_beats_config(self, workspace, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"k": 3}), encoding="utf-8")
+        for flags in (["--k=5"], ["--k", "5"]):
+            out = tmp_path / "eval.json"
+            assert main([
+                "eval", "--data", str(workspace / "pre"), "--algorithm", "c45",
+                *flags, "--config", str(config), "--out", str(out),
+            ]) == 0
+            assert len(json.loads(out.read_text(encoding="utf-8"))["fold_accuracy"]) == 5
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("text", [
+        "not json {",
+        '{"kind": "vote"}',
+        '{"kind": "vote", "models": {}, "weights": {}}',
+        '["kind", "vote"]',
+        '"vote"',
+        "\udcff not utf-8",
+    ])
+    def test_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "model.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert main(["explain", "--model", str(path)]) == 2
+        assert_one_line_error(capsys)
+
+    def test_older_file_with_vote_rule_still_loads(self, workspace, tmp_path, capsys):
+        out = tmp_path / "vote"
+        assert main([
+            "train", "--data", str(workspace / "pre"), "--approach", "ensemble",
+            "--algorithm", "c45", "--out", str(out),
+        ]) == 0
+        path = out / "model.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert "combination_rule" not in payload
+        payload["combination_rule"] = "average_of_probabilities"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["explain", "--model", str(path)]) == 0
+        assert capsys.readouterr().out == (out / "model.txt").read_text(encoding="utf-8")
+
+
+def json_containers(children):
+    return st.lists(children, max_size=4) | st.dictionaries(
+        st.text(max_size=6), children, max_size=4
+    )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    json_containers,
+    max_leaves=12,
+)
+
+
+def json_paths(value, prefix=()):
+    """Every key/index path into a JSON value, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+def replaced(value, path, new):
+    if not path:
+        return new
+    value = copy.deepcopy(value)
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return value
+
+
+@pytest.fixture(scope="module")
+def stored_models(workspace):
+    payloads = []
+    for approach, algorithm in (("ensemble", "ripper"), ("merge", "c45"), ("merge", "nnge")):
+        out = workspace / f"stored-{approach}-{algorithm}"
+        assert main([
+            "train", "--data", str(workspace / "pre"), "--approach", approach,
+            "--algorithm", algorithm, "--out", str(out),
+        ]) == 0
+        payloads.append(json.loads((out / "model.json").read_text(encoding="utf-8")))
+    return payloads
+
+
+class TestLoadModelFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_loads_or_exits_2(self, data, stored_models, tmp_path_factory):
+        """``load_model`` on any JSON value loads or raises ``CliError`` with code 2."""
+        base = data.draw(st.sampled_from(stored_models + [None]))
+        if base is None:
+            payload = data.draw(JSON_VALUES)
+        else:
+            path = data.draw(st.sampled_from(list(json_paths(base))))
+            payload = replaced(base, path, data.draw(JSON_VALUES))
+        file = tmp_path_factory.mktemp("fuzz") / "model.json"
+        file.write_text(json.dumps(payload), encoding="utf-8")
+        try:
+            model = load_model(file)
+        except CliError as err:
+            assert err.code == 2
+            assert "\n" not in str(err)
+        else:
+            assert isinstance(model, (Model, VoteModel))
+
+
+class TestNonFiniteCell:
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_preprocess_exits_2(self, workspace, tmp_path, capsys, cell):
+        raw = tmp_path / "raw"
+        shutil.copytree(workspace / "raw", raw)
+        path = raw / "theory.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[1].split(",")
+        cells[1] = cell
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["preprocess", "--data", str(raw), "--out", str(tmp_path / "pre")]) == 2
+        assert_one_line_error(capsys)
+
+
+class TestPreprocessConfigFile:
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"n_bins": "x"}',
+        '{"bogus": 1}',
+        '{"fold_local_refit": true}',
+        '[3]',
+        '{"n_bins": 4}',
+        '{"pass_threshold": 11}',
+    ])
+    def test_bad_config_exits_2(self, workspace, tmp_path, capsys, text):
+        config = tmp_path / "pre.json"
+        config.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main([
+            "preprocess", "--data", str(workspace / "raw"), "--out", str(tmp_path / "o"),
+            "--config", str(config),
+        ]) == 2
+        assert_one_line_error(capsys)
+
+    def test_config_and_seed(self, workspace, tmp_path):
+        config = tmp_path / "pre.json"
+        config.write_text(json.dumps({"pass_threshold": 5.0, "seed": 1}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([
+            "preprocess", "--data", str(workspace / "raw"), "--out", str(out),
+            "--config", str(config), "--seed", "3",
+        ]) == 0
+        assert (out / "params.json").read_bytes() == (
+            workspace / "pre" / "params.json"
+        ).read_bytes()
+
+
+class TestThreadEnvValue:
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_value_exits_2(self, workspace, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("FUSEMINE_THREADS", value)
+        capsys.readouterr()
+        assert main([
+            "experiment", "--data", str(workspace / "pre"), "--variant", "discretized",
+            "--approach", "merge", "--algorithm", "c45", "--k", "3",
+            "--out", str(tmp_path / "r"),
+        ]) == 2
+        assert_one_line_error(capsys)
+
+
+class TestAtomicWrite:
+    def test_interleaved_writers_do_not_collide(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        real_replace = os.replace
+        calls = []
+
+        def replace_after_second_writer(src, dst):
+            # The first writer's rename runs only after a second writer
+            # to the same path has finished.
+            calls.append(src)
+            if len(calls) == 1:
+                cli._atomic_write(target, "second\n")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace_after_second_writer)
+        cli._atomic_write(target, "first\n")
+        assert calls[0] != calls[1]
+        assert target.read_text(encoding="utf-8") == "first\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "t.csv"
+        target.write_text("old\n", encoding="utf-8")
+
+        def broken_save(table, path):
+            Path(path).write_text("partial", encoding="utf-8")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "save_csv", broken_save)
+        table = DataTable([AttributeSpec.numeric("x")], [(1.0,)])
+        with pytest.raises(OSError):
+            cli._atomic_write(target, table)
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        assert target.read_text(encoding="utf-8") == "old\n"

@@ -171,6 +171,25 @@ class TestFusionConfig:
             FusionConfig(approach="stacking")
 
 
+class TestVoteModel:
+    def test_needs_a_base_model(self):
+        with pytest.raises(InvalidParamsError):
+            VoteModel(models={}, weights={})
+
+    def test_weights_must_name_the_base_models(self):
+        model = fixed_model((1, 0, 0))
+        with pytest.raises(InvalidParamsError):
+            VoteModel(models={"theory": model}, weights={"practice": 1.0})
+
+    def test_base_models_must_share_class_labels(self):
+        other = constant_model(("Yes", "No"), "Yes")
+        with pytest.raises(InvalidParamsError):
+            VoteModel(
+                models={"theory": fixed_model((1, 0, 0)), "online": other},
+                weights={"theory": 1.0, "online": 1.0},
+            )
+
+
 def planted_bundle(n=90, seed=0, signal="online"):
     """Three-source bundle; only ``signal`` carries the class concept."""
     rng = random.Random(seed)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from fusemine.ensemble import FusionConfig
+from fusemine.ensemble import FusionConfig, prepare_approach
 from fusemine.errors import LengthMismatchError, SingleClassTruthError, TooFewRowsError
 from fusemine.evaluation import (
     DEFAULT_ALGORITHM_ORDER,
@@ -17,7 +17,9 @@ from fusemine.evaluation import (
     stable_seed,
     stratified_kfold,
 )
-from fusemine.preprocess import PreprocessConfig, preprocess_bundle
+from fusemine.preprocess import preprocess_bundle
+from fusemine.selection import select_best_attributes
+from fusemine.synth import CohortSpec, generate
 from fusemine.tabular import AttributeSpec, DataTable, SourceBundle
 
 from helpers import GRADE, STATUS, planted_label
@@ -252,6 +254,36 @@ class TestCrossValidate:
         assert result.accuracy_pct > 60.0
 
 
+class TestFoldSelection:
+    @pytest.fixture(scope="class")
+    def cohort(self):
+        raw, _ = generate(CohortSpec(n_students=60, class_counts=(20, 18, 22), seed=4))
+        return preprocess_bundle(raw).discretized
+
+    @pytest.mark.parametrize("approach, unselected", [
+        ("select", "merge"), ("ensemble-select", "ensemble"),
+    ])
+    def test_each_fold_records_its_own_selection(self, cohort, approach, unselected):
+        result = cross_validate(
+            FusionConfig(approach=approach), "c45", cohort, k=5, seed=1,
+            fold_local_select=True,
+        )
+        prepared = prepare_approach(FusionConfig(approach=unselected), cohort)
+        tables = {"merged": prepared.merged} if prepared.kind == "merged" else prepared.per_source
+        for fold in result.folds:
+            train = [i for i in range(result.n_rows) if i not in fold.test_indices]
+            assert fold.selected == {
+                name: select_best_attributes(table.with_rows([table.rows[i] for i in train]))
+                for name, table in tables.items()
+            }
+
+    def test_full_data_selection_recorded_on_every_fold(self, cohort):
+        config = FusionConfig(approach="select")
+        result = cross_validate(config, "c45", cohort, k=5, seed=1)
+        expected = prepare_approach(config, cohort).selected
+        assert [fold.selected for fold in result.folds] == [expected] * 5
+
+
 @pytest.fixture(scope="module")
 def grid():
     bundle = planted_cv_bundle(n=90, seed=5)
@@ -318,40 +350,6 @@ class TestStableSeed:
 
     def test_stable_across_calls(self):
         assert stable_seed("a", 1) == stable_seed("a", 1)
-
-
-class TestFoldLocalRefit:
-    def test_refit_path_is_deterministic_and_sane(self):
-        from fusemine.preprocess import PreprocessConfig, preprocess_bundle
-        from fusemine.synth import CohortSpec, generate
-
-        bundle, _ = generate(CohortSpec(n_students=114, class_counts=(38, 34, 42), seed=4))
-        pre = preprocess_bundle(bundle)
-        config = PreprocessConfig(fold_local_refit=True)
-        refit = (bundle, config, "discretized")
-        first = cross_validate(
-            FusionConfig(approach="merge"), "c45", pre.discretized, k=5, seed=2,
-            refit=refit,
-        )
-        second = cross_validate(
-            FusionConfig(approach="merge"), "c45", pre.discretized, k=5, seed=2,
-            refit=refit,
-        )
-        assert first == second
-        assert first.accuracy_pct >= 90.0
-
-    def test_refit_select_approach(self):
-        from fusemine.preprocess import PreprocessConfig, preprocess_bundle
-        from fusemine.synth import CohortSpec, generate
-
-        bundle, _ = generate(CohortSpec(n_students=114, class_counts=(38, 34, 42), seed=5))
-        pre = preprocess_bundle(bundle)
-        config = PreprocessConfig(fold_local_refit=True)
-        result = cross_validate(
-            FusionConfig(approach="select"), "c45", pre.numeric, k=5, seed=2,
-            refit=(bundle, config, "numeric"),
-        )
-        assert result.accuracy_pct >= 80.0
 
 
 class TestGridThreads:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fusemine.errors import (
     EmptyColumnError,
+    InvalidParamsError,
     MixedKindGroupError,
     OutOfRangeScoreError,
     SchemaMismatchError,
@@ -12,6 +13,7 @@ from fusemine.errors import (
 from fusemine.preprocess import (
     BinningParams,
     ClassRule,
+    NormalizationParams,
     PreprocessConfig,
     anonymize,
     equal_width_discretize,
@@ -19,7 +21,7 @@ from fusemine.preprocess import (
     label_class,
     min_max_normalize,
     preprocess_bundle,
-    winsorize_column,
+    transform_fused,
 )
 from fusemine.tabular import AttributeSpec, DataTable, SourceBundle
 
@@ -108,13 +110,6 @@ class TestLabelClass:
     @given(st.one_of(st.none(), st.floats(0, 10, allow_nan=False)))
     def test_total_partition(self, score):
         assert label_class(score) in ClassRule().labels
-
-
-class TestWinsorize:
-    def test_caps_extremes(self):
-        column = [float(i) for i in range(100)] + [1e9]
-        capped = winsorize_column(column)
-        assert max(v for v in capped if v is not None) < 1e9
 
 
 def session_table(values_by_row, kind="numeric", labels=None, n_sessions=3):
@@ -258,6 +253,32 @@ class TestPreprocessBundle:
         config = PreprocessConfig(n_bins=3, pass_threshold=4.5, seed=9)
         again = PreprocessConfig.from_json(config.to_json())
         assert again == config
+
+    @pytest.mark.parametrize("fields", [
+        {"n_bins": "x"}, {"n_bins": True}, {"pass_threshold": "5"}, {"seed": 1.5},
+        {"bin_labels": ("Low", 2, "High")}, {"n_bins": 4}, {"pass_threshold": 11.0},
+    ])
+    def test_config_rejects_bad_fields(self, fields):
+        with pytest.raises((InvalidParamsError, SchemaMismatchError)):
+            PreprocessConfig(**fields)
+
+    @pytest.mark.parametrize("text", ["[1]", '{"fold_local_refit": false}'])
+    def test_config_json_rejects_non_object_and_unknown_keys(self, text):
+        with pytest.raises((InvalidParamsError, SchemaMismatchError)):
+            PreprocessConfig.from_json(text)
+
+    def test_transform_clamps_values_outside_fitted_params(self):
+        narrow = {"Theory.Att": NormalizationParams(2.0, 8.0)}
+        bins = {"Theory.Att": BinningParams(minimum=2.0, maximum=8.0)}
+        fused = SourceBundle({
+            "theory": DataTable(
+                [AttributeSpec.numeric("id", role="id"), AttributeSpec.numeric("Theory.Att")],
+                [(1.0, 0.0), (2.0, 5.0), (3.0, 10.0)],
+            )
+        })
+        numeric, discretized = transform_fused(fused, narrow, bins)
+        assert numeric["theory"].column("Theory.Att") == [0.0, 0.5, 1.0]
+        assert discretized["theory"].column("Theory.Att") == [0, 1, 2]
 
 
 class TestAnonymize:

@@ -14,9 +14,9 @@ from fusemine.tabular import (
     SourceBundle,
     join_on_id,
     load_csv,
-    load_schema,
     save_csv,
-    save_schema,
+    schema_from_json,
+    schema_to_json,
 )
 
 
@@ -62,6 +62,11 @@ class TestDataTable:
         with pytest.raises(DuplicateIdError):
             simple_table([1, 1], [0.0, 1.0])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number_rejected(self, value):
+        with pytest.raises(SchemaMismatchError):
+            simple_table([1], [value])
+
     def test_two_class_columns_rejected(self):
         specs = [
             id_spec(),
@@ -101,6 +106,13 @@ class TestCsvRoundTrip:
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("id,wrong\n1,1\n", encoding="utf-8")
+        with pytest.raises(SchemaMismatchError):
+            load_csv(path, [id_spec(), AttributeSpec.numeric("score")])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"id,score\n1,{cell}\n", encoding="utf-8")
         with pytest.raises(SchemaMismatchError):
             load_csv(path, [id_spec(), AttributeSpec.numeric("score")])
 
@@ -153,15 +165,18 @@ class TestCsvRoundTrip:
 
 
 class TestSchemaJson:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         schema = (
             id_spec(),
             AttributeSpec.numeric("score"),
             AttributeSpec.nominal("grade", ["Low", "High"], role="class"),
         )
-        path = tmp_path / "schema.json"
-        save_schema(schema, path)
-        assert load_schema(path) == schema
+        assert schema_from_json(schema_to_json(schema)) == schema
+
+    @pytest.mark.parametrize("text", ["{", "[1]", '[{"kind": "numeric"}]', '{"name": "x"}'])
+    def test_malformed_schema_rejected(self, text):
+        with pytest.raises(SchemaMismatchError):
+            schema_from_json(text)
 
 
 def make_bundle(n=4):

@@ -29,6 +29,7 @@ from .ensemble import (
     VoteModel,
     check_vote_weights,
     run_approach,
+    vote_predict_label,
     weight_search,
 )
 from .errors import FusemineError
@@ -52,6 +53,8 @@ from .learners import (
     render_rules,
     tree_paths,
 )
+from .learners.encode import encode_row
+from .learners.model import condition_matches
 from .preprocess import PreprocessConfig, anonymize, preprocess_bundle
 from .selection import select_best_attributes
 from .synth import CohortSpec, generate
@@ -101,12 +104,16 @@ def _atomic_write(path: Path, content: str | DataTable) -> None:
 
 
 def _read_json(path: Path, what: str, parse=json.loads):
-    """Parse a JSON input file; a missing or malformed file exits 2."""
+    """Parse a JSON input file; a missing or malformed file exits 2.
+
+    ``ValueError`` covers bad JSON, bytes that are not UTF-8, and an
+    integer too long to convert.
+    """
     if not path.is_file():
         raise CliError(f"{what} {path} not found", 2)
     try:
         return parse(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as err:
+    except (ValueError, RecursionError) as err:
         raise CliError(f"{what} {path} is not valid JSON: {err}", 2) from None
     except FusemineError as err:
         raise CliError(f"{what} {path}: {err}", 2) from None
@@ -286,8 +293,6 @@ def _preprocess_config(args) -> PreprocessConfig:
 
 
 def cmd_select(args) -> int:
-    if args.variant == "both":
-        raise CliError("select needs a single --variant", 2)
     directory = _variant_dirs(Path(args.data), args.variant)[args.variant]
     bundle = load_bundle(directory)
     merged = join_on_id(bundle, drop_id=True)
@@ -302,8 +307,6 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.variant == "both":
-        raise CliError("train needs a single --variant", 2)
     directory = _variant_dirs(Path(args.data), args.variant)[args.variant]
     bundle = load_bundle(directory)
     config = _input(
@@ -320,8 +323,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.variant == "both":
-        raise CliError("eval needs a single --variant", 2)
     directory = _variant_dirs(Path(args.data), args.variant)[args.variant]
     bundle = load_bundle(directory)
     config = _input(
@@ -441,14 +442,10 @@ def cmd_explain(args) -> int:
         print(f"student {args.student}: rule {fired + 1} fires ({text}) -> {label}")
     else:
         print(f"student {args.student}: predicted {label}")
-        for conditions, leaf in tree_paths(model):
-            from .learners.model import condition_matches
-            from .learners.encode import encode_row
-
-            enc = encode_row(
-                model.specs, model.input_indices,
-                model.metadata.get("numeric_fill", {}), row,
-            )
+        enc = encode_row(
+            model.specs, model.input_indices, model.metadata.get("numeric_fill", {}), row
+        )
+        for conditions, _leaf in tree_paths(model):
             if all(condition_matches(model, c, enc) for c in conditions):
                 path = " AND ".join(c.render() for c in conditions) or "(root)"
                 print(f"leaf path: {path}")
@@ -457,8 +454,6 @@ def cmd_explain(args) -> int:
 
 
 def _explain_vote_student(model: VoteModel, bundle, student: int) -> int:
-    from .ensemble import vote_predict, vote_predict_label
-
     parts = {}
     for name in model.models:
         pair = SourceBundle({name: bundle[name], "exam": bundle["exam"]})
@@ -505,14 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     select = sub.add_parser("select", help="run attribute selection on the merged table")
     select.add_argument("--data", required=True, help="preprocess output directory")
-    select.add_argument("--variant", choices=(*VARIANTS, "both"), default="discretized")
+    select.add_argument("--variant", choices=VARIANTS, default="discretized")
     select.add_argument("--select", choices=("cfs", "none"), default="cfs")
     select.add_argument("--out")
     select.set_defaults(func=cmd_select)
 
     train_p = sub.add_parser("train", help="train one approach on the full dataset")
     train_p.add_argument("--data", required=True)
-    train_p.add_argument("--variant", choices=(*VARIANTS, "both"), default="discretized")
+    train_p.add_argument("--variant", choices=VARIANTS, default="discretized")
     train_p.add_argument("--approach", default="merge")
     train_p.add_argument("--algorithm", choices=ALGORITHMS, default="part")
     train_p.add_argument("--weights", default="1,1,1")
@@ -523,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     eval_p = sub.add_parser("eval", help="cross-validate one cell")
     eval_p.add_argument("--data", required=True)
-    eval_p.add_argument("--variant", choices=(*VARIANTS, "both"), default="discretized")
+    eval_p.add_argument("--variant", choices=VARIANTS, default="discretized")
     eval_p.add_argument("--approach", default="merge")
     eval_p.add_argument("--algorithm", choices=ALGORITHMS, default="part")
     eval_p.add_argument("--weights", default="1,1,1")
@@ -551,19 +546,42 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--model", required=True)
     explain.add_argument("--student", type=int, default=None)
     explain.add_argument("--data")
-    explain.add_argument("--variant", choices=(*VARIANTS, "both"), default="discretized")
+    explain.add_argument("--variant", choices=VARIANTS, default="discretized")
     explain.set_defaults(func=cmd_explain)
     return parser
+
+
+def _config_tokens(key: str, value, parsed) -> list[str]:
+    """Command-line tokens that give flag ``key`` a run-config value.
+
+    ``parsed`` is what argparse made of the flag: a bool for a switch, a
+    list for a flag that takes several values, anything else for a flag
+    that takes one.
+    """
+    flag = "--" + key.replace("_", "-")
+    if isinstance(parsed, bool):
+        if not isinstance(value, bool):
+            raise CliError(f"config key {key!r} must be true or false", 2)
+        return [flag] if value else []
+    several = isinstance(parsed, list)
+    items = value if several and isinstance(value, list) else [value]
+    for item in items:
+        if item is None or isinstance(item, (bool, list, dict)):
+            raise CliError(f"config key {key!r} has a bad value {value!r}", 2)
+    if several:
+        return [flag, *map(str, items)]
+    return [f"{flag}={value}"]
 
 
 def _merge_config(parser, args, argv):
     """Fill flags from a JSON run config; flags given on the command line win.
 
-    The config's values become the subcommand's defaults and ``argv`` is
-    parsed again, so argparse itself decides which flags were given,
-    however they were spelled.  The preprocess subcommand keeps its own
-    config semantics (binning and labeling parameters), so it is left
-    alone here.
+    Each config value becomes the tokens of its flag, placed before the
+    flags on the command line, and the whole is parsed again: argparse
+    applies each flag's ``type`` and ``choices`` to the config's values,
+    and the later, explicit flag wins however it was spelled.  The
+    preprocess subcommand keeps its own config semantics (binning and
+    labeling parameters), so it is left alone here.
     """
     path = getattr(args, "config", None)
     if not path or args.command == "preprocess":
@@ -571,17 +589,14 @@ def _merge_config(parser, args, argv):
     payload = _read_json(Path(path), "config file")
     if not isinstance(payload, dict):
         raise CliError("run config must be a JSON object", 2)
-    defaults = {}
+    tokens = []
     for key, value in payload.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr) or attr in ("config", "command", "func"):
             raise CliError(f"unknown config key {key!r} for {args.command}", 2)
-        defaults[attr] = value
-    subcommands = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    subcommands.choices[args.command].set_defaults(**defaults)
-    return parser.parse_args(argv)
+        tokens += _config_tokens(key, value, getattr(args, attr))
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def main(argv=None) -> int:

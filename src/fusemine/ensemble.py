@@ -171,7 +171,6 @@ def train_prepared(
     config: FusionConfig,
     algorithm: str,
     seed: int = 0,
-    params=None,
     row_filter: Sequence[int] | None = None,
 ):
     """Train the approach's model(s); ``row_filter`` selects row positions."""
@@ -182,9 +181,9 @@ def train_prepared(
         return table.with_rows([table.rows[i] for i in row_filter])
 
     if prepared.kind == "merged":
-        return train(algorithm, rows_of(prepared.merged), params=params, seed=seed)
+        return train(algorithm, rows_of(prepared.merged), seed=seed)
     models = {
-        name: train(algorithm, rows_of(table), params=params, seed=seed)
+        name: train(algorithm, rows_of(table), seed=seed)
         for name, table in prepared.per_source.items()
     }
     return VoteModel(models=models, weights=dict(config.weights))
@@ -195,11 +194,10 @@ def run_approach(
     bundle: SourceBundle,
     algorithm: str,
     seed: int = 0,
-    params=None,
 ) -> tuple[Model | VoteModel, PreparedData]:
     """Prepare the configured approach on a bundle and train on all rows."""
     prepared = prepare_approach(config, bundle)
-    model = train_prepared(prepared, config, algorithm, seed=seed, params=params)
+    model = train_prepared(prepared, config, algorithm, seed=seed)
     return model, prepared
 
 
@@ -209,7 +207,6 @@ def weight_search(
     grid: Sequence[float] = (1.0, 2.0),
     k: int = 10,
     seed: int = 0,
-    params=None,
     approach: str = "ensemble",
 ) -> dict[str, float]:
     """Exhaustive vote-weight search over the grid by CV accuracy.
@@ -228,7 +225,7 @@ def weight_search(
     for combo in product(grid, repeat=len(INPUT_SOURCES)):
         weights = dict(zip(INPUT_SOURCES, combo))
         config = FusionConfig(approach=approach, weights=weights)
-        result = cross_validate(config, algorithm, bundle, k=k, seed=seed, params=params)
+        result = cross_validate(config, algorithm, bundle, k=k, seed=seed)
         all_ones = all(w == 1.0 for w in combo)
         candidates.append((-result.accuracy_pct, 0 if all_ones else 1, combo, weights))
     candidates.sort(key=lambda entry: entry[:3])

@@ -227,7 +227,6 @@ def cross_validate(
     bundle: SourceBundle,
     k: int = 10,
     seed: int = 0,
-    params=None,
     plan_seed: int | None = None,
     fold_local_select: bool = False,
 ) -> CvResult:
@@ -253,8 +252,7 @@ def cross_validate(
         prepared = _prepare_for_fold(config, base, train_rows, fold_local_select)
         train_seed = stable_seed(seed, config.approach, algorithm, fold_no)
         model = train_prepared(
-            prepared, config, algorithm, seed=train_seed, params=params,
-            row_filter=train_rows,
+            prepared, config, algorithm, seed=train_seed, row_filter=train_rows
         )
         fold_hits = 0
         for i in test_rows:
@@ -337,7 +335,6 @@ def run_experiment_grid(
     k: int = 10,
     seed: int = 0,
     weights: Mapping[str, float] | None = None,
-    params_by_algorithm: Mapping[str, object] | None = None,
     max_workers: int = 1,
 ) -> GridResult:
     """Evaluate every (approach, variant, algorithm) cell.
@@ -368,7 +365,6 @@ def run_experiment_grid(
             variants[variant],
             k=k,
             seed=stable_seed(seed, approach, variant, algorithm),
-            params=(params_by_algorithm or {}).get(algorithm),
             plan_seed=stable_seed(seed, "folds", variant),
         )
 

@@ -1,13 +1,11 @@
 """White-box learners: three decision trees and three rule inducers.
 
-Every learner is deterministic given ``(dataset, params, seed)``.  All
-defaults are reconstructions of the usual toolkit settings and live in
-per-algorithm parameter records so experiments can vary them.
+Every learner is deterministic given ``(dataset, seed)``.  Each runs at
+one fixed setting, a reconstruction of the usual toolkit default, kept
+in ``PARAMS``.
 """
 
 from __future__ import annotations
-
-from dataclasses import asdict, dataclass
 
 from ..errors import InvalidParamsError
 from ..tabular import DataTable
@@ -35,83 +33,31 @@ from .trees import build_c45, build_randomtree, build_reptree, class_counts, maj
 ALGORITHMS = ("c45", "reptree", "randomtree", "ripper", "part", "nnge")
 
 
-@dataclass(frozen=True)
-class C45Params:
-    confidence: float = 0.25
-    min_leaf: int = 2
-
-
-@dataclass(frozen=True)
-class RepTreeParams:
-    min_leaf: int = 2
-    holdout_folds: int = 3
-
-
-@dataclass(frozen=True)
-class RandomTreeParams:
-    min_leaf: int = 1
-
-
-@dataclass(frozen=True)
-class RipperParams:
-    holdout_folds: int = 3
-    dl_slack: float = 64.0
-    optimize_passes: int = 1
-
-
-@dataclass(frozen=True)
-class PartParams:
-    confidence: float = 0.25
-    min_leaf: int = 2
-
-
-@dataclass(frozen=True)
-class NngeParams:
-    pass
-
-
-DEFAULT_PARAMS = {
-    "c45": C45Params,
-    "reptree": RepTreeParams,
-    "randomtree": RandomTreeParams,
-    "ripper": RipperParams,
-    "part": PartParams,
-    "nnge": NngeParams,
+#: The one fixed setting of each learner.  Keys are the builders' keyword
+#: names, and every model records its entry under ``metadata["params"]``.
+#: RIPPER's ``optimize_passes`` only records the one optimization pass
+#: that ``build_ripper_rules`` always makes.
+PARAMS = {
+    "c45": {"confidence": 0.25, "min_leaf": 2},
+    "reptree": {"min_leaf": 2, "holdout_folds": 3},
+    "randomtree": {"min_leaf": 1},
+    "ripper": {"holdout_folds": 3, "dl_slack": 64.0, "optimize_passes": 1},
+    "part": {"confidence": 0.25, "min_leaf": 2},
+    "nnge": {},
 }
 
 
-def _validate(algorithm: str, params) -> None:
-    confidence = getattr(params, "confidence", None)
-    if confidence is not None and not 0.0 < confidence <= 0.5:
-        raise InvalidParamsError("confidence must lie in (0, 0.5]")
-    min_leaf = getattr(params, "min_leaf", None)
-    if min_leaf is not None and min_leaf < 1:
-        raise InvalidParamsError("min_leaf must be at least 1")
-    folds = getattr(params, "holdout_folds", None)
-    if folds is not None and folds < 2:
-        raise InvalidParamsError("holdout_folds must be at least 2")
-    passes = getattr(params, "optimize_passes", None)
-    if passes is not None and passes < 0:
-        raise InvalidParamsError("optimize_passes must be non-negative")
-
-
-def train(algorithm: str, dataset: DataTable, params=None, seed: int = 0) -> Model:
+def train(algorithm: str, dataset: DataTable, seed: int = 0) -> Model:
     """Train one model; structure type follows the algorithm tag."""
     if algorithm not in ALGORITHMS:
         raise InvalidParamsError(f"unknown algorithm {algorithm!r}")
-    if params is None:
-        params = DEFAULT_PARAMS[algorithm]()
-    if not isinstance(params, DEFAULT_PARAMS[algorithm]):
-        raise InvalidParamsError(
-            f"params for {algorithm!r} must be {DEFAULT_PARAMS[algorithm].__name__}"
-        )
-    _validate(algorithm, params)
+    params = PARAMS[algorithm]
     enc = encode_table(dataset)
     idx = list(range(enc.n_rows))
     counts = class_counts(enc, idx)
     metadata = {
         "seed": seed,
-        "params": asdict(params),
+        "params": dict(params),
         "numeric_fill": dict(enc.numeric_fill),
     }
     if algorithm == "nnge":
@@ -126,24 +72,17 @@ def train(algorithm: str, dataset: DataTable, params=None, seed: int = 0) -> Mod
         return Model(algorithm, enc.specs, enc.class_labels, structure, metadata)
 
     if algorithm == "c45":
-        structure = DecisionTree(build_c45(enc, idx, params.confidence, params.min_leaf))
+        structure = DecisionTree(build_c45(enc, idx, **params))
     elif algorithm == "reptree":
-        structure = DecisionTree(
-            build_reptree(enc, idx, params.min_leaf, seed, params.holdout_folds)
-        )
+        structure = DecisionTree(build_reptree(enc, idx, seed=seed, **params))
     elif algorithm == "randomtree":
-        structure = DecisionTree(build_randomtree(enc, idx, params.min_leaf, seed))
+        structure = DecisionTree(build_randomtree(enc, idx, seed=seed, **params))
     elif algorithm == "ripper":
         structure = build_ripper_rules(
-            enc,
-            idx,
-            seed,
-            folds=params.holdout_folds,
-            dl_slack=params.dl_slack,
-            optimize_passes=params.optimize_passes,
+            enc, idx, seed, params["holdout_folds"], params["dl_slack"]
         )
     elif algorithm == "part":
-        structure = build_part_rules(enc, idx, params.confidence, params.min_leaf)
+        structure = build_part_rules(enc, idx, **params)
     else:
         structure = build_nnge(enc, idx)
     return Model(algorithm, enc.specs, enc.class_labels, structure, metadata)
@@ -159,17 +98,11 @@ def _degenerate_structure(algorithm: str, enc: Encoded, idx, counts, cls):
 
 __all__ = [
     "ALGORITHMS",
-    "C45Params",
     "Condition",
-    "DEFAULT_PARAMS",
     "DecisionTree",
     "ExemplarSet",
     "Model",
-    "NngeParams",
-    "PartParams",
-    "RandomTreeParams",
-    "RepTreeParams",
-    "RipperParams",
+    "PARAMS",
     "Rule",
     "RuleList",
     "fired_rule_index",

@@ -375,14 +375,11 @@ def _residual_and_cleanup(enc, rules, universe, cls, seed, folds, dl_slack, n_po
     return rules
 
 
-def build_ripper_rules(
-    enc: Encoded,
-    idx,
-    seed: int,
-    folds: int = 3,
-    dl_slack: float = 64.0,
-    optimize_passes: int = 1,
-):
+def build_ripper_rules(enc: Encoded, idx, seed: int, holdout_folds: int, dl_slack: float):
+    """Learn each class's rules in ascending frequency, then make one
+    optimization pass over them: revise every rule, then cover what the
+    revised rules leave uncovered and drop rules that do not pay for
+    themselves.  The most frequent class becomes the default rule."""
     counts = class_counts(enc, idx)
     order = sorted(range(enc.n_classes), key=lambda c: (counts[c], c))
     stages = [c for c in order[:-1] if counts[c] > 0]
@@ -392,15 +389,15 @@ def build_ripper_rules(
     for stage_no, cls in enumerate(stages):
         stage_seed = seed + 15485863 * (stage_no + 1)
         stage_rules, n_possible = _learn_class_rules(
-            enc, remaining, cls, stage_seed, folds, dl_slack
+            enc, remaining, cls, stage_seed, holdout_folds, dl_slack
         )
-        for _pass in range(optimize_passes):
-            stage_rules = _optimize_class_rules(
-                enc, stage_rules, remaining, cls, stage_seed + 1, folds, n_possible
-            )
-            stage_rules = _residual_and_cleanup(
-                enc, stage_rules, remaining, cls, stage_seed + 2, folds, dl_slack, n_possible
-            )
+        stage_rules = _optimize_class_rules(
+            enc, stage_rules, remaining, cls, stage_seed + 1, holdout_folds, n_possible
+        )
+        stage_rules = _residual_and_cleanup(
+            enc, stage_rules, remaining, cls, stage_seed + 2, holdout_folds, dl_slack,
+            n_possible,
+        )
         all_rules.extend(stage_rules)
         remaining = [
             i

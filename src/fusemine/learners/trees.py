@@ -274,7 +274,7 @@ def build_c45(enc: Encoded, idx, confidence: float, min_leaf: int):
     return pruned
 
 
-def holdout_split(enc: Encoded, idx, seed: int, folds: int = 3):
+def holdout_split(enc: Encoded, idx, seed: int, folds: int):
     """Stratified grow/prune partition over a canonicalized index list."""
     rng = random.Random(seed)
     ordered = enc.canonical_order(list(idx))
@@ -292,8 +292,8 @@ def holdout_split(enc: Encoded, idx, seed: int, folds: int = 3):
     return grow, prune
 
 
-def build_reptree(enc: Encoded, idx, min_leaf: int, seed: int, folds: int = 3):
-    grow, prune = holdout_split(enc, idx, seed, folds)
+def build_reptree(enc: Encoded, idx, min_leaf: int, seed: int, holdout_folds: int):
+    grow, prune = holdout_split(enc, idx, seed, holdout_folds)
     tree = grow_tree(enc, grow, min_leaf, use_ratio=False)
     if prune:
         tree, _ = rep_prune(tree, enc, prune)

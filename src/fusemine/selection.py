@@ -21,6 +21,7 @@ from .errors import (
     SchemaMismatchError,
     UnknownAttributeError,
 )
+from .learners.trees import entropy
 from .tabular import ROLE_CLASS, ROLE_ID, DataTable
 
 _MERIT_EPS = 1e-12
@@ -34,20 +35,9 @@ class MeritScore:
     merit: float
 
 
-def _entropy(counts: Sequence[int], total: int) -> float:
-    if total == 0:
-        return 0.0
-    h = 0.0
-    for c in counts:
-        if c:
-            p = c / total
-            h -= p * math.log2(p)
-    return h
-
-
 def _column_entropy(values: Sequence) -> float:
     counts = Counter(values)
-    return _entropy(sorted(counts.values()), len(values))
+    return entropy(sorted(counts.values()), len(values))
 
 
 def symmetrical_uncertainty(a: Sequence, b: Sequence) -> float:
@@ -63,19 +53,21 @@ def symmetrical_uncertainty(a: Sequence, b: Sequence) -> float:
     if h_a + h_b == 0.0:
         return 0.0
     joint = Counter(zip(a, b))
-    h_ab = _entropy([joint[k] for k in sorted(joint, key=repr)], len(a))
+    h_ab = entropy([joint[k] for k in sorted(joint, key=repr)], len(a))
     su = 2.0 * (h_a + h_b - h_ab) / (h_a + h_b)
     return max(0.0, min(1.0, su))
 
 
-def mdl_discretize(values: Sequence[float | None], classes: Sequence[int],
-                   fallback_bins: int = FALLBACK_BINS) -> list[int | None]:
+def mdl_discretize(
+    values: Sequence[float | None], classes: Sequence[int]
+) -> list[int | None]:
     """Supervised entropy-based binning of a numeric column.
 
     Recursively picks the cut point minimizing class entropy and keeps it
     only while the information gain passes the minimum-description-length
     test.  When no cut is accepted the column falls back to equal-width
-    binning so weak dependence is still visible to the selector.
+    binning (``FALLBACK_BINS`` bins) so weak dependence is still visible
+    to the selector.
     """
     if len(values) != len(classes):
         raise LengthMismatchError("values and classes differ in length")
@@ -90,7 +82,7 @@ def mdl_discretize(values: Sequence[float | None], classes: Sequence[int],
         lo = present[0][0]
         hi = present[-1][0]
         span = hi - lo
-        width = span / fallback_bins if span > 0 else 0.0
+        width = span / FALLBACK_BINS if span > 0 else 0.0
         out = []
         for v in values:
             if v is None:
@@ -98,7 +90,7 @@ def mdl_discretize(values: Sequence[float | None], classes: Sequence[int],
             elif width == 0.0:
                 out.append(0)
             else:
-                out.append(max(0, min(fallback_bins - 1, math.floor((v - lo) / width))))
+                out.append(max(0, min(FALLBACK_BINS - 1, math.floor((v - lo) / width))))
         return out
     out = []
     for v in values:
@@ -117,7 +109,7 @@ def mdl_discretize(values: Sequence[float | None], classes: Sequence[int],
 
 def _class_entropy(pairs: Sequence[tuple[float, int]]) -> tuple[float, int]:
     counts = Counter(c for _, c in pairs)
-    return _entropy(list(counts.values()), len(pairs)), len(counts)
+    return entropy(list(counts.values()), len(pairs)), len(counts)
 
 
 def _mdl_split(pairs: list[tuple[float, int]], cuts: list[float]) -> None:
@@ -137,8 +129,8 @@ def _mdl_split(pairs: list[tuple[float, int]], cuts: list[float]) -> None:
         n_left = i + 1
         n_right = n - n_left
         right_counts = total_counts - left_counts
-        h_left = _entropy(list(left_counts.values()), n_left)
-        h_right = _entropy(list(right_counts.values()), n_right)
+        h_left = entropy(list(left_counts.values()), n_left)
+        h_right = entropy(list(right_counts.values()), n_right)
         weighted = (n_left * h_left + n_right * h_right) / n
         if best is None or weighted < best[0] - 1e-12:
             cut = (pairs[i][0] + pairs[i + 1][0]) / 2.0
@@ -223,13 +215,11 @@ def cfs_merit(subset: Sequence[int], dataset: DataTable | SuTable) -> MeritScore
     return MeritScore(subset=subset, merit=table.merit(subset))
 
 
-def select_best_attributes(
-    dataset: DataTable | SuTable, stall_limit: int = STALL_LIMIT
-) -> list[str]:
+def select_best_attributes(dataset: DataTable | SuTable) -> list[str]:
     """Forward best-first subset search maximizing the merit score.
 
     Starts from the empty set, expands the most promising open subset by
-    single-attribute additions, and stops after ``stall_limit``
+    single-attribute additions, and stops after ``STALL_LIMIT``
     consecutive expansions that fail to improve the best merit seen.
     Returns names in the original attribute order.
     """
@@ -243,7 +233,7 @@ def select_best_attributes(
     heap: list[tuple[float, int, frozenset[int]]] = [(0.0, counter, best_subset)]
     seen = {best_subset}
     stall = 0
-    while heap and stall < stall_limit:
+    while heap and stall < STALL_LIMIT:
         neg_merit, _, node = heappop(heap)
         improved = False
         for attr in range(n):

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import shutil
@@ -10,7 +12,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fusemine import cli
 from fusemine.cli import CliError, load_model, main
 from fusemine.ensemble import VoteModel
-from fusemine.learners import Model
+from fusemine.evaluation import VARIANTS
+from fusemine.learners import ALGORITHMS, Model
 from fusemine.tabular import AttributeSpec, DataTable
 
 COHORT = ["synth", "--n", "57", "--seed", "5", "--out"]
@@ -183,6 +186,20 @@ class TestEval:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+class TestSingleVariant:
+    @pytest.mark.parametrize("argv", [
+        ["select", "--data", "d"],
+        ["train", "--data", "d", "--out", "o"],
+        ["eval", "--data", "d"],
+        ["explain", "--model", "m.json", "--student", "0", "--data", "d"],
+    ], ids=lambda argv: argv[0])
+    def test_variant_both_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--variant", "both"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'both'" in capsys.readouterr().err
+
+
 class TestExperiment:
     def test_small_grid_outputs(self, workspace, tmp_path, capsys):
         out = tmp_path / "reports"
@@ -276,6 +293,23 @@ class TestRunConfigFile:
                 *flags, "--config", str(config), "--out", str(out),
             ]) == 0
             assert len(json.loads(out.read_text(encoding="utf-8"))["fold_accuracy"]) == 5
+
+    @pytest.mark.parametrize("text", [
+        '{"k": [1]}', '{"k": 3.5}', '{"algorithm": "cart"}', '{"k": 1%s}' % ("0" * 5000),
+    ], ids=["list", "float", "bad-choice", "over-long-int"])
+    def test_wrongly_typed_value_exits_2(self, workspace, tmp_path, text):
+        config = tmp_path / "run.json"
+        config.write_text(text, encoding="utf-8")
+        argv = ["eval", "--data", str(workspace / "pre"), "--config", str(config)]
+        assert exit_code(argv) == 2
+
+
+def exit_code(argv):
+    """``main``'s exit code, also when argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exited:
+        return exited.code
 
 
 def assert_one_line_error(capsys):
@@ -385,6 +419,77 @@ class TestLoadModelFuzz:
             assert "\n" not in str(err)
         else:
             assert isinstance(model, (Model, VoteModel))
+
+
+#: A minimal command line for each subcommand that takes a run config.
+CONFIG_ARGV = {
+    "synth": ["synth", "--out", "o"],
+    "train": ["train", "--data", "d", "--out", "o"],
+    "eval": ["eval", "--data", "d"],
+    "experiment": ["experiment", "--data", "d", "--out", "o"],
+}
+
+#: The type argparse gives each one-value or switch flag.
+FLAG_TYPES = {
+    "n": int, "noise": float, "seed": int, "k": int, "data": str, "out": str,
+    "config": str, "variant": str, "approach": str, "algorithm": str, "weights": str,
+    "fold_local_select": bool, "weight_search": bool,
+}
+
+#: Plausible flag values first, then any JSON value.
+CONFIG_VALUES = (
+    st.sampled_from(["3", "c45", "both", "numeric", "merge", "1,1,1", "-1"])
+    | st.integers(-3, 30)
+    | st.floats(-3, 30)
+    | st.booleans()
+    | st.lists(st.integers(-3, 30), max_size=4)
+    | JSON_VALUES
+)
+
+
+def assert_valid_namespace(args):
+    for name, value in vars(args).items():
+        if name in ("command", "func") or (name == "out" and value is None):
+            continue
+        if name == "proportions":
+            assert len(value) == 3 and all(type(v) is int for v in value)
+        else:
+            assert type(value) is FLAG_TYPES[name], (name, value)
+    if args.command in ("train", "eval"):
+        assert args.algorithm in ALGORITHMS
+        assert args.variant in VARIANTS
+    if args.command == "experiment":
+        assert args.variant in (*VARIANTS, "both")
+
+
+class TestRunConfigFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_valid_namespace_or_exits_2(self, data, tmp_path_factory):
+        """Any JSON object as a run config parses as flags would, or exits 2."""
+        command = data.draw(st.sampled_from(sorted(CONFIG_ARGV)))
+        parser = cli.build_parser()
+        config = tmp_path_factory.mktemp("run-config") / "run.json"
+        argv = CONFIG_ARGV[command] + ["--config", str(config)]
+        # The subcommand's own flags in either spelling; now and then a key no flag has.
+        own = sorted(set(vars(parser.parse_args(argv))) - {"command", "func", "config"})
+        keys = st.sampled_from(own + [k.replace("_", "-") for k in own if "_" in k])
+        payload = data.draw(st.dictionaries(keys, CONFIG_VALUES, max_size=3))
+        if data.draw(st.integers(0, 3)) == 0:
+            junk = st.text(max_size=6) | st.sampled_from(["command", "func", "config"])
+            payload[data.draw(junk)] = data.draw(CONFIG_VALUES)
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                args = cli._merge_config(parser, parser.parse_args(argv), argv)
+        except SystemExit as exited:
+            assert exited.code == 2
+        except CliError as err:
+            assert err.code == 2
+            assert "\n" not in str(err)
+        else:
+            assert_valid_namespace(args)
 
 
 class TestNonFiniteCell:

@@ -4,7 +4,6 @@ import pytest
 
 from fusemine.errors import SchemaMismatchError
 from fusemine.learners import (
-    RipperParams,
     RuleList,
     fired_rule_index,
     predict,
@@ -128,7 +127,7 @@ class TestRipperSpecifics:
 
     def test_optimize_passes_recorded(self):
         table = planted_dataset(n=100, seed=10)
-        model = train("ripper", table, RipperParams(optimize_passes=1), seed=0)
+        model = train("ripper", table, seed=0)
         assert model.metadata["params"]["optimize_passes"] == 1
 
     def test_noise_prunes_rule_count(self):

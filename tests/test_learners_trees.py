@@ -4,15 +4,15 @@ import pytest
 
 from fusemine.errors import InvalidParamsError
 from fusemine.learners import (
-    C45Params,
     DecisionTree,
-    RandomTreeParams,
+    Model,
     predict,
     predict_label,
     render_rules,
     train,
 )
-from fusemine.learners.trees import add_errs
+from fusemine.learners.encode import encode_table
+from fusemine.learners.trees import add_errs, build_c45
 from fusemine.tabular import AttributeSpec, DataTable
 
 from helpers import GRADE, STATUS, planted_dataset
@@ -27,6 +27,14 @@ def training_accuracy(model, table):
         if predict_label(model, row) == labels[row[class_idx]]
     )
     return hits / table.n_rows
+
+
+def c45_at(table, confidence, min_leaf=2):
+    """A C4.5 model grown at a chosen setting; ``train`` uses the fixed one."""
+    enc = encode_table(table)
+    tree = build_c45(enc, range(enc.n_rows), confidence, min_leaf)
+    metadata = {"numeric_fill": dict(enc.numeric_fill)}
+    return Model("c45", enc.specs, enc.class_labels, DecisionTree(tree), metadata)
 
 
 class TestC45:
@@ -50,8 +58,8 @@ class TestC45:
     def test_pruning_never_beats_unpruned_on_training_data(self):
         for seed in range(5):
             table = planted_dataset(n=120, seed=seed, noise=0.3)
-            pruned = train("c45", table, C45Params(confidence=0.25))
-            unpruned = train("c45", table, C45Params(confidence=0.5))
+            pruned = c45_at(table, confidence=0.25)
+            unpruned = c45_at(table, confidence=0.5)
             assert isinstance(pruned.structure, DecisionTree)
             assert pruned.structure.n_leaves() <= unpruned.structure.n_leaves()
             assert training_accuracy(pruned, table) <= training_accuracy(
@@ -68,10 +76,6 @@ class TestC45:
         assert model.metadata["degenerate"] is True
         assert predict(model, (0, None)) == (0.0, 1.0, 0.0)
         assert render_rules(model) == "ELSE Fail\nNumber of Rules : 1\n"
-
-    def test_bad_confidence_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            train("c45", planted_dataset(30), C45Params(confidence=0.9))
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(InvalidParamsError):
@@ -126,7 +130,7 @@ class TestRepTree:
     def test_pruning_reacts_to_noise(self):
         table = planted_dataset(n=200, seed=9, noise=0.35)
         model = train("reptree", table, seed=1)
-        full = train("c45", table, C45Params(confidence=0.5, min_leaf=1))
+        full = c45_at(table, confidence=0.5, min_leaf=1)
         assert model.structure.n_leaves() <= full.structure.n_leaves()
 
 
@@ -144,7 +148,7 @@ class TestRandomTree:
 
     def test_fits_planted_concept(self):
         table = planted_dataset(n=400, seed=12)
-        model = train("randomtree", table, RandomTreeParams(), seed=2)
+        model = train("randomtree", table, seed=2)
         assert training_accuracy(model, table) >= 0.95
 
 

@@ -76,6 +76,16 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line: no usage block.
+
+    ``add_subparsers`` builds subcommand parsers of the parser's own class.
+    """
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _input(fn, *args, **kwargs):
     """Run an input-construction step; its failures are validation errors."""
     try:
@@ -472,7 +482,7 @@ def _explain_vote_student(model: VoteModel, bundle, student: int) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fusemine",
         description="Multi-source data fusion pipeline for predicting student performance",
     )

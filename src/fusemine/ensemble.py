@@ -178,7 +178,7 @@ def train_prepared(
     def rows_of(table: DataTable) -> DataTable:
         if row_filter is None:
             return table
-        return table.with_rows([table.rows[i] for i in row_filter])
+        return table.take(row_filter)
 
     if prepared.kind == "merged":
         return train(algorithm, rows_of(prepared.merged), seed=seed)
@@ -221,11 +221,13 @@ def weight_search(
     grid = tuple(sorted(set(float(g) for g in grid)))
     if not grid:
         raise InvalidParamsError("empty weight grid")
+    # Preparation depends only on the approach, so every weighting shares one.
+    prepared = prepare_approach(FusionConfig(approach=approach), bundle)
     candidates = []
     for combo in product(grid, repeat=len(INPUT_SOURCES)):
         weights = dict(zip(INPUT_SOURCES, combo))
         config = FusionConfig(approach=approach, weights=weights)
-        result = cross_validate(config, algorithm, bundle, k=k, seed=seed)
+        result = cross_validate(config, algorithm, bundle, k=k, seed=seed, prepared=prepared)
         all_ones = all(w == 1.0 for w in combo)
         candidates.append((-result.accuracy_pct, 0 if all_ones else 1, combo, weights))
     candidates.sort(key=lambda entry: entry[:3])

@@ -195,7 +195,7 @@ def _prepare_for_fold(
     if not fold_local_select or config.approach in ("merge", "ensemble"):
         return base
     if base.kind == "merged":
-        view = base.merged.with_rows([base.merged.rows[i] for i in train_rows])
+        view = base.merged.take(train_rows)
         names = select_best_attributes(view)
         return PreparedData(
             kind="merged", merged=reduce_to(base.merged, names), selected={"merged": names}
@@ -203,7 +203,7 @@ def _prepare_for_fold(
     per_source = {}
     selected = {}
     for name, table in base.per_source.items():
-        view = table.with_rows([table.rows[i] for i in train_rows])
+        view = table.take(train_rows)
         names = select_best_attributes(view)
         selected[name] = names
         per_source[name] = reduce_to(table, names)
@@ -229,18 +229,22 @@ def cross_validate(
     seed: int = 0,
     plan_seed: int | None = None,
     fold_local_select: bool = False,
+    prepared: PreparedData | None = None,
 ) -> CvResult:
     """K-fold evaluation of one (approach, algorithm) cell.
 
     Accuracy pools every held-out prediction (micro average).  With
     ``fold_local_select`` the selection approaches choose attributes on
     each fold's training rows; every fold records what it kept.
+    ``prepared``, when given, must be what ``_base_prepared`` returns for
+    this approach, bundle and ``fold_local_select``; cells that share
+    them pass it in so the bundle is prepared once.
     """
     y, labels = _class_vector(bundle)
     plan = _stratified_folds(
         y, len(labels), k, stable_seed(seed, "folds") if plan_seed is None else plan_seed
     )
-    base = _base_prepared(config, bundle, fold_local_select)
+    base = _base_prepared(config, bundle, fold_local_select) if prepared is None else prepared
 
     n = len(y)
     predictions: list[int | None] = [None] * n
@@ -249,14 +253,14 @@ def cross_validate(
 
     for fold_no, test_rows in enumerate(plan.folds):
         train_rows = plan.train_indices(fold_no)
-        prepared = _prepare_for_fold(config, base, train_rows, fold_local_select)
+        fold_data = _prepare_for_fold(config, base, train_rows, fold_local_select)
         train_seed = stable_seed(seed, config.approach, algorithm, fold_no)
         model = train_prepared(
-            prepared, config, algorithm, seed=train_seed, row_filter=train_rows
+            fold_data, config, algorithm, seed=train_seed, row_filter=train_rows
         )
         fold_hits = 0
         for i in test_rows:
-            dist = _predict_row(model, prepared, i)
+            dist = _predict_row(model, fold_data, i)
             pooled[i] = dist
             best = max(range(len(dist)), key=lambda c: (dist[c], -c))
             predictions[i] = best
@@ -265,7 +269,7 @@ def cross_validate(
         folds_detail.append(
             FoldDetail(
                 fold_no, tuple(test_rows), 100.0 * fold_hits / len(test_rows),
-                selected=prepared.selected,
+                selected=fold_data.selected,
             )
         )
 
@@ -352,20 +356,31 @@ def run_experiment_grid(
         for variant in variants
         for algorithm in algorithms
     ]
-
-    def run_cell(cell):
-        approach, variant, algorithm = cell
-        config = FusionConfig(
+    configs = {
+        approach: FusionConfig(
             approach=approach,
             weights=weights or {s: 1.0 for s in ("theory", "practice", "online")},
         )
+        for approach in approaches
+    }
+    # The algorithms of one (approach, variant) train on the same data, so it
+    # is prepared once, here, and the cells (in any thread) only read it.
+    prepared = {
+        (approach, variant): _base_prepared(configs[approach], bundle, False)
+        for approach in approaches
+        for variant, bundle in variants.items()
+    }
+
+    def run_cell(cell):
+        approach, variant, algorithm = cell
         return cross_validate(
-            config,
+            configs[approach],
             algorithm,
             variants[variant],
             k=k,
             seed=stable_seed(seed, approach, variant, algorithm),
             plan_seed=stable_seed(seed, "folds", variant),
+            prepared=prepared[(approach, variant)],
         )
 
     if max_workers > 1:

@@ -16,8 +16,10 @@ from .encode import Encoded
 from .model import Exemplar, ExemplarSet
 
 
-@dataclass
+@dataclass(eq=False)
 class _Box:
+    """A hyperrectangle; boxes compare by identity, so finding one is cheap."""
+
     cls: int
     lo: dict[int, float]
     hi: dict[int, float]

@@ -82,36 +82,50 @@ def _numeric_split(enc, idx, attr, parent_h, min_leaf, use_ratio):
     n = len(idx)
     if n < 2 * min_leaf:
         return None
-    order = sorted(idx, key=lambda i: col[i])
+    order = sorted(idx, key=col.__getitem__)
     left = [0.0] * enc.n_classes
     right = class_counts(enc, order)
+    log2 = math.log2
     best = None
     n_left = 0
+    value = col[order[0]]
     for pos in range(n - 1):
-        i = order[pos]
-        left[y[i]] += 1.0
-        right[y[i]] -= 1.0
+        cls = y[order[pos]]
+        left[cls] += 1.0
+        right[cls] -= 1.0
         n_left += 1
-        if col[i] == col[order[pos + 1]]:
+        next_value = col[order[pos + 1]]
+        if value == next_value:
             continue
+        here, value = value, next_value
         n_right = n - n_left
         if n_left < min_leaf or n_right < min_leaf:
             continue
-        weighted = (
-            n_left / n * entropy(left, n_left) + n_right / n * entropy(right, n_right)
-        )
+        # entropy(left, n_left) and entropy(right, n_right), inlined: the
+        # same float operations in the same order, without the calls.
+        h_left = 0.0
+        for c in left:
+            if c:
+                p = c / n_left
+                h_left -= p * log2(p)
+        h_right = 0.0
+        for c in right:
+            if c:
+                p = c / n_right
+                h_right -= p * log2(p)
+        weighted = n_left / n * h_left + n_right / n * h_right
         gain = parent_h - weighted
         if gain <= _EPS:
             continue
         if use_ratio:
             p = n_left / n
-            split_info = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
+            split_info = -(p * log2(p) + (1 - p) * log2(1 - p))
             if split_info <= _EPS:
                 continue
             score = gain / split_info
         else:
             score = gain
-        threshold = (col[i] + col[order[pos + 1]]) / 2.0
+        threshold = (here + next_value) / 2.0
         if best is None or score > best[0] + _EPS:
             best = (score, threshold)
     return best

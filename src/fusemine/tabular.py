@@ -194,6 +194,30 @@ class DataTable:
     def with_rows(self, rows: Iterable[Sequence]) -> "DataTable":
         return DataTable(self.specs, rows)
 
+    def take(self, positions: Sequence[int]) -> "DataTable":
+        """The rows at ``positions``, in that order, on the same schema.
+
+        The cells were checked when this table was built, so they are
+        not checked again; only the positions are.  A repeated position
+        would repeat an id, so it is refused on a table with an id column.
+        """
+        rows = self.rows
+        n = len(rows)
+        if positions and not (0 <= min(positions) and max(positions) < n):
+            bad = next(p for p in positions if not 0 <= p < n)
+            raise SchemaMismatchError(f"row position {bad} out of range for {n} rows")
+        id_idx = self.id_index
+        if id_idx is not None and len(set(positions)) != len(positions):
+            seen = set()
+            for p in positions:
+                if p in seen:
+                    raise DuplicateIdError(f"duplicate id value {rows[p][id_idx]!r}")
+                seen.add(p)
+        table = object.__new__(DataTable)
+        object.__setattr__(table, "specs", self.specs)
+        object.__setattr__(table, "rows", tuple([rows[p] for p in positions]))
+        return table
+
     def project(self, names: Sequence[str]) -> "DataTable":
         idx = [self.attr_index(n) for n in names]
         specs = [self.specs[i] for i in idx]
@@ -204,7 +228,8 @@ class DataTable:
         if i is None:
             return self
         spec = self.specs[i]
-        return self.with_rows(sorted(self.rows, key=lambda r: _id_sort_key(spec, r[i])))
+        keys = [_id_sort_key(spec, r[i]) for r in self.rows]
+        return self.take(sorted(range(len(keys)), key=keys.__getitem__))
 
     def id_values(self) -> list:
         i = self.id_index
@@ -294,10 +319,17 @@ def load_csv(path, schema: Sequence[AttributeSpec]) -> DataTable:
                 f"{path}: header {header!r} does not match schema {expected!r}"
             )
         rows = []
-        for line_no, record in enumerate(reader, start=1):
-            if len(record) != len(schema):
-                raise ParseError(line_no, "<row>", f"expected {len(schema)} cells, got {len(record)}")
-            rows.append(tuple(text_to_value(s, cell, line_no) for s, cell in zip(schema, record)))
+        try:
+            for line_no, record in enumerate(reader, start=1):
+                if len(record) != len(schema):
+                    raise ParseError(
+                        line_no, "<row>", f"expected {len(schema)} cells, got {len(record)}"
+                    )
+                rows.append(
+                    tuple(text_to_value(s, cell, line_no) for s, cell in zip(schema, record))
+                )
+        except csv.Error as err:  # e.g. a cell over the csv module's field size limit
+            raise ParseError(len(rows) + 1, "<row>", str(err)) from None
     return DataTable(schema, rows)
 
 
@@ -321,18 +353,29 @@ def schema_to_json(schema: Sequence[AttributeSpec]) -> str:
     return json.dumps(entries, indent=2, sort_keys=True) + "\n"
 
 
+def _is_text_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def schema_from_json(text: str) -> tuple[AttributeSpec, ...]:
-    """Parse ``schema_to_json`` output; a malformed entry is a schema mismatch."""
+    """Parse ``schema_to_json`` output; a malformed entry is a schema mismatch.
+
+    Names and labels must be strings, as CSV headers and cells are.
+    """
     try:
-        return tuple(
-            AttributeSpec(
+        specs = []
+        for entry in json.loads(text):
+            if not isinstance(entry["name"], str) or (
+                "labels" in entry and not _is_text_list(entry["labels"])
+            ):
+                raise TypeError(f"entry {len(specs)} needs a string name and string labels")
+            specs.append(AttributeSpec(
                 name=entry["name"],
                 kind=entry["kind"],
                 labels=tuple(entry["labels"]) if "labels" in entry else None,
                 role=entry.get("role", ROLE_INPUT),
-            )
-            for entry in json.loads(text)
-        )
+            ))
+        return tuple(specs)
     except (ValueError, KeyError, TypeError, AttributeError) as err:
         raise SchemaMismatchError(f"malformed schema JSON: {err!r}") from None
 

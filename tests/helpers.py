@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from fusemine.tabular import AttributeSpec, DataTable
 
 GRADE = ("Low", "Medium", "High")
@@ -51,3 +53,13 @@ def planted_dataset(n=240, seed=0, noise=0.0, numeric=False):
     ]
     specs.append(AttributeSpec.nominal("Status", STATUS, role="class"))
     return DataTable(specs, rows)
+
+
+def json_values(keys=st.text(max_size=6)):
+    """Any JSON value; objects draw their keys from ``keys``."""
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(keys, children, max_size=4),
+        max_leaves=12,
+    )

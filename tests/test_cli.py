@@ -14,7 +14,9 @@ from fusemine.cli import CliError, load_model, main
 from fusemine.ensemble import VoteModel
 from fusemine.evaluation import VARIANTS
 from fusemine.learners import ALGORITHMS, Model
-from fusemine.tabular import AttributeSpec, DataTable
+from fusemine.tabular import AttributeSpec, DataTable, SourceBundle
+
+from helpers import json_values
 
 COHORT = ["synth", "--n", "57", "--seed", "5", "--out"]
 
@@ -317,6 +319,29 @@ def assert_one_line_error(capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+class TestArgparseErrors:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--data", "d", "--k", "3.5"],
+        ["eval", "--data", "d", "--variant", "both"],
+        ["train", "--data", "d"],
+        ["bogus"],
+        [],
+    ], ids=["bad-int", "bad-choice", "missing-flag", "bad-command", "no-command"])
+    def test_one_line_and_exit_2(self, argv, capsys):
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("fusemine") and ": error: " in err
+
+    def test_run_config_value_gives_one_line(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"k": 3.5}', encoding="utf-8")
+        assert exit_code(["eval", "--data", "d", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "fusemine eval: error: argument --k: invalid int value: '3.5'\n"
+        )
+
+
 class TestMalformedModelFile:
     @pytest.mark.parametrize("text", [
         "not json {",
@@ -348,17 +373,7 @@ class TestMalformedModelFile:
         assert capsys.readouterr().out == (out / "model.txt").read_text(encoding="utf-8")
 
 
-def json_containers(children):
-    return st.lists(children, max_size=4) | st.dictionaries(
-        st.text(max_size=6), children, max_size=4
-    )
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    json_containers,
-    max_leaves=12,
-)
+JSON_VALUES = json_values()
 
 
 def json_paths(value, prefix=()):
@@ -492,8 +507,40 @@ class TestRunConfigFuzz:
             assert_valid_namespace(args)
 
 
+class TestBundleFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_loads_or_exits_2(self, data, workspace, tmp_path_factory):
+        """A raw bundle with a fuzzed schema or CSV file loads, or exits 2 in one line."""
+        raw = tmp_path_factory.mktemp("bundle-fuzz")
+        for path in (workspace / "raw").iterdir():
+            shutil.copy(path, raw)
+        if data.draw(st.booleans()):
+            schemas = json.loads((raw / "schema.json").read_text(encoding="utf-8"))
+            path = data.draw(st.sampled_from(list(json_paths(schemas))))
+            payload = replaced(schemas, path, data.draw(JSON_VALUES))
+            (raw / "schema.json").write_text(json.dumps(payload), encoding="utf-8")
+        else:
+            name = data.draw(st.sampled_from(["theory", "practice", "online", "exam"]))
+            lines = (raw / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+            at = data.draw(st.integers(0, len(lines) - 1))
+            lines[at] = data.draw(st.text(st.characters(codec="utf-8"), max_size=30))
+            (raw / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            bundle = cli.load_bundle(raw)
+        except CliError as err:
+            assert err.code == 2
+            assert len(str(err).splitlines()) == 1
+        else:
+            assert isinstance(bundle, SourceBundle)
+
+
 class TestNonFiniteCell:
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cell", [
+        "nan", "inf", "-inf",
+        pytest.param("1" * 200_000, id="over-csv-field-limit"),
+    ])
     def test_preprocess_exits_2(self, workspace, tmp_path, capsys, cell):
         raw = tmp_path / "raw"
         shutil.copytree(workspace / "raw", raw)

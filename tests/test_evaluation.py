@@ -3,10 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from fusemine.ensemble import FusionConfig, prepare_approach
+from fusemine import ensemble, evaluation
+from fusemine.ensemble import APPROACHES, FusionConfig, prepare_approach, weight_search
 from fusemine.errors import LengthMismatchError, SingleClassTruthError, TooFewRowsError
 from fusemine.evaluation import (
     DEFAULT_ALGORITHM_ORDER,
+    EvaluationReport,
+    GridResult,
     accuracy,
     auc_weighted,
     cross_validate,
@@ -361,3 +364,52 @@ class TestGridThreads:
             variants, algorithms=("c45", "part"), k=5, seed=4, max_workers=3
         )
         assert report_csv_rows(seq) == report_csv_rows(par)
+
+
+class TestSharedPreparation:
+    @pytest.fixture(scope="class")
+    def variants(self):
+        raw, _ = generate(CohortSpec(n_students=45, class_counts=(15, 14, 16), seed=9))
+        pre = preprocess_bundle(raw)
+        return {"numeric": pre.numeric, "discretized": pre.discretized}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of ``cross_validate`` and ``prepare_approach`` calls, wherever made."""
+        counts = {"cross_validate": 0, "prepare_approach": 0}
+        cross_validate, prepare = evaluation.cross_validate, ensemble.prepare_approach
+
+        def counted_cross_validate(*args, **kwargs):
+            counts["cross_validate"] += 1
+            return cross_validate(*args, **kwargs)
+
+        def counted_prepare(*args, **kwargs):
+            counts["prepare_approach"] += 1
+            return prepare(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "cross_validate", counted_cross_validate)
+        for module in (ensemble, evaluation):
+            monkeypatch.setattr(module, "prepare_approach", counted_prepare)
+        return counts
+
+    def test_grid_prepares_once_per_approach_and_variant(self, variants, calls):
+        grid = run_experiment_grid(variants, k=3, seed=2)
+        assert calls == {"cross_validate": 48, "prepare_approach": 8}
+        reports = {}
+        for approach in APPROACHES:
+            for variant, bundle in variants.items():
+                rows = [
+                    cross_validate(
+                        FusionConfig(approach=approach), algorithm, bundle, k=3,
+                        seed=stable_seed(2, approach, variant, algorithm),
+                        plan_seed=stable_seed(2, "folds", variant),
+                    )
+                    for algorithm in DEFAULT_ALGORITHM_ORDER
+                ]
+                reports[(approach, variant)] = EvaluationReport(approach, variant, rows, 3, 2)
+        assert calls["prepare_approach"] == 8 + 48
+        assert report_csv_rows(GridResult(reports, k=3, seed=2)) == report_csv_rows(grid)
+
+    def test_weight_search_prepares_once(self, variants, calls):
+        weight_search(variants["discretized"], "c45", k=3, seed=1)
+        assert calls == {"cross_validate": 8, "prepare_approach": 1}

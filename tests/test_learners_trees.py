@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusemine.errors import InvalidParamsError
 from fusemine.learners import (
@@ -12,7 +14,14 @@ from fusemine.learners import (
     train,
 )
 from fusemine.learners.encode import encode_table
-from fusemine.learners.trees import add_errs, build_c45
+from fusemine.learners.trees import (
+    _EPS,
+    _numeric_split,
+    add_errs,
+    build_c45,
+    class_counts,
+    entropy,
+)
 from fusemine.tabular import AttributeSpec, DataTable
 
 from helpers import GRADE, STATUS, planted_dataset
@@ -222,3 +231,72 @@ class TestMissingValueRobustness:
         rows = [(0.0, 0), (1.0, 0), (2.0, 0), (None, 1), (9.0, 1), (10.0, 1), (11.0, 1)]
         model = train("c45", DataTable(specs, rows))
         assert model.metadata["numeric_fill"]["x"] == 5.5  # median of present values
+
+
+def reference_numeric_split(enc, idx, attr, parent_h, min_leaf, use_ratio):
+    """The threshold scan as first written, one ``entropy`` call per side."""
+    col = enc.cols[attr]
+    y = enc.y
+    n = len(idx)
+    if n < 2 * min_leaf:
+        return None
+    order = sorted(idx, key=lambda i: col[i])
+    left = [0.0] * enc.n_classes
+    right = class_counts(enc, order)
+    best = None
+    n_left = 0
+    for pos in range(n - 1):
+        i = order[pos]
+        left[y[i]] += 1.0
+        right[y[i]] -= 1.0
+        n_left += 1
+        if col[i] == col[order[pos + 1]]:
+            continue
+        n_right = n - n_left
+        if n_left < min_leaf or n_right < min_leaf:
+            continue
+        weighted = (
+            n_left / n * entropy(left, n_left) + n_right / n * entropy(right, n_right)
+        )
+        gain = parent_h - weighted
+        if gain <= _EPS:
+            continue
+        if use_ratio:
+            p = n_left / n
+            split_info = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
+            if split_info <= _EPS:
+                continue
+            score = gain / split_info
+        else:
+            score = gain
+        threshold = (col[i] + col[order[pos + 1]]) / 2.0
+        if best is None or score > best[0] + _EPS:
+            best = (score, threshold)
+    return best
+
+
+#: Few distinct values, so that ties are common; the signed zeros tie too.
+TIED_VALUES = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, 1.0 / 3.0, 7.5])
+
+
+class TestNumericSplitScan:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_bit_for_bit(self, data):
+        n_classes = data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(1, 30))
+        values = data.draw(st.lists(
+            TIED_VALUES | st.floats(-5, 5, allow_nan=False), min_size=n, max_size=n,
+        ))
+        classes = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+        specs = [
+            AttributeSpec.numeric("x"),
+            AttributeSpec.nominal("Status", STATUS[:n_classes], role="class"),
+        ]
+        enc = encode_table(DataTable(specs, list(zip(values, classes))))
+        idx = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+        parent_h = entropy(class_counts(enc, idx), len(idx))
+        min_leaf = data.draw(st.integers(1, 3))
+        use_ratio = data.draw(st.booleans())
+        args = (enc, idx, 0, parent_h, min_leaf, use_ratio)
+        assert repr(_numeric_split(*args)) == repr(reference_numeric_split(*args))

@@ -1,8 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusemine.errors import (
     DuplicateIdError,
+    FusemineError,
     IdMismatchError,
     ParseError,
     SchemaMismatchError,
@@ -18,6 +21,8 @@ from fusemine.tabular import (
     schema_from_json,
     schema_to_json,
 )
+
+from helpers import json_values
 
 
 def id_spec(name="id"):
@@ -177,6 +182,90 @@ class TestSchemaJson:
     def test_malformed_schema_rejected(self, text):
         with pytest.raises(SchemaMismatchError):
             schema_from_json(text)
+
+
+class TestTake:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_with_rows(self, data):
+        n = data.draw(st.integers(0, 8))
+        keyed = simple_table(range(n), [i / 3 for i in range(n)])
+        unkeyed = keyed.project(["score"])
+        distinct = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+        repeated = data.draw(st.lists(st.integers(0, n - 1), max_size=12)) if n else []
+        for table, positions in ((keyed, distinct), (unkeyed, distinct), (unkeyed, repeated)):
+            assert table.take(positions) == table.with_rows(
+                [table.rows[i] for i in positions]
+            )
+
+    def test_repeated_position_rejected_with_id_column(self):
+        table = simple_table([1, 2, 3], [0.1, 0.2, 0.3])
+        with pytest.raises(DuplicateIdError, match="2.0"):
+            table.take([0, 1, 1])
+
+    @pytest.mark.parametrize("positions", [[3], [0, -1], [5, 0]])
+    def test_out_of_range_position_rejected(self, positions):
+        table = simple_table([1, 2, 3], [0.1, 0.2, 0.3])
+        with pytest.raises(SchemaMismatchError, match="out of range"):
+            table.take(positions)
+        with pytest.raises(SchemaMismatchError, match="out of range"):
+            table.project(["score"]).take(positions)
+
+
+#: Any JSON value, its objects often keyed like schema entries.
+JSON_VALUES = json_values(
+    st.sampled_from(["name", "kind", "labels", "role"]) | st.text(max_size=6)
+)
+
+SCHEMA_ENTRIES = st.fixed_dictionaries(
+    {"name": st.text(max_size=4) | JSON_VALUES,
+     "kind": st.sampled_from(["numeric", "nominal"]) | JSON_VALUES},
+    optional={"labels": st.lists(st.text(max_size=3), max_size=3) | JSON_VALUES,
+              "role": st.sampled_from(["id", "input", "class"]) | JSON_VALUES},
+)
+
+FUZZ_SCHEMA = (
+    AttributeSpec.numeric("id", role="id"),
+    AttributeSpec.numeric("x"),
+    AttributeSpec.nominal("g", ["a", "b"], role="class"),
+)
+
+#: Arbitrary text, and text under the right header built from the cells' own characters.
+CSV_TEXTS = st.text(st.characters(codec="utf-8")) | st.text(
+    st.sampled_from('0123456789.,-+e\n\r" abinf_'), max_size=40
+).map(lambda body: "id,x,g\n" + body)
+
+
+class TestInputFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.lists(SCHEMA_ENTRIES, max_size=3) | JSON_VALUES)
+    def test_schema_from_json_parses_or_rejects(self, value):
+        """Any JSON value gives a schema of string names and labels, or a ``FusemineError``."""
+        try:
+            schema = schema_from_json(json.dumps(value))
+        except FusemineError:
+            return
+        for spec in schema:
+            assert isinstance(spec, AttributeSpec) and isinstance(spec.name, str)
+            assert spec.labels is None or all(isinstance(v, str) for v in spec.labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=CSV_TEXTS)
+    def test_load_csv_loads_or_rejects(self, text, tmp_path_factory):
+        """Any CSV text gives a table or a ``FusemineError``, never another exception."""
+        path = tmp_path_factory.mktemp("csv-fuzz") / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            table = load_csv(path, FUZZ_SCHEMA)
+        except FusemineError:
+            return
+        assert isinstance(table, DataTable) and table.specs == FUZZ_SCHEMA
+
+    def test_cell_over_the_csv_field_limit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,x,g\n1," + "1" * 200_000 + ",a\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="row 1"):
+            load_csv(path, FUZZ_SCHEMA)
 
 
 def make_bundle(n=4):

@@ -8,8 +8,7 @@ model as IF-THEN text.
 
 Exit codes: 0 success, 2 input or validation failure, 3 pipeline
 failure.  All outputs are deterministic given the flags (each file is
-written to a uniquely named temp file and renamed into place);
-``FUSEMINE_THREADS`` caps grid parallelism.
+written to a uniquely named temp file and renamed into place).
 """
 
 from __future__ import annotations
@@ -188,6 +187,8 @@ def _algorithm_list(text: str) -> list[str]:
     if text == "all":
         return list(DEFAULT_ALGORITHM_ORDER)
     names = [t.strip() for t in text.split(",") if t.strip()]
+    if not names:
+        raise CliError(f"no algorithm named in {text!r}", 2)
     for name in names:
         if name not in ALGORITHMS:
             raise CliError(f"unknown algorithm {name!r}", 2)
@@ -285,7 +286,7 @@ def cmd_preprocess(args) -> int:
             f"{orig},{new}" for orig, new in sorted(mapping.items(), key=lambda p: str(p[0]))
         ]
         _atomic_write(out / "id_mapping.csv", "\n".join(lines) + "\n")
-    result = preprocess_bundle(bundle, config)
+    result = _input(preprocess_bundle, bundle, config)
     save_bundle(result.numeric, out / "numeric")
     save_bundle(result.discretized, out / "discretized")
     _atomic_write(out / "params.json", result.params_json())
@@ -375,7 +376,6 @@ def cmd_experiment(args) -> int:
     approaches = _approach_list(args.approach)
     weights = _parse_weights(args.weights)
     out = Path(args.out)
-    max_workers = _thread_cap()
 
     if args.weight_search:
         search_bundle = variants.get("discretized") or next(iter(variants.values()))
@@ -392,7 +392,6 @@ def cmd_experiment(args) -> int:
         k=args.k,
         seed=args.seed,
         weights=weights,
-        max_workers=max_workers,
     )
     _atomic_write(out / "report.csv", report_csv_rows(grid))
     for (approach, variant), report in sorted(grid.reports.items()):
@@ -411,17 +410,6 @@ def cmd_experiment(args) -> int:
         f"= {acc:.4f} %Accuracy, {auc:.4f} AUC"
     )
     return 0
-
-
-def _thread_cap() -> int:
-    text = os.environ.get("FUSEMINE_THREADS") or "1"
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise CliError(f"FUSEMINE_THREADS must be a positive integer, got {text!r}", 2)
-    return cap
 
 
 def cmd_explain(args) -> int:

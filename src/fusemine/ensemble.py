@@ -23,6 +23,9 @@ APPROACHES = ("merge", "select", "ensemble", "ensemble-select")
 #: Sources carrying input attributes (the exam only contributes the class).
 INPUT_SOURCES = ("theory", "practice", "online")
 
+#: The vote weights ``weight_search`` tries for each source.
+WEIGHT_GRID = (1.0, 2.0)
+
 
 @dataclass(frozen=True)
 class FusionConfig:
@@ -204,12 +207,11 @@ def run_approach(
 def weight_search(
     bundle: SourceBundle,
     algorithm: str,
-    grid: Sequence[float] = (1.0, 2.0),
     k: int = 10,
     seed: int = 0,
     approach: str = "ensemble",
 ) -> dict[str, float]:
-    """Exhaustive vote-weight search over the grid by CV accuracy.
+    """Exhaustive vote-weight search over ``WEIGHT_GRID`` by CV accuracy.
 
     Ties break toward the all-ones assignment, then lexicographically in
     canonical source order.
@@ -218,13 +220,10 @@ def weight_search(
 
     if approach not in ("ensemble", "ensemble-select"):
         raise InvalidParamsError("weight search applies to the ensemble approaches")
-    grid = tuple(sorted(set(float(g) for g in grid)))
-    if not grid:
-        raise InvalidParamsError("empty weight grid")
     # Preparation depends only on the approach, so every weighting shares one.
     prepared = prepare_approach(FusionConfig(approach=approach), bundle)
     candidates = []
-    for combo in product(grid, repeat=len(INPUT_SOURCES)):
+    for combo in product(WEIGHT_GRID, repeat=len(INPUT_SOURCES)):
         weights = dict(zip(INPUT_SOURCES, combo))
         config = FusionConfig(approach=approach, weights=weights)
         result = cross_validate(config, algorithm, bundle, k=k, seed=seed, prepared=prepared)

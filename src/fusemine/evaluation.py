@@ -2,8 +2,7 @@
 and the experiment grid over approaches, variants, and algorithms.
 
 Every grid cell derives its own seed from the master seed and the cell
-coordinates, so cells can run in any order (or concurrently) without
-changing a single digit of the report.
+coordinates, so no cell's result depends on which cells ran before it.
 """
 
 from __future__ import annotations
@@ -172,9 +171,7 @@ class CvResult:
     per_class_auc: dict[str, float]
     confusion: list[list[int]]
     folds: list[FoldDetail]
-    fold_accuracy_mean: float
     n_rows: int
-    weights: dict[str, float] = field(default_factory=dict)
 
 
 def _class_vector(bundle: SourceBundle) -> tuple[list[int], tuple[str, ...]]:
@@ -273,7 +270,6 @@ def cross_validate(
             )
         )
 
-    fold_mean = sum(f.accuracy_pct for f in folds_detail) / len(folds_detail)
     auc, per_class = auc_weighted(pooled, y, len(labels))
     confusion = [[0] * len(labels) for _ in labels]
     for truth_cls, predicted in zip(y, predictions):
@@ -286,9 +282,7 @@ def cross_validate(
         per_class_auc={labels[c]: v for c, v in per_class.items()},
         confusion=confusion,
         folds=folds_detail,
-        fold_accuracy_mean=fold_mean,
         n_rows=n,
-        weights=dict(config.weights),
     )
 
 
@@ -339,67 +333,38 @@ def run_experiment_grid(
     k: int = 10,
     seed: int = 0,
     weights: Mapping[str, float] | None = None,
-    max_workers: int = 1,
 ) -> GridResult:
-    """Evaluate every (approach, variant, algorithm) cell.
+    """Evaluate every (approach, variant, algorithm) cell in enumeration order.
 
-    Cells own derived seeds, so ``max_workers > 1`` evaluates them
-    concurrently without changing any result; the reduction always
-    follows enumeration order.
+    Each cell is one ``cross_validate`` call with its own derived seed.
     """
     for approach in approaches:
         if approach not in APPROACHES:
             raise SchemaMismatchError(f"unknown approach {approach!r}")
-    cells = [
-        (approach, variant, algorithm)
-        for approach in approaches
-        for variant in variants
-        for algorithm in algorithms
-    ]
-    configs = {
-        approach: FusionConfig(
+    reports: dict[tuple[str, str], EvaluationReport] = {}
+    for approach in approaches:
+        config = FusionConfig(
             approach=approach,
             weights=weights or {s: 1.0 for s in ("theory", "practice", "online")},
         )
-        for approach in approaches
-    }
-    # The algorithms of one (approach, variant) train on the same data, so it
-    # is prepared once, here, and the cells (in any thread) only read it.
-    prepared = {
-        (approach, variant): _base_prepared(configs[approach], bundle, False)
-        for approach in approaches
-        for variant, bundle in variants.items()
-    }
-
-    def run_cell(cell):
-        approach, variant, algorithm = cell
-        return cross_validate(
-            configs[approach],
-            algorithm,
-            variants[variant],
-            k=k,
-            seed=stable_seed(seed, approach, variant, algorithm),
-            plan_seed=stable_seed(seed, "folds", variant),
-            prepared=prepared[(approach, variant)],
-        )
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(cell) for cell in cells]
-
-    reports: dict[tuple[str, str], EvaluationReport] = {}
-    for cell, result in zip(cells, results):
-        approach, variant, _algorithm = cell
-        key = (approach, variant)
-        if key not in reports:
-            reports[key] = EvaluationReport(
-                approach=approach, variant=variant, rows=[], k=k, seed=seed
-            )
-        reports[key].rows.append(result)
+        for variant, bundle in variants.items():
+            # The algorithms of one (approach, variant) train on the same
+            # data, so it is prepared once and the cells only read it.
+            prepared = _base_prepared(config, bundle, False)
+            report = EvaluationReport(approach=approach, variant=variant, rows=[], k=k, seed=seed)
+            for algorithm in algorithms:
+                report.rows.append(
+                    cross_validate(
+                        config,
+                        algorithm,
+                        bundle,
+                        k=k,
+                        seed=stable_seed(seed, approach, variant, algorithm),
+                        plan_seed=stable_seed(seed, "folds", variant),
+                        prepared=prepared,
+                    )
+                )
+            reports[(approach, variant)] = report
     return GridResult(reports=reports, k=k, seed=seed)
 
 

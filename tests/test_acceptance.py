@@ -345,7 +345,7 @@ def test_criterion_07_ensemble_properties():
             ),
         }
     )
-    weights = weight_search(bundle, "c45", grid=(1.0, 2.0), k=5, seed=1)
+    weights = weight_search(bundle, "c45", k=5, seed=1)
     assert weights["online"] == max(weights.values())
     assert weights["online"] == 2.0
     elapsed = time.perf_counter() - start

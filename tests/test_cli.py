@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import os
@@ -229,6 +230,36 @@ class TestExperiment:
         printed = capsys.readouterr().out
         assert "weight search chose theory,practice,online" in printed
 
+    @pytest.mark.parametrize("algorithms", [",", "cart"])
+    def test_bad_algorithm_list_exits_2(self, workspace, tmp_path, capsys, algorithms):
+        capsys.readouterr()
+        assert main([
+            "experiment", "--data", str(workspace / "pre"), "--variant", "discretized",
+            "--approach", "merge", "--algorithm", algorithms, "--k", "3",
+            "--out", str(tmp_path / "r"),
+        ]) == 2
+        assert_one_line_error(capsys)
+
+
+class TestSearchVoteWeightsScript:
+    def test_one_line_per_variant_and_ensemble_approach(self, workspace, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "search_vote_weights.py"
+        spec = importlib.util.spec_from_file_location("search_vote_weights", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        capsys.readouterr()
+        assert script.run([
+            "--data", str(workspace / "pre"), "--algorithm", "c45", "--k", "3",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[0].split() for line in lines] == [
+            [variant, approach]
+            for variant in ("numeric", "discretized")
+            for approach in ("ensemble", "ensemble-select")
+        ]
+        for line in lines:
+            assert line.split(": ")[1].startswith("theory,practice,online = ")
+
 
 class TestVoteStudentExplain:
     def test_vote_model_student_breakdown(self, workspace, tmp_path, capsys):
@@ -249,15 +280,18 @@ class TestVoteStudentExplain:
 
 class TestThreadEnv:
     def test_thread_cap_keeps_outputs_identical(self, workspace, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        # The grid no longer reads FUSEMINE_THREADS: any value, even one
+        # that is not a number, leaves the run and its report unchanged.
         argv = [
             "experiment", "--data", str(workspace / "pre"), "--variant", "discretized",
             "--approach", "merge", "--algorithm", "c45,part", "--k", "3",
         ]
-        assert main(argv + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("FUSEMINE_THREADS", "4")
-        assert main(argv + ["--out", str(out2)]) == 0
-        assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+        assert main(argv + ["--out", str(tmp_path / "unset")]) == 0
+        expected = (tmp_path / "unset" / "report.csv").read_bytes()
+        for value in ("4", "abc"):
+            monkeypatch.setenv("FUSEMINE_THREADS", value)
+            assert main(argv + ["--out", str(tmp_path / value)]) == 0
+            assert (tmp_path / value / "report.csv").read_bytes() == expected
 
 
 class TestRunConfigFile:
@@ -537,14 +571,18 @@ class TestBundleFuzz:
 
 
 class TestNonFiniteCell:
-    @pytest.mark.parametrize("cell", [
-        "nan", "inf", "-inf",
-        pytest.param("1" * 200_000, id="over-csv-field-limit"),
+    @pytest.mark.parametrize("source, cell", [
+        pytest.param("theory", "nan", id="nan"),
+        pytest.param("theory", "inf", id="inf"),
+        pytest.param("theory", "-inf", id="-inf"),
+        pytest.param("theory", "1" * 200_000, id="over-csv-field-limit"),
+        pytest.param("exam", "11", id="exam-score-11"),
+        pytest.param("exam", "-1", id="exam-score--1"),
     ])
-    def test_preprocess_exits_2(self, workspace, tmp_path, capsys, cell):
+    def test_preprocess_exits_2(self, workspace, tmp_path, capsys, source, cell):
         raw = tmp_path / "raw"
         shutil.copytree(workspace / "raw", raw)
-        path = raw / "theory.csv"
+        path = raw / f"{source}.csv"
         lines = path.read_text(encoding="utf-8").splitlines()
         cells = lines[1].split(",")
         cells[1] = cell
@@ -586,19 +624,6 @@ class TestPreprocessConfigFile:
         assert (out / "params.json").read_bytes() == (
             workspace / "pre" / "params.json"
         ).read_bytes()
-
-
-class TestThreadEnvValue:
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_value_exits_2(self, workspace, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("FUSEMINE_THREADS", value)
-        capsys.readouterr()
-        assert main([
-            "experiment", "--data", str(workspace / "pre"), "--variant", "discretized",
-            "--approach", "merge", "--algorithm", "c45", "--k", "3",
-            "--out", str(tmp_path / "r"),
-        ]) == 2
-        assert_one_line_error(capsys)
 
 
 class TestAtomicWrite:

@@ -355,17 +355,6 @@ class TestStableSeed:
         assert stable_seed("a", 1) == stable_seed("a", 1)
 
 
-class TestGridThreads:
-    def test_thread_pool_matches_sequential(self):
-        bundle = planted_cv_bundle(n=90, seed=6)
-        variants = {"discretized": bundle}
-        seq = run_experiment_grid(variants, algorithms=("c45", "part"), k=5, seed=4)
-        par = run_experiment_grid(
-            variants, algorithms=("c45", "part"), k=5, seed=4, max_workers=3
-        )
-        assert report_csv_rows(seq) == report_csv_rows(par)
-
-
 class TestSharedPreparation:
     @pytest.fixture(scope="class")
     def variants(self):

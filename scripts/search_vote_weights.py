@@ -12,8 +12,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fusemine.cli import load_bundle
+from fusemine.cli import CliError, check_k, load_bundle
 from fusemine.ensemble import INPUT_SOURCES, weight_search
+from fusemine.errors import FusemineError
 from fusemine.evaluation import stable_seed
 
 
@@ -24,13 +25,22 @@ def run(argv) -> int:
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    try:
+        search(args)
+    except (CliError, FusemineError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def search(args) -> None:
     for variant in ("numeric", "discretized"):
         directory = Path(args.data) / variant
         if not directory.is_dir():
             print(f"skipping {variant}: {directory} not found")
             continue
         bundle = load_bundle(directory)
+        check_k(args.k, bundle)
         for approach in ("ensemble", "ensemble-select"):
             weights = weight_search(
                 bundle,
@@ -41,7 +51,6 @@ def run(argv) -> int:
             )
             ordered = ",".join(f"{weights[s]:g}" for s in INPUT_SOURCES)
             print(f"{variant:>12} {approach:>16}: theory,practice,online = {ordered}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -156,6 +156,12 @@ def load_bundle(directory: Path) -> SourceBundle:
     return _input(SourceBundle, sources)
 
 
+def check_k(k: int, bundle: SourceBundle) -> None:
+    """A fold needs a student, so ``--k`` above the cohort size is a bad flag."""
+    if "exam" in bundle and k > bundle["exam"].n_rows:
+        raise CliError(f"--k {k} exceeds the {bundle['exam'].n_rows} students in the cohort", 2)
+
+
 def _parse_weights(text: str) -> dict[str, float]:
     parts = text.split(",")
     if len(parts) != len(INPUT_SOURCES):
@@ -336,6 +342,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     directory = _variant_dirs(Path(args.data), args.variant)[args.variant]
     bundle = load_bundle(directory)
+    check_k(args.k, bundle)
     config = _input(
         FusionConfig,
         approach=_approach_list(args.approach)[0],
@@ -372,6 +379,8 @@ def cmd_experiment(args) -> int:
         name: load_bundle(directory)
         for name, directory in _variant_dirs(root, args.variant).items()
     }
+    for bundle in variants.values():
+        check_k(args.k, bundle)
     algorithms = _algorithm_list(args.algorithm)
     approaches = _approach_list(args.approach)
     weights = _parse_weights(args.weights)

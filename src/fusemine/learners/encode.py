@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import InvalidParamsError, SchemaMismatchError
 from ..tabular import ROLE_INPUT, AttributeSpec, DataTable
@@ -43,13 +44,26 @@ class Encoded:
         labels = self.specs[attr].labels
         return labels[value] if value < len(labels) else "?"
 
+    @cached_property
+    def content_rank(self) -> list[int]:
+        """Each row's dense rank by content (inputs, then class): equal
+        rows share a rank, so sorting by it orders rows as their content
+        tuples do."""
+        keys = list(zip(*(self.cols[a] for a in self.input_idx), self.y))
+        rank = [0] * len(keys)
+        previous = None
+        r = -1
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            if previous is None or keys[i] != previous:
+                r += 1
+                previous = keys[i]
+            rank[i] = r
+        return rank
+
     def canonical_order(self, idx: list[int]) -> list[int]:
         """Sort indices by row content so internal seeded splits do not
         depend on the incoming row order."""
-        def key(i):
-            return tuple(self.cols[a][i] for a in self.input_idx) + (self.y[i],)
-
-        return sorted(idx, key=key)
+        return sorted(idx, key=self.content_rank.__getitem__)
 
 
 def encode_table(table: DataTable) -> Encoded:

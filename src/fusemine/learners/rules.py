@@ -10,6 +10,7 @@ next rule.  Both emit an ordered rule list ending in a default rule.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from .encode import Encoded
 from .model import Condition, Rule, RuleList
@@ -21,23 +22,68 @@ _EPS = 1e-12
 # slot integers; they bind to names/labels only when the Model is built.
 
 
-def _matches(enc: Encoded, conds, i: int) -> bool:
-    for attr, op, value in conds:
-        v = enc.cols[attr][i]
-        if op == "=":
-            if v != value:
-                return False
-        elif op == "<=":
-            if not v <= value:
-                return False
-        else:
-            if not v > value:
-                return False
-    return True
+class _RowSets:
+    """Row sets of one encoding as ``int`` bitmasks: bit ``i`` is row ``i``.
 
+    Coverage, filtering and counting become ``&``, ``|``, ``~`` and
+    ``int.bit_count`` on masks.  Each condition's mask over all rows, and
+    each numeric column's row order, is built once and kept.
+    """
 
-def _filter(enc, conds, idx):
-    return [i for i in idx if _matches(enc, conds, i)]
+    def __init__(self, enc: Encoded):
+        self.enc = enc
+        self.bits = [1 << i for i in range(enc.n_rows)]
+        self.by_class = [0] * enc.n_classes
+        for bit, cls in zip(self.bits, enc.y):
+            self.by_class[cls] |= bit
+        self._conds: dict = {}
+        self._rules: dict = {}
+        self._sorted: dict = {}
+
+    def of(self, idx) -> int:
+        mask = 0
+        bits = self.bits
+        for i in idx:
+            mask |= bits[i]
+        return mask
+
+    def rows(self, mask: int) -> list[int]:
+        """The rows of ``mask`` in ascending order."""
+        return [i for i, bit in enumerate(self.bits) if mask & bit]
+
+    def cond(self, cond) -> int:
+        mask = self._conds.get(cond)
+        if mask is None:
+            attr, op, value = cond
+            pairs = zip(self.bits, self.enc.cols[attr])
+            if op == "=":
+                mask = sum(bit for bit, v in pairs if v == value)
+            elif op == "<=":
+                mask = sum(bit for bit, v in pairs if v <= value)
+            else:
+                mask = sum(bit for bit, v in pairs if v > value)
+            self._conds[cond] = mask
+        return mask
+
+    def rule(self, conds) -> int:
+        """The rows that satisfy every condition of ``conds``."""
+        mask = self._rules.get(conds)
+        if mask is None:
+            mask = (1 << len(self.bits)) - 1
+            for cond in conds:
+                mask &= self.cond(cond)
+            self._rules[conds] = mask
+        return mask
+
+    def sorted_by(self, attr: int) -> list[tuple]:
+        """``(value, bit, class)`` of every row by ascending value of a
+        numeric column."""
+        order = self._sorted.get(attr)
+        if order is None:
+            order = self._sorted[attr] = sorted(
+                zip(self.enc.cols[attr], self.bits, self.enc.y), key=itemgetter(0)
+            )
+        return order
 
 
 def decode_conditions(enc: Encoded, conds) -> tuple[Condition, ...]:
@@ -51,24 +97,27 @@ def decode_conditions(enc: Encoded, conds) -> tuple[Condition, ...]:
     return tuple(out)
 
 
-def finalize_rule_list(enc: Encoded, idx, raw_rules, default_cls: int) -> RuleList:
+def finalize_rule_list(rs: _RowSets, idx, raw_rules, default_cls: int) -> RuleList:
     """Bind encoded rules to names and recount coverage in list order."""
-    buckets = [[0.0] * enc.n_classes for _ in range(len(raw_rules) + 1)]
-    for i in idx:
-        for r, (conds, _cls) in enumerate(raw_rules):
-            if _matches(enc, conds, i):
-                buckets[r][enc.y[i]] += 1.0
-                break
-        else:
-            buckets[-1][enc.y[i]] += 1.0
+    enc = rs.enc
+    left = rs.of(idx)
+    buckets = []
+    for conds, _cls in raw_rules:
+        covered = left & rs.rule(conds)
+        left &= ~covered
+        buckets.append(covered)
+    buckets.append(left)
+    counts_of = [
+        [float((rows & members).bit_count()) for members in rs.by_class] for rows in buckets
+    ]
     rules = []
-    for (conds, cls), counts in zip(raw_rules, buckets):
+    for (conds, cls), counts in zip(raw_rules, counts_of):
         if sum(counts) == 0.0:
             counts = [1.0 if c == cls else 0.0 for c in range(enc.n_classes)]
         rules.append(
             Rule(decode_conditions(enc, conds), enc.class_labels[cls], tuple(counts))
         )
-    default_counts = buckets[-1]
+    default_counts = counts_of[-1]
     if sum(default_counts) == 0.0:
         default_counts = [1.0 if c == default_cls else 0.0 for c in range(enc.n_classes)]
     rules.append(Rule((), enc.class_labels[default_cls], tuple(default_counts)))
@@ -97,6 +146,7 @@ def build_part_rules(enc: Encoded, idx, confidence: float, min_leaf: int):
     remainder is single-class or unsplittable; what is left feeds the
     default rule.
     """
+    rs = _RowSets(enc)
     remaining = list(idx)
     raw_rules: list[tuple[tuple, int]] = []
     while remaining:
@@ -114,104 +164,108 @@ def build_part_rules(enc: Encoded, idx, confidence: float, min_leaf: int):
             if best is None or coverage > best[0] + _EPS:
                 best = (coverage, conds, leaf)
         _, conds, leaf = best
-        covered = set(_filter(enc, conds, remaining))
+        covered = rs.of(remaining) & rs.rule(conds)
         if not covered:
             break
         raw_rules.append((conds, leaf.cls))
-        remaining = [i for i in remaining if i not in covered]
+        remaining = [i for i in remaining if not covered & rs.bits[i]]
     if remaining:
         default_cls = majority(class_counts(enc, remaining))
     else:
         default_cls = majority(class_counts(enc, idx))
-    return finalize_rule_list(enc, idx, raw_rules, default_cls)
+    return finalize_rule_list(rs, idx, raw_rules, default_cls)
 
 
 # --- sequential covering with grow / prune / description length -------------
 
 
-def _foil_gain(p1, n1, p0, n0) -> float:
-    if p1 <= 0:
-        return -math.inf
-    return p1 * (math.log2(p1 / (p1 + n1)) - math.log2(p0 / (p0 + n0)))
-
-
-def _grow_rule(enc: Encoded, grow_idx, cls, existing=()):
-    """Add conditions greedily by information gained about the class
+def _grow_rule(rs: _RowSets, grow: int, cls, existing=()):
+    """Add conditions greedily by FOIL's information gain about the class
     until the rule covers no negatives (or nothing helps)."""
+    enc = rs.enc
+    positives = rs.by_class[cls]
+    log2 = math.log2
     conds = list(existing)
-    current = _filter(enc, conds, grow_idx)
-    y = enc.y
+    current = grow & rs.rule(tuple(conds))
     while True:
-        p0 = sum(1 for i in current if y[i] == cls)
-        n0 = len(current) - p0
+        p0 = (current & positives).bit_count()
+        n0 = current.bit_count() - p0
         if p0 == 0 or n0 == 0:
             break
+        # FOIL gain of a candidate covering p1 positives and n1 negatives is
+        # p1 * (log2(p1 / (p1 + n1)) - base); it is -inf when p1 is 0.
+        base = log2(p0 / (p0 + n0))
         best = None  # (gain, cond)
         used_nominal = {attr for attr, op, _ in conds if op == "="}
         for attr in enc.input_idx:
-            col = enc.cols[attr]
             if enc.specs[attr].is_nominal:
                 if attr in used_nominal:
                     continue
-                slots = enc.n_slots(attr)
-                pos = [0] * slots
-                neg = [0] * slots
-                for i in current:
-                    if y[i] == cls:
-                        pos[col[i]] += 1
-                    else:
-                        neg[col[i]] += 1
-                for v in range(slots):
-                    gain = _foil_gain(pos[v], neg[v], p0, n0)
+                for v in range(enc.n_slots(attr)):
+                    cond = (attr, "=", v)
+                    covered = current & rs.cond(cond)
+                    p1 = (covered & positives).bit_count()
+                    if not p1:
+                        continue
+                    n1 = covered.bit_count() - p1
+                    gain = p1 * (log2(p1 / (p1 + n1)) - base)
                     if gain > _EPS and (best is None or gain > best[0] + _EPS):
-                        best = (gain, (attr, "=", v))
+                        best = (gain, cond)
             else:
-                order = sorted(current, key=lambda i: col[i])
-                n = len(order)
+                # Rows in ascending value; a cut is scored between the last
+                # row of a run of equal values and the first row after it.
                 p_left = 0
                 n_left = 0
-                for pos_i in range(n - 1):
-                    i = order[pos_i]
-                    if y[i] == cls:
+                prev = None
+                for value, bit, row_cls in rs.sorted_by(attr):
+                    if not current & bit:
+                        continue
+                    if prev is not None and value != prev:
+                        threshold = (prev + value) / 2.0
+                        if threshold == value:
+                            # The midpoint of two adjacent floats can round
+                            # onto the upper one; cut at the lower instead.
+                            threshold = prev
+                        if p_left:
+                            gain = p_left * (log2(p_left / (p_left + n_left)) - base)
+                            if gain > _EPS and (best is None or gain > best[0] + _EPS):
+                                best = (gain, (attr, "<=", threshold))
+                        p1 = p0 - p_left
+                        if p1:
+                            n1 = n0 - n_left
+                            gain = p1 * (log2(p1 / (p1 + n1)) - base)
+                            if gain > _EPS and (best is None or gain > best[0] + _EPS):
+                                best = (gain, (attr, ">", threshold))
+                    if row_cls == cls:
                         p_left += 1
                     else:
                         n_left += 1
-                    if col[i] == col[order[pos_i + 1]]:
-                        continue
-                    threshold = (col[i] + col[order[pos_i + 1]]) / 2.0
-                    for op, p1, n1 in (
-                        ("<=", p_left, n_left),
-                        (">", p0 - p_left, n0 - n_left),
-                    ):
-                        gain = _foil_gain(p1, n1, p0, n0)
-                        if gain > _EPS and (best is None or gain > best[0] + _EPS):
-                            best = (gain, (attr, op, threshold))
+                    prev = value
         if best is None:
             break
         conds.append(best[1])
-        current = _filter(enc, conds, current)
+        current &= rs.cond(best[1])
     return tuple(conds)
 
 
-def _coverage(enc, conds, idx, cls):
-    p = n = 0
-    for i in idx:
-        if _matches(enc, conds, i):
-            if enc.y[i] == cls:
-                p += 1
-            else:
-                n += 1
-    return p, n
+def _coverage(rs: _RowSets, conds, within: int, cls):
+    covered = within & rs.rule(conds)
+    p = (covered & rs.by_class[cls]).bit_count()
+    return p, covered.bit_count() - p
 
 
-def _prune_rule(enc: Encoded, prune_idx, cls, conds):
+def _prune_rule(rs: _RowSets, prune: int, cls, conds):
     """Keep the condition prefix maximizing (p - n) / (p + n) on holdout."""
-    if not conds or not prune_idx:
+    if not conds or not prune:
         return conds
+    positives = rs.by_class[cls]
     best_len = len(conds)
     best_value = None
-    for length in range(1, len(conds) + 1):
-        p, n = _coverage(enc, conds[:length], prune_idx, cls)
+    covered = prune
+    for length, cond in enumerate(conds, 1):
+        covered &= rs.cond(cond)
+        p = (covered & positives).bit_count()
+        n = covered.bit_count() - p
         value = 0.0 if p + n == 0 else (p - n) / (p + n)
         if best_value is None or value > best_value + _EPS:
             best_value = value
@@ -263,64 +317,75 @@ def _count_possible_conditions(enc: Encoded, idx) -> int:
     return max(total, 1)
 
 
-def _ruleset_dl(enc, rule_conds_list, universe, cls, n_possible, exp_rate=0.5) -> float:
-    covered = set()
+def _ruleset_dl(
+    rs: _RowSets, rule_conds_list, universe: int, cls, n_possible, exp_rate=0.5
+) -> float:
+    covered = 0
     for conds in rule_conds_list:
-        for i in universe:
-            if i not in covered and _matches(enc, conds, i):
-                covered.add(i)
-    fp = sum(1 for i in covered if enc.y[i] != cls)
-    fn = sum(1 for i in universe if i not in covered and enc.y[i] == cls)
-    dl = _data_dl(exp_rate, len(covered), len(universe) - len(covered), fp, fn)
+        covered |= rs.rule(conds)
+    covered &= universe
+    positives = rs.by_class[cls]
+    n_covered = covered.bit_count()
+    fp = (covered & ~positives).bit_count()
+    fn = (universe & ~covered & positives).bit_count()
+    dl = _data_dl(exp_rate, n_covered, universe.bit_count() - n_covered, fp, fn)
     for conds in rule_conds_list:
         dl += _theory_dl(len(conds), n_possible)
     return dl
 
 
-def _learn_class_rules(enc, stage_idx, cls, seed, folds, dl_slack):
+def _holdout(rs: _RowSets, rows: int, seed: int, folds: int) -> tuple[int, int]:
+    """``holdout_split`` of the rows of a mask, as a (grow, prune) mask pair."""
+    grow, prune = holdout_split(rs.enc, rs.rows(rows), seed, folds)
+    return rs.of(grow), rs.of(prune)
+
+
+def _learn_class_rules(rs: _RowSets, universe: int, cls, seed, folds, dl_slack):
     """Grow/prune covering loop for one class with a DL stopping budget."""
-    universe = list(stage_idx)
-    n_possible = _count_possible_conditions(enc, universe)
+    n_possible = _count_possible_conditions(rs.enc, rs.rows(universe))
+    positives = rs.by_class[cls]
     rules: list[tuple] = []
-    data = list(universe)
-    dl_min = _ruleset_dl(enc, [], universe, cls, n_possible)
+    data = universe
+    dl_min = _ruleset_dl(rs, [], universe, cls, n_possible)
     rule_no = 0
-    while any(enc.y[i] == cls for i in data):
+    while data & positives:
         rule_no += 1
-        grow, prune = holdout_split(enc, data, seed + 7919 * rule_no, folds)
-        conds = _grow_rule(enc, grow, cls)
-        conds = _prune_rule(enc, prune, cls, conds)
+        grow, prune = _holdout(rs, data, seed + 7919 * rule_no, folds)
+        conds = _grow_rule(rs, grow, cls)
+        conds = _prune_rule(rs, prune, cls, conds)
         if not conds:
             break
-        p, n = _coverage(enc, conds, data, cls)
+        p, n = _coverage(rs, conds, data, cls)
         if p == 0:
             break
-        pp, pn = _coverage(enc, conds, prune, cls)
+        pp, pn = _coverage(rs, conds, prune, cls)
         if pp + pn > 0 and pp < pn:
             break
-        dl = _ruleset_dl(enc, [c for c, _ in rules] + [conds], universe, cls, n_possible)
+        dl = _ruleset_dl(rs, [c for c, _ in rules] + [conds], universe, cls, n_possible)
         if dl > dl_min + dl_slack:
             break
         dl_min = min(dl_min, dl)
         rules.append((conds, cls))
-        data = [i for i in data if not _matches(enc, conds, i)]
+        data &= ~rs.rule(conds)
     return rules, n_possible
 
 
-def _optimize_class_rules(enc, rules, universe, cls, seed, folds, n_possible):
+def _optimize_class_rules(rs: _RowSets, rules, universe: int, cls, seed, folds, n_possible):
     """One revision pass: try a fresh replacement and a grown revision of
     each rule, keeping whichever variant yields the smallest description
     length for the whole stage ruleset."""
     rules = list(rules)
     for ri in range(len(rules)):
-        others = [c for j, (c, _) in enumerate(rules) if j != ri]
-        pool = [i for i in universe if not any(_matches(enc, c, i) for c in others)]
-        if not any(enc.y[i] == cls for i in pool):
+        pool = universe
+        for j, (c, _) in enumerate(rules):
+            if j != ri:
+                pool &= ~rs.rule(c)
+        if not pool & rs.by_class[cls]:
             continue
-        grow, prune = holdout_split(enc, pool, seed + 104729 * (ri + 1), folds)
-        replacement = _prune_rule(enc, prune, cls, _grow_rule(enc, grow, cls))
+        grow, prune = _holdout(rs, pool, seed + 104729 * (ri + 1), folds)
+        replacement = _prune_rule(rs, prune, cls, _grow_rule(rs, grow, cls))
         revision = _prune_rule(
-            enc, prune, cls, _grow_rule(enc, grow, cls, existing=rules[ri][0])
+            rs, prune, cls, _grow_rule(rs, grow, cls, existing=rules[ri][0])
         )
         variants = [rules[ri][0], replacement, revision]
         best = None
@@ -329,7 +394,7 @@ def _optimize_class_rules(enc, rules, universe, cls, seed, folds, n_possible):
                 continue
             candidate = [c for c, _ in rules]
             candidate[ri] = conds
-            dl = _ruleset_dl(enc, candidate, universe, cls, n_possible)
+            dl = _ruleset_dl(rs, candidate, universe, cls, n_possible)
             if best is None or dl < best[0] - _EPS:
                 best = (dl, v_idx, conds)
         if best is not None:
@@ -337,38 +402,38 @@ def _optimize_class_rules(enc, rules, universe, cls, seed, folds, n_possible):
     return rules
 
 
-def _residual_and_cleanup(enc, rules, universe, cls, seed, folds, dl_slack, n_possible):
+def _residual_and_cleanup(
+    rs: _RowSets, rules, universe: int, cls, seed, folds, dl_slack, n_possible
+):
     rules = list(rules)
-    data = [
-        i
-        for i in universe
-        if not any(_matches(enc, conds, i) for conds, _ in rules)
-    ]
-    dl_min = _ruleset_dl(enc, [c for c, _ in rules], universe, cls, n_possible)
+    data = universe
+    for conds, _ in rules:
+        data &= ~rs.rule(conds)
+    dl_min = _ruleset_dl(rs, [c for c, _ in rules], universe, cls, n_possible)
     rule_no = 100
-    while any(enc.y[i] == cls for i in data):
+    while data & rs.by_class[cls]:
         rule_no += 1
-        grow, prune = holdout_split(enc, data, seed + 7919 * rule_no, folds)
-        conds = _prune_rule(enc, prune, cls, _grow_rule(enc, grow, cls))
+        grow, prune = _holdout(rs, data, seed + 7919 * rule_no, folds)
+        conds = _prune_rule(rs, prune, cls, _grow_rule(rs, grow, cls))
         if not conds:
             break
-        p, _ = _coverage(enc, conds, data, cls)
+        p, _ = _coverage(rs, conds, data, cls)
         if p == 0:
             break
-        dl = _ruleset_dl(enc, [c for c, _ in rules] + [conds], universe, cls, n_possible)
+        dl = _ruleset_dl(rs, [c for c, _ in rules] + [conds], universe, cls, n_possible)
         if dl > dl_min + dl_slack:
             break
         dl_min = min(dl_min, dl)
         rules.append((conds, cls))
-        data = [i for i in data if not _matches(enc, conds, i)]
+        data &= ~rs.rule(conds)
     # Backward sweep: drop rules whose removal lowers the description length.
     changed = True
     while changed and len(rules) > 1:
         changed = False
-        current_dl = _ruleset_dl(enc, [c for c, _ in rules], universe, cls, n_possible)
+        current_dl = _ruleset_dl(rs, [c for c, _ in rules], universe, cls, n_possible)
         for ri in range(len(rules) - 1, -1, -1):
             candidate = [c for j, (c, _) in enumerate(rules) if j != ri]
-            if _ruleset_dl(enc, candidate, universe, cls, n_possible) < current_dl - _EPS:
+            if _ruleset_dl(rs, candidate, universe, cls, n_possible) < current_dl - _EPS:
                 del rules[ri]
                 changed = True
                 break
@@ -380,28 +445,26 @@ def build_ripper_rules(enc: Encoded, idx, seed: int, holdout_folds: int, dl_slac
     optimization pass over them: revise every rule, then cover what the
     revised rules leave uncovered and drop rules that do not pay for
     themselves.  The most frequent class becomes the default rule."""
+    rs = _RowSets(enc)
     counts = class_counts(enc, idx)
     order = sorted(range(enc.n_classes), key=lambda c: (counts[c], c))
     stages = [c for c in order[:-1] if counts[c] > 0]
     default_cls = order[-1]
-    remaining = enc.canonical_order(list(idx))
+    remaining = rs.of(idx)
     all_rules: list[tuple] = []
     for stage_no, cls in enumerate(stages):
         stage_seed = seed + 15485863 * (stage_no + 1)
         stage_rules, n_possible = _learn_class_rules(
-            enc, remaining, cls, stage_seed, holdout_folds, dl_slack
+            rs, remaining, cls, stage_seed, holdout_folds, dl_slack
         )
         stage_rules = _optimize_class_rules(
-            enc, stage_rules, remaining, cls, stage_seed + 1, holdout_folds, n_possible
+            rs, stage_rules, remaining, cls, stage_seed + 1, holdout_folds, n_possible
         )
         stage_rules = _residual_and_cleanup(
-            enc, stage_rules, remaining, cls, stage_seed + 2, holdout_folds, dl_slack,
+            rs, stage_rules, remaining, cls, stage_seed + 2, holdout_folds, dl_slack,
             n_possible,
         )
         all_rules.extend(stage_rules)
-        remaining = [
-            i
-            for i in remaining
-            if not any(_matches(enc, conds, i) for conds, _ in stage_rules)
-        ]
-    return finalize_rule_list(enc, idx, all_rules, default_cls)
+        for conds, _ in stage_rules:
+            remaining &= ~rs.rule(conds)
+    return finalize_rule_list(rs, idx, all_rules, default_cls)

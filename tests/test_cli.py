@@ -203,6 +203,25 @@ class TestSingleVariant:
         assert "invalid choice: 'both'" in capsys.readouterr().err
 
 
+class TestKAboveCohort:
+    @pytest.mark.parametrize("extra", [
+        ["eval", "--variant", "discretized", "--algorithm", "c45"],
+        ["experiment", "--variant", "both", "--algorithm", "c45"],
+        ["experiment", "--variant", "discretized", "--algorithm", "c45", "--weight-search"],
+    ], ids=["eval", "experiment", "experiment-weight-search"])
+    def test_k_above_cohort_exits_2(self, workspace, tmp_path, capsys, extra):
+        # The workspace cohort has 57 students, so 500 folds cannot be built.
+        command, *flags = extra
+        if command == "experiment":
+            flags += ["--out", str(tmp_path / "r")]
+        capsys.readouterr()
+        assert main([command, "--data", str(workspace / "pre"), "--k", "500"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --k 500 exceeds the 57 students in the cohort\n"
+        assert "weight search chose" not in captured.out
+        assert not (tmp_path / "r").exists()
+
+
 class TestExperiment:
     def test_small_grid_outputs(self, workspace, tmp_path, capsys):
         out = tmp_path / "reports"
@@ -241,12 +260,17 @@ class TestExperiment:
         assert_one_line_error(capsys)
 
 
+def load_search_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "search_vote_weights.py"
+    spec = importlib.util.spec_from_file_location("search_vote_weights", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 class TestSearchVoteWeightsScript:
     def test_one_line_per_variant_and_ensemble_approach(self, workspace, capsys):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "search_vote_weights.py"
-        spec = importlib.util.spec_from_file_location("search_vote_weights", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+        script = load_search_script()
         capsys.readouterr()
         assert script.run([
             "--data", str(workspace / "pre"), "--algorithm", "c45", "--k", "3",
@@ -259,6 +283,22 @@ class TestSearchVoteWeightsScript:
         ]
         for line in lines:
             assert line.split(": ")[1].startswith("theory,practice,online = ")
+
+    def test_bad_input_prints_one_line_and_exits_2(self, workspace, tmp_path, capsys):
+        script = load_search_script()
+        capsys.readouterr()
+        assert script.run(["--data", str(workspace / "pre"), "--k", "500"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --k 500 exceeds the 57 students in the cohort\n"
+
+        broken = tmp_path / "pre"
+        shutil.copytree(workspace / "pre", broken)
+        (broken / "numeric" / "schema.json").write_text("{not json", encoding="utf-8")
+        assert script.run(["--data", str(broken), "--k", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 class TestVoteStudentExplain:

@@ -6,22 +6,22 @@ prints the winner for each ensemble approach and data variant:
     python3 scripts/search_vote_weights.py --data runs/grid/pre --algorithm ripper
 """
 
-import argparse
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fusemine.cli import CliError, check_k, load_bundle
+from fusemine.cli import CliError, _Parser, check_k, load_bundle
 from fusemine.ensemble import INPUT_SOURCES, weight_search
 from fusemine.errors import FusemineError
 from fusemine.evaluation import stable_seed
+from fusemine.learners import ALGORITHMS
 
 
 def run(argv) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--data", required=True, help="preprocess output directory")
-    parser.add_argument("--algorithm", default="ripper")
+    parser.add_argument("--algorithm", choices=ALGORITHMS, default="ripper")
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)

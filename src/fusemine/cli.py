@@ -26,6 +26,7 @@ from .ensemble import (
     INPUT_SOURCES,
     FusionConfig,
     VoteModel,
+    _source_with_class,
     check_vote_weights,
     run_approach,
     vote_predict_label,
@@ -44,7 +45,9 @@ from .evaluation import (
 )
 from .learners import (
     ALGORITHMS,
+    DecisionTree,
     Model,
+    RuleList,
     fired_rule_index,
     model_from_json,
     model_to_json,
@@ -201,14 +204,6 @@ def _algorithm_list(text: str) -> list[str]:
     return names
 
 
-def _approach_list(text: str) -> list[str]:
-    if text == "all":
-        return list(APPROACHES)
-    if text not in APPROACHES:
-        raise CliError(f"unknown approach {text!r}", 2)
-    return [text]
-
-
 def save_model(model, path: Path) -> None:
     if isinstance(model, VoteModel):
         payload = {
@@ -328,7 +323,7 @@ def cmd_train(args) -> int:
     bundle = load_bundle(directory)
     config = _input(
         FusionConfig,
-        approach=_approach_list(args.approach)[0],
+        approach=args.approach,
         weights=_parse_weights(args.weights),
     )
     model, _prepared = run_approach(config, bundle, args.algorithm, seed=args.seed)
@@ -345,7 +340,7 @@ def cmd_eval(args) -> int:
     check_k(args.k, bundle)
     config = _input(
         FusionConfig,
-        approach=_approach_list(args.approach)[0],
+        approach=args.approach,
         weights=_parse_weights(args.weights),
     )
     result = cross_validate(
@@ -382,7 +377,7 @@ def cmd_experiment(args) -> int:
     for bundle in variants.values():
         check_k(args.k, bundle)
     algorithms = _algorithm_list(args.algorithm)
-    approaches = _approach_list(args.approach)
+    approaches = list(APPROACHES) if args.approach == "all" else [args.approach]
     weights = _parse_weights(args.weights)
     out = Path(args.out)
 
@@ -432,23 +427,22 @@ def cmd_explain(args) -> int:
     bundle = load_bundle(directory)
     if isinstance(model, VoteModel):
         return _explain_vote_student(model, bundle, args.student)
-    merged = join_on_id(bundle, drop_id=True)
-    if not 0 <= args.student < merged.n_rows:
-        raise CliError(f"student row {args.student} out of range", 2)
-    row = merged.rows[args.student]
+    row = _student_row(model, join_on_id(bundle, drop_id=True), args.student)
     label = predict_label(model, row)
     print()
-    if hasattr(model.structure, "rules"):
+    structure = model.structure
+    if isinstance(structure, RuleList):
         fired = fired_rule_index(model, row)
-        rule = model.structure.rules[fired]
+        rule = structure.rules[fired]
         text = (
             "ELSE"
             if rule.is_default
             else "IF " + " AND ".join(c.render() for c in rule.conditions)
         )
         print(f"student {args.student}: rule {fired + 1} fires ({text}) -> {label}")
-    else:
-        print(f"student {args.student}: predicted {label}")
+        return 0
+    print(f"student {args.student}: predicted {label}")
+    if isinstance(structure, DecisionTree):
         enc = encode_row(
             model.specs, model.input_indices, model.metadata.get("numeric_fill", {}), row
         )
@@ -460,14 +454,23 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _student_row(model: Model, table: DataTable, student: int) -> tuple:
+    """A student's row of ``table``, taken by the model's attribute names."""
+    if not 0 <= student < table.n_rows:
+        raise CliError(f"student row {student} out of range", 2)
+    table = _input(table.project, [s.name for s in model.specs])
+    for spec, wanted in zip(table.specs, model.specs):
+        if spec != wanted:
+            raise CliError(f"attribute {spec.name!r} differs between the model and the data", 2)
+    return table.rows[student]
+
+
 def _explain_vote_student(model: VoteModel, bundle, student: int) -> int:
     parts = {}
-    for name in model.models:
-        pair = SourceBundle({name: bundle[name], "exam": bundle["exam"]})
-        table = join_on_id(pair, drop_id=False)
-        if not 0 <= student < table.n_rows:
-            raise CliError(f"student row {student} out of range", 2)
-        parts[name] = table.rows[student]
+    for name, base in model.models.items():
+        if name not in bundle or "exam" not in bundle:
+            raise CliError(f"the data lacks the {name!r} or 'exam' source", 2)
+        parts[name] = _student_row(base, _source_with_class(bundle, name), student)
     print()
     for name in SOURCE_ORDER:
         if name not in model.models:
@@ -515,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_p = sub.add_parser("train", help="train one approach on the full dataset")
     train_p.add_argument("--data", required=True)
     train_p.add_argument("--variant", choices=VARIANTS, default="discretized")
-    train_p.add_argument("--approach", default="merge")
+    train_p.add_argument("--approach", choices=APPROACHES, default="merge")
     train_p.add_argument("--algorithm", choices=ALGORITHMS, default="part")
     train_p.add_argument("--weights", default="1,1,1")
     train_p.add_argument("--seed", type=int, default=0)
@@ -526,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p = sub.add_parser("eval", help="cross-validate one cell")
     eval_p.add_argument("--data", required=True)
     eval_p.add_argument("--variant", choices=VARIANTS, default="discretized")
-    eval_p.add_argument("--approach", default="merge")
+    eval_p.add_argument("--approach", choices=APPROACHES, default="merge")
     eval_p.add_argument("--algorithm", choices=ALGORITHMS, default="part")
     eval_p.add_argument("--weights", default="1,1,1")
     eval_p.add_argument("--k", type=int, default=10)
@@ -539,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run the approach-by-variant grid")
     exp.add_argument("--data", required=True)
     exp.add_argument("--variant", choices=(*VARIANTS, "both"), default="both")
-    exp.add_argument("--approach", default="all")
+    exp.add_argument("--approach", choices=(*APPROACHES, "all"), default="all")
     exp.add_argument("--algorithm", default="all")
     exp.add_argument("--weights", default="1,1,1")
     exp.add_argument("--weight-search", action="store_true")

@@ -40,10 +40,6 @@ class Encoded:
         labels = self.specs[attr].labels
         return len(labels) + (1 if self.has_missing.get(attr, False) else 0)
 
-    def value_name(self, attr: int, value: int) -> str:
-        labels = self.specs[attr].labels
-        return labels[value] if value < len(labels) else "?"
-
     @cached_property
     def content_rank(self) -> list[int]:
         """Each row's dense rank by content (inputs, then class): equal

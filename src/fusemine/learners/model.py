@@ -149,17 +149,61 @@ def _laplace(counts: Sequence[float], k: int) -> tuple[float, ...]:
     return tuple((c + 1.0) / (total + k) for c in counts)
 
 
+def slot_name(spec: AttributeSpec, value: int) -> str:
+    """Label of a nominal slot; the slot past the labels holds missing values."""
+    labels = spec.labels
+    return labels[value] if value < len(labels) else "?"
+
+
+def branches(split: Split) -> list[tuple[tuple, Union[Leaf, Split]]]:
+    """Each child of a split with the encoded ``(attr, op, value)``
+    condition that leads to it; nominal values are slot integers."""
+    if split.threshold is None:
+        return [((split.attr, "=", v), child) for v, child in enumerate(split.children)]
+    ops = ("<=", ">")
+    return [((split.attr, op, split.threshold), child) for op, child in zip(ops, split.children)]
+
+
+def child_index(split: Split, value) -> int | None:
+    """The child an encoded value goes to, or ``None`` for a nominal slot
+    that has no child."""
+    if split.threshold is None:
+        value = int(value)
+        return value if value < len(split.children) else None
+    return 0 if value <= split.threshold else 1
+
+
+def encoded_paths(node) -> list[tuple[tuple, Leaf]]:
+    """Root-to-leaf paths as tuples of encoded conditions."""
+    paths: list[tuple[tuple, Leaf]] = []
+
+    def walk(node, prefix):
+        if isinstance(node, Leaf):
+            paths.append((prefix, node))
+            return
+        for cond, child in branches(node):
+            walk(child, prefix + (cond,))
+
+    walk(node, ())
+    return paths
+
+
+def decode_condition(specs: Sequence[AttributeSpec], cond) -> Condition:
+    """Bind an encoded ``(attr, op, value)`` condition to names and labels."""
+    attr, op, value = cond
+    spec = specs[attr]
+    if op == "=":
+        return Condition(spec.name, "=", slot_name(spec, value))
+    return Condition(spec.name, op, float(value))
+
+
 def _tree_distribution(model: Model, node, enc_values) -> tuple[float, ...]:
     k = len(model.class_labels)
     while isinstance(node, Split):
-        v = enc_values[node.attr]
-        if node.threshold is None:
-            branch = int(v)
-            if branch >= len(node.children):
-                return _laplace(node.counts, k)
-            node = node.children[branch]
-        else:
-            node = node.children[0] if v <= node.threshold else node.children[1]
+        branch = child_index(node, enc_values[node.attr])
+        if branch is None:
+            break
+        node = node.children[branch]
     return _laplace(node.counts, k)
 
 
@@ -170,24 +214,27 @@ def condition_matches(model: Model, cond: Condition, enc_values) -> bool:
     if cond.op == "=":
         if not spec.is_nominal:
             raise SchemaMismatchError(f"equality test on numeric attribute {cond.attr!r}")
-        name = spec.labels[v] if v < len(spec.labels) else "?"
-        return name == cond.value
+        return slot_name(spec, v) == cond.value
     if cond.op == "<=":
         return v <= float(cond.value)
     return v > float(cond.value)
 
 
+def _fired(model: Model, rules: RuleList, enc_values) -> int:
+    """Index of the first rule whose conditions all hold."""
+    for i, rule in enumerate(rules.rules):
+        if all(condition_matches(model, c, enc_values) for c in rule.conditions):
+            return i
+    raise SchemaMismatchError("rule list failed to cover an instance")
+
+
 def _rules_distribution(model: Model, rules: RuleList, enc_values) -> tuple[float, ...]:
     k = len(model.class_labels)
-    for rule in rules.rules:
-        if all(condition_matches(model, c, enc_values) for c in rule.conditions):
-            counts = rule.counts
-            if not counts or len(counts) != k:
-                counts = tuple(
-                    1.0 if label == rule.cls else 0.0 for label in model.class_labels
-                )
-            return _laplace(counts, k)
-    raise SchemaMismatchError("rule list failed to cover an instance")
+    rule = rules.rules[_fired(model, rules, enc_values)]
+    counts = rule.counts
+    if not counts or len(counts) != k:
+        counts = tuple(1.0 if label == rule.cls else 0.0 for label in model.class_labels)
+    return _laplace(counts, k)
 
 
 def _distance_plan(model: Model, ranges, enc_values) -> list[tuple]:
@@ -281,10 +328,7 @@ def fired_rule_index(model: Model, row: Sequence) -> int:
     enc_values = encode_row(
         model.specs, model.input_indices, model.metadata.get("numeric_fill", {}), row
     )
-    for i, rule in enumerate(structure.rules):
-        if all(condition_matches(model, c, enc_values) for c in rule.conditions):
-            return i
-    raise SchemaMismatchError("rule list failed to cover an instance")
+    return _fired(model, structure, enc_values)
 
 
 def tree_paths(model: Model) -> list[tuple[tuple[Condition, ...], Leaf]]:
@@ -292,23 +336,10 @@ def tree_paths(model: Model) -> list[tuple[tuple[Condition, ...], Leaf]]:
     structure = model.structure
     if not isinstance(structure, DecisionTree):
         raise SchemaMismatchError("model is not a decision tree")
-    paths: list[tuple[tuple[Condition, ...], Leaf]] = []
-
-    def walk(node, prefix):
-        if isinstance(node, Leaf):
-            paths.append((tuple(prefix), node))
-            return
-        spec = model.specs[node.attr]
-        if node.threshold is None:
-            for value, child in enumerate(node.children):
-                name = spec.labels[value] if value < len(spec.labels) else "?"
-                walk(child, prefix + [Condition(spec.name, "=", name)])
-        else:
-            walk(node.children[0], prefix + [Condition(spec.name, "<=", node.threshold)])
-            walk(node.children[1], prefix + [Condition(spec.name, ">", node.threshold)])
-
-    walk(structure.root, [])
-    return paths
+    return [
+        (tuple(decode_condition(model.specs, c) for c in conds), leaf)
+        for conds, leaf in encoded_paths(structure.root)
+    ]
 
 
 # --- JSON serialization ---------------------------------------------------

@@ -26,6 +26,9 @@ from .model import (
     Model,
     Rule,
     RuleList,
+    branches,
+    decode_condition,
+    slot_name,
 )
 
 _NUM_SPEC = AttributeSpec.numeric("_")
@@ -45,21 +48,12 @@ def _render_rule_list(model: Model, rules: RuleList) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _branch_text(model: Model, node, value_or_side) -> str:
-    spec = model.specs[node.attr]
-    if node.threshold is None:
-        name = spec.labels[value_or_side] if value_or_side < len(spec.labels) else "?"
-        return f"{spec.name} = {name}"
-    op = "<=" if value_or_side == 0 else ">"
-    return f"{spec.name} {op} {_num(node.threshold)}"
-
-
 def _render_tree(model: Model, tree: DecisionTree) -> str:
     lines: list[str] = []
 
     def emit(node, depth):
-        for pos, child in enumerate(node.children):
-            text = _branch_text(model, node, pos)
+        for pos, (cond, child) in enumerate(branches(node)):
+            text = decode_condition(model.specs, cond).render()
             if depth == 0:
                 prefix = "IF " if pos == 0 else "ELSE IF "
             else:
@@ -95,9 +89,7 @@ def _render_exemplars(model: Model, structure: ExemplarSet) -> str:
                 values = ex.label_sets.get(i)
                 if values is None or len(values) >= len(spec.labels) + 1:
                     continue
-                names = [
-                    spec.labels[v] if v < len(spec.labels) else "?" for v in sorted(values)
-                ]
+                names = [slot_name(spec, v) for v in sorted(values)]
                 if len(names) == 1:
                     parts.append(f"{spec.name} = {names[0]}")
                 elif len(values) < len(spec.labels):

@@ -13,8 +13,8 @@ import math
 from operator import itemgetter
 
 from .encode import Encoded
-from .model import Condition, Rule, RuleList
-from .trees import Leaf, build_c45, class_counts, holdout_split, majority
+from .model import Rule, RuleList, decode_condition, encoded_paths
+from .trees import Leaf, build_c45, class_counts, cut_between, holdout_split, majority
 
 _EPS = 1e-12
 
@@ -86,17 +86,6 @@ class _RowSets:
         return order
 
 
-def decode_conditions(enc: Encoded, conds) -> tuple[Condition, ...]:
-    out = []
-    for attr, op, value in conds:
-        spec = enc.specs[attr]
-        if op == "=":
-            out.append(Condition(spec.name, "=", enc.value_name(attr, value)))
-        else:
-            out.append(Condition(spec.name, op, float(value)))
-    return tuple(out)
-
-
 def finalize_rule_list(rs: _RowSets, idx, raw_rules, default_cls: int) -> RuleList:
     """Bind encoded rules to names and recount coverage in list order."""
     enc = rs.enc
@@ -114,9 +103,8 @@ def finalize_rule_list(rs: _RowSets, idx, raw_rules, default_cls: int) -> RuleLi
     for (conds, cls), counts in zip(raw_rules, counts_of):
         if sum(counts) == 0.0:
             counts = [1.0 if c == cls else 0.0 for c in range(enc.n_classes)]
-        rules.append(
-            Rule(decode_conditions(enc, conds), enc.class_labels[cls], tuple(counts))
-        )
+        conditions = tuple(decode_condition(enc.specs, c) for c in conds)
+        rules.append(Rule(conditions, enc.class_labels[cls], tuple(counts)))
     default_counts = counts_of[-1]
     if sum(default_counts) == 0.0:
         default_counts = [1.0 if c == default_cls else 0.0 for c in range(enc.n_classes)]
@@ -125,18 +113,6 @@ def finalize_rule_list(rs: _RowSets, idx, raw_rules, default_cls: int) -> RuleLi
 
 
 # --- repeated partial-tree extraction ---------------------------------------
-
-
-def _tree_paths_encoded(node, prefix, out):
-    if isinstance(node, Leaf):
-        out.append((tuple(prefix), node))
-        return
-    if node.threshold is None:
-        for value, child in enumerate(node.children):
-            _tree_paths_encoded(child, prefix + [(node.attr, "=", value)], out)
-    else:
-        _tree_paths_encoded(node.children[0], prefix + [(node.attr, "<=", node.threshold)], out)
-        _tree_paths_encoded(node.children[1], prefix + [(node.attr, ">", node.threshold)], out)
 
 
 def build_part_rules(enc: Encoded, idx, confidence: float, min_leaf: int):
@@ -156,10 +132,8 @@ def build_part_rules(enc: Encoded, idx, confidence: float, min_leaf: int):
         tree = build_c45(enc, remaining, confidence, min_leaf)
         if isinstance(tree, Leaf):
             break
-        paths: list = []
-        _tree_paths_encoded(tree, [], paths)
         best = None
-        for conds, leaf in paths:
+        for conds, leaf in encoded_paths(tree):
             coverage = sum(leaf.counts)
             if best is None or coverage > best[0] + _EPS:
                 best = (coverage, conds, leaf)
@@ -221,21 +195,16 @@ def _grow_rule(rs: _RowSets, grow: int, cls, existing=()):
                     if not current & bit:
                         continue
                     if prev is not None and value != prev:
-                        threshold = (prev + value) / 2.0
-                        if threshold == value:
-                            # The midpoint of two adjacent floats can round
-                            # onto the upper one; cut at the lower instead.
-                            threshold = prev
                         if p_left:
                             gain = p_left * (log2(p_left / (p_left + n_left)) - base)
                             if gain > _EPS and (best is None or gain > best[0] + _EPS):
-                                best = (gain, (attr, "<=", threshold))
+                                best = (gain, (attr, "<=", cut_between(prev, value)))
                         p1 = p0 - p_left
                         if p1:
                             n1 = n0 - n_left
                             gain = p1 * (log2(p1 / (p1 + n1)) - base)
                             if gain > _EPS and (best is None or gain > best[0] + _EPS):
-                                best = (gain, (attr, ">", threshold))
+                                best = (gain, (attr, ">", cut_between(prev, value)))
                     if row_cls == cls:
                         p_left += 1
                     else:

@@ -15,7 +15,7 @@ import random
 from statistics import NormalDist
 
 from .encode import Encoded
-from .model import Leaf, Split
+from .model import Leaf, Split, child_index
 
 _EPS = 1e-12
 
@@ -37,6 +37,14 @@ def entropy(counts, total) -> float:
             p = c / total
             h -= p * math.log2(p)
     return h
+
+
+def cut_between(lo: float, hi: float) -> float:
+    """Threshold between two neighbouring column values: their midpoint,
+    or ``lo`` where the midpoint rounds onto ``hi`` or overflows, so that
+    ``<= cut`` always parts ``lo`` from ``hi``."""
+    mid = (lo + hi) / 2.0
+    return mid if lo <= mid < hi else lo
 
 
 def majority(counts) -> int:
@@ -125,9 +133,8 @@ def _numeric_split(enc, idx, attr, parent_h, min_leaf, use_ratio):
             score = gain / split_info
         else:
             score = gain
-        threshold = (here + next_value) / 2.0
         if best is None or score > best[0] + _EPS:
-            best = (score, threshold)
+            best = (score, cut_between(here, next_value))
     return best
 
 
@@ -248,23 +255,12 @@ def rep_prune(node, enc, prune_idx):
     leaf_errors = sum(1 for i in prune_idx if y[i] != node.cls)
     if isinstance(node, Leaf):
         return node, leaf_errors
-    groups: list[list[int]]
-    if node.threshold is None:
-        col = enc.cols[node.attr]
-        groups = [[] for _ in node.children]
-        stuck = []
-        for i in prune_idx:
-            v = col[i]
-            if v < len(groups):
-                groups[v].append(i)
-            else:
-                stuck.append(i)
-    else:
-        col = enc.cols[node.attr]
-        groups = [[], []]
-        stuck = []
-        for i in prune_idx:
-            groups[0 if col[i] <= node.threshold else 1].append(i)
+    col = enc.cols[node.attr]
+    groups: list[list[int]] = [[] for _ in node.children]
+    stuck = []
+    for i in prune_idx:
+        branch = child_index(node, col[i])
+        (stuck if branch is None else groups[branch]).append(i)
     children = []
     subtree_errors = sum(1 for i in stuck if y[i] != node.cls)
     for child, group in zip(node.children, groups):

@@ -21,7 +21,7 @@ from .errors import (
     SchemaMismatchError,
     UnknownAttributeError,
 )
-from .learners.trees import entropy
+from .learners.trees import cut_between, entropy
 from .tabular import ROLE_CLASS, ROLE_ID, DataTable
 
 _MERIT_EPS = 1e-12
@@ -133,7 +133,7 @@ def _mdl_split(pairs: list[tuple[float, int]], cuts: list[float]) -> None:
         h_right = entropy(list(right_counts.values()), n_right)
         weighted = (n_left * h_left + n_right * h_right) / n
         if best is None or weighted < best[0] - 1e-12:
-            cut = (pairs[i][0] + pairs[i + 1][0]) / 2.0
+            cut = cut_between(pairs[i][0], pairs[i + 1][0])
             best = (weighted, cut, n_left, h_left, len(left_counts), h_right, len(right_counts))
     if best is None:
         return

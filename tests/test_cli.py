@@ -249,6 +249,17 @@ class TestExperiment:
         printed = capsys.readouterr().out
         assert "weight search chose theory,practice,online" in printed
 
+    def test_approach_all_runs_every_approach(self, workspace, tmp_path):
+        out = tmp_path / "r"
+        assert main([
+            "experiment", "--data", str(workspace / "pre"), "--variant", "discretized",
+            "--approach", "all", "--algorithm", "c45", "--k", "3", "--out", str(out),
+        ]) == 0
+        rows = (out / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert sorted(row.split(",")[0] for row in rows) == [
+            "ensemble", "ensemble-select", "merge", "select",
+        ]
+
     @pytest.mark.parametrize("algorithms", [",", "cart"])
     def test_bad_algorithm_list_exits_2(self, workspace, tmp_path, capsys, algorithms):
         capsys.readouterr()
@@ -299,6 +310,89 @@ class TestSearchVoteWeightsScript:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "x"], "argument --k: invalid int value: 'x'"),
+        (["--algorithm", "cart"], "argument --algorithm: invalid choice: 'cart'"),
+    ], ids=["bad-int", "bad-algorithm"])
+    def test_bad_flag_prints_one_line_and_exits_2(self, workspace, capsys, flags, message):
+        script = load_search_script()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            script.run(["--data", str(workspace / "pre")] + flags)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert ": error: " + message in err
+
+
+class TestStudentExplainEveryApproach:
+    @pytest.mark.parametrize("algorithm", ["c45", "nnge"])
+    @pytest.mark.parametrize("approach", ["merge", "select", "ensemble", "ensemble-select"])
+    def test_exits_0(self, workspace, tmp_path, capsys, approach, algorithm):
+        out = tmp_path / "model"
+        assert main([
+            "train", "--data", str(workspace / "pre"), "--variant", "discretized",
+            "--approach", approach, "--algorithm", algorithm, "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "explain", "--model", str(out / "model.json"), "--student", "3",
+            "--data", str(workspace / "pre"), "--variant", "discretized",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        vote = approach.startswith("ensemble")
+        assert ("combined vote ->" if vote else "predicted ") in captured.out
+        assert ("leaf path: " in captured.out) == (algorithm == "c45" and not vote)
+
+    def test_attribute_missing_from_data_exits_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "model"
+        assert main([
+            "train", "--data", str(workspace / "pre"), "--approach", "select",
+            "--algorithm", "c45", "--out", str(out),
+        ]) == 0
+        path = out / "model.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["model"]["schema"][0]["name"] = "Theory.Absent"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main([
+            "explain", "--model", str(path), "--student", "3", "--data", str(workspace / "pre"),
+        ]) == 2
+        assert capsys.readouterr().err == "error: no attribute named 'Theory.Absent'\n"
+
+    def test_other_variant_exits_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "model"
+        assert main([
+            "train", "--data", str(workspace / "pre"), "--variant", "discretized",
+            "--algorithm", "c45", "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "explain", "--model", str(out / "model.json"), "--student", "3",
+            "--data", str(workspace / "pre"), "--variant", "numeric",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: attribute ") and len(err.splitlines()) == 1
+
+    def test_source_missing_from_data_exits_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "vote"
+        assert main([
+            "train", "--data", str(workspace / "pre"), "--approach", "ensemble",
+            "--algorithm", "c45", "--out", str(out),
+        ]) == 0
+        data = tmp_path / "pre"
+        shutil.copytree(workspace / "pre" / "discretized", data / "discretized")
+        schema = data / "discretized" / "schema.json"
+        sources = json.loads(schema.read_text(encoding="utf-8"))
+        del sources["online"]
+        schema.write_text(json.dumps(sources), encoding="utf-8")
+        capsys.readouterr()
+        assert main([
+            "explain", "--model", str(out / "model.json"), "--student", "3", "--data", str(data),
+        ]) == 2
+        assert capsys.readouterr().err == "error: the data lacks the 'online' or 'exam' source\n"
 
 
 class TestVoteStudentExplain:
@@ -400,7 +494,12 @@ class TestArgparseErrors:
         ["train", "--data", "d"],
         ["bogus"],
         [],
-    ], ids=["bad-int", "bad-choice", "missing-flag", "bad-command", "no-command"])
+        ["train", "--data", "d", "--approach", "all", "--out", "o"],
+        ["eval", "--data", "d", "--approach", "all"],
+    ], ids=[
+        "bad-int", "bad-choice", "missing-flag", "bad-command", "no-command",
+        "train-approach-all", "eval-approach-all",
+    ])
     def test_one_line_and_exit_2(self, argv, capsys):
         assert exit_code(argv) == 2
         err = capsys.readouterr().err

@@ -20,11 +20,10 @@ from fusemine.learners.rules import (
     _EPS,
     _data_dl,
     _theory_dl,
-    _tree_paths_encoded,
     build_part_rules,
     build_ripper_rules,
-    decode_conditions,
 )
+from fusemine.learners.model import decode_condition, encoded_paths
 from fusemine.learners.trees import Leaf, build_c45, class_counts, holdout_split, majority
 from fusemine.tabular import AttributeSpec, DataTable
 
@@ -157,8 +156,8 @@ class TestRipperSpecifics:
 # index list that each coverage question rescans, and rows are put in
 # canonical order by a tuple key per row.  The bitmask learners must return
 # the same rule lists.  The description-length arithmetic,
-# ``decode_conditions`` and ``_tree_paths_encoded`` are shared with the
-# module under test.
+# ``decode_condition`` and ``encoded_paths`` are shared with the learners
+# under test.
 
 
 def ref_canonical_order(enc, idx):
@@ -220,7 +219,11 @@ def ref_finalize_rule_list(enc: Encoded, idx, raw_rules, default_cls: int) -> Ru
         if sum(counts) == 0.0:
             counts = [1.0 if c == cls else 0.0 for c in range(enc.n_classes)]
         rules.append(
-            Rule(decode_conditions(enc, conds), enc.class_labels[cls], tuple(counts))
+            Rule(
+                tuple(decode_condition(enc.specs, c) for c in conds),
+                enc.class_labels[cls],
+                tuple(counts),
+            )
         )
     default_counts = buckets[-1]
     if sum(default_counts) == 0.0:
@@ -245,10 +248,8 @@ def ref_build_part_rules(enc: Encoded, idx, confidence: float, min_leaf: int):
         tree = build_c45(enc, remaining, confidence, min_leaf)
         if isinstance(tree, Leaf):
             break
-        paths: list = []
-        _tree_paths_encoded(tree, [], paths)
         best = None
-        for conds, leaf in paths:
+        for conds, leaf in encoded_paths(tree):
             coverage = sum(leaf.counts)
             if best is None or coverage > best[0] + _EPS:
                 best = (coverage, conds, leaf)

@@ -1,25 +1,31 @@
+import contextlib
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusemine.errors import InvalidParamsError
 from fusemine.learners import (
+    ALGORITHMS,
     DecisionTree,
     Model,
+    RuleList,
     predict,
     predict_label,
     render_rules,
     train,
 )
 from fusemine.learners.encode import encode_table
+from fusemine.learners.model import encoded_paths
 from fusemine.learners.trees import (
     _EPS,
     _numeric_split,
     add_errs,
     build_c45,
     class_counts,
+    cut_between,
     entropy,
 )
 from fusemine.tabular import AttributeSpec, DataTable
@@ -234,7 +240,10 @@ class TestMissingValueRobustness:
 
 
 def reference_numeric_split(enc, idx, attr, parent_h, min_leaf, use_ratio):
-    """The threshold scan as first written, one ``entropy`` call per side."""
+    """The threshold scan as first written, one ``entropy`` call per side.
+
+    The cut between two neighbouring values comes from ``cut_between``,
+    which ``TestCutBetween`` pins."""
     col = enc.cols[attr]
     y = enc.y
     n = len(idx)
@@ -269,7 +278,7 @@ def reference_numeric_split(enc, idx, attr, parent_h, min_leaf, use_ratio):
             score = gain / split_info
         else:
             score = gain
-        threshold = (col[i] + col[order[pos + 1]]) / 2.0
+        threshold = cut_between(col[i], col[order[pos + 1]])
         if best is None or score > best[0] + _EPS:
             best = (score, threshold)
     return best
@@ -300,3 +309,75 @@ class TestNumericSplitScan:
         use_ratio = data.draw(st.booleans())
         args = (enc, idx, 0, parent_h, min_leaf, use_ratio)
         assert repr(_numeric_split(*args)) == repr(reference_numeric_split(*args))
+
+
+class TestCutBetween:
+    def test_midpoint_when_it_falls_between(self):
+        assert cut_between(0.25, 0.5) == 0.375
+        assert cut_between(-1.0, 1.0) == 0.0
+        assert cut_between(5e-324, 1.5e-323) == 1e-323
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.9999999999999999, 1.0),  # the midpoint rounds onto 1.0
+        (5e-324, 1e-323),  # the same, between the two smallest subnormals
+        (-5e-324, 0.0),  # the midpoint rounds to -0.0, which equals 0.0
+        (1e308, 1.5e308),  # the sum overflows, so the midpoint is inf
+    ])
+    def test_lower_value_when_the_midpoint_does_not_part_them(self, lo, hi):
+        assert not lo <= (lo + hi) / 2.0 < hi
+        assert cut_between(lo, hi) == lo
+
+
+#: Two-class numeric columns in which some neighbouring values have no
+#: midpoint strictly below the upper value.
+UNPARTED_COLUMNS = {
+    "adjacent-floats": [(0.5, 0)] * 4 + [(0.9999999999999999, 1)] * 6 + [(1.0, 0)] * 6,
+    "overflowing-midpoint": [(1e308, 0)] * 6 + [(1.5e308, 1)] * 6,
+}
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise ``TimeoutError`` in a loop that runs longer than ``seconds``,
+    so a learner that never returns fails the test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def stored_thresholds(model):
+    structure = model.structure
+    if isinstance(structure, DecisionTree):
+        conds = [c for path, _ in encoded_paths(structure.root) for c in path]
+        return [value for _, op, value in conds if op != "="]
+    if isinstance(structure, RuleList):
+        return [c.value for rule in structure.rules for c in rule.conditions if c.op != "="]
+    return []
+
+
+class TestUnpartedMidpoints:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("column", sorted(UNPARTED_COLUMNS))
+    def test_learner_returns_with_cuts_between_values(self, column, algorithm):
+        rows = UNPARTED_COLUMNS[column]
+        specs = [
+            AttributeSpec.numeric("x"),
+            AttributeSpec.nominal("Status", STATUS[:2], role="class"),
+        ]
+        with time_limit(30):
+            model = train(algorithm, DataTable(specs, rows), seed=0)
+        values = sorted({v for v, _ in rows})
+        thresholds = stored_thresholds(model)
+        assert thresholds or algorithm == "nnge"
+        for t in thresholds:
+            assert any(lo <= t < hi for lo, hi in zip(values, values[1:]))
+        assert render_rules(model)
+

@@ -2,14 +2,17 @@ import pytest
 
 from fusemine.errors import RuleSyntaxError
 from fusemine.learners import (
+    Condition,
+    Leaf,
     model_from_json,
     model_to_json,
     parse_rules,
     predict_label,
     render_rules,
     train,
+    tree_paths,
 )
-from fusemine.tabular import AttributeSpec
+from fusemine.tabular import AttributeSpec, DataTable, value_to_text
 
 from helpers import planted_dataset
 
@@ -128,3 +131,92 @@ def test_retraining_renders_byte_identical_text(algorithm):
     first = render_rules(train(algorithm, table, seed=4))
     second = render_rules(train(algorithm, table, seed=4))
     assert first == second
+
+
+# --- tree text against the walkers it replaced -------------------------------
+#
+# Verbatim copies of the tree walker that ``tree_paths`` used and of the
+# branch text that the tree renderer used, before both came to share
+# ``branches`` and ``decode_condition``.
+
+
+def parent_tree_paths(model):
+    structure = model.structure
+    paths = []
+
+    def walk(node, prefix):
+        if isinstance(node, Leaf):
+            paths.append((tuple(prefix), node))
+            return
+        spec = model.specs[node.attr]
+        if node.threshold is None:
+            for value, child in enumerate(node.children):
+                name = spec.labels[value] if value < len(spec.labels) else "?"
+                walk(child, prefix + [Condition(spec.name, "=", name)])
+        else:
+            walk(node.children[0], prefix + [Condition(spec.name, "<=", node.threshold)])
+            walk(node.children[1], prefix + [Condition(spec.name, ">", node.threshold)])
+
+    walk(structure.root, [])
+    return paths
+
+
+_NUM_SPEC = AttributeSpec.numeric("_")
+
+
+def _num(value: float) -> str:
+    return value_to_text(_NUM_SPEC, float(value))
+
+
+def _branch_text(model, node, value_or_side) -> str:
+    spec = model.specs[node.attr]
+    if node.threshold is None:
+        name = spec.labels[value_or_side] if value_or_side < len(spec.labels) else "?"
+        return f"{spec.name} = {name}"
+    op = "<=" if value_or_side == 0 else ">"
+    return f"{spec.name} {op} {_num(node.threshold)}"
+
+
+def parent_render_tree(model, tree) -> str:
+    lines: list[str] = []
+
+    def emit(node, depth):
+        for pos, child in enumerate(node.children):
+            text = _branch_text(model, node, pos)
+            if depth == 0:
+                prefix = "IF " if pos == 0 else "ELSE IF "
+            else:
+                prefix = "| " * depth
+            if isinstance(child, Leaf):
+                lines.append(f"{prefix}{text} THEN {model.class_labels[child.cls]}")
+            else:
+                lines.append(f"{prefix}{text}")
+                emit(child, depth + 1)
+
+    emit(tree.root, 0)
+    lines.append(f"Number of Leaves: {tree.n_leaves()}")
+    lines.append(f"Size of the tree : {tree.size()}")
+    return "\n".join(lines) + "\n"
+
+
+def missing_slot_table():
+    """Grade ``a`` decides the class, a missing ``a`` included; under
+    ``a = High`` the numeric ``b`` decides it."""
+    specs = [
+        AttributeSpec.nominal("a", GRADE),
+        AttributeSpec.numeric("b"),
+        AttributeSpec.nominal("Status", ("Pass", "Fail", "Dropout"), role="class"),
+    ]
+    rows = [(2, 0.1 * i, 0 if i < 4 else 1) for i in range(8)]
+    rows += [(0, 0.5, 1)] * 6 + [(None, 0.5, 2)] * 6 + [(1, 0.3, 0)] * 6
+    return DataTable(specs, rows)
+
+
+@pytest.mark.parametrize("algorithm", ["c45", "reptree", "randomtree"])
+def test_tree_text_with_missing_slot_matches_the_parent_walkers(algorithm):
+    model = train(algorithm, missing_slot_table(), seed=0)
+    paths = tree_paths(model)
+    assert any(c.value == "?" for conds, _ in paths for c in conds)
+    assert any(c.op == "<=" for conds, _ in paths for c in conds)
+    assert repr(paths) == repr(parent_tree_paths(model))
+    assert render_rules(model) == parent_render_tree(model, model.structure)

@@ -97,6 +97,11 @@ class TestMdlDiscretize:
     def test_missing_stays_missing(self):
         assert mdl_discretize([None, 1.0, 2.0], [0, 0, 1])[0] is None
 
+    @pytest.mark.parametrize("lo, hi", [(0.9999999999999999, 1.0), (1e308, 1.5e308)])
+    def test_separates_values_without_a_midpoint_between(self, lo, hi):
+        # The midpoint rounds onto ``hi`` or overflows; the cut falls at ``lo``.
+        assert mdl_discretize([lo] * 6 + [hi] * 6, [0] * 6 + [1] * 6) == [0] * 6 + [1] * 6
+
 
 class TestMerit:
     def test_single_perfect_feature(self):

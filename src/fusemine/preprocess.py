@@ -128,6 +128,7 @@ class PreprocessConfig:
                 f"preprocess config 'bin_labels' must be a list of strings, got {labels!r}"
             )
         BinningParams(n_bins=self.n_bins, labels=self.bin_labels)
+        AttributeSpec.nominal("bin_labels", self.bin_labels)  # distinct, non-empty labels
         self.class_rule()
 
     @classmethod

@@ -45,6 +45,8 @@ class AttributeSpec:
     kind: str = NUMERIC
     labels: tuple[str, ...] | None = None
     role: str = ROLE_INPUT
+    #: label -> index of a nominal attribute (``None`` for a numeric one).
+    _indices: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (NUMERIC, NOMINAL):
@@ -56,7 +58,11 @@ class AttributeSpec:
                 raise SchemaMismatchError(f"nominal attribute {self.name!r} needs labels")
             if len(set(self.labels)) != len(self.labels):
                 raise SchemaMismatchError(f"duplicate labels in attribute {self.name!r}")
+            # An empty cell is a missing value, so an empty label could not be read back.
+            if "" in self.labels:
+                raise SchemaMismatchError(f"empty label in attribute {self.name!r}")
             object.__setattr__(self, "labels", tuple(self.labels))
+            object.__setattr__(self, "_indices", {v: i for i, v in enumerate(self.labels)})
         elif self.labels is not None:
             raise SchemaMismatchError(f"numeric attribute {self.name!r} must not carry labels")
 
@@ -77,11 +83,8 @@ class AttributeSpec:
         return self.kind == NOMINAL
 
     def label_index(self, label: str) -> int:
-        assert self.labels is not None
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(label) from None
+        assert self._indices is not None
+        return self._indices[label]
 
 
 def _check_value(spec: AttributeSpec, value):
@@ -92,7 +95,13 @@ def _check_value(spec: AttributeSpec, value):
             raise SchemaMismatchError(
                 f"attribute {spec.name!r} is numeric but got {value!r}"
             )
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise SchemaMismatchError(
+                f"attribute {spec.name!r} needs a finite number but got an int too large "
+                "for a float"
+            ) from None
         if not math.isfinite(value):
             raise SchemaMismatchError(
                 f"attribute {spec.name!r} needs a finite number but got {value!r}"
@@ -107,6 +116,19 @@ def _check_value(spec: AttributeSpec, value):
             f"label index {value} out of range for attribute {spec.name!r}"
         )
     return value
+
+
+def _is_clean(spec: AttributeSpec, column: tuple) -> bool:
+    """Whether ``_check_value`` returns every cell of ``column`` as it is.
+
+    Exact types only: a ``bool``, a float subclass, or an ``int`` in a
+    numeric column would be refused or converted.
+    """
+    kinds = set(map(type, column))
+    if spec.is_numeric:
+        # filter(None, ...) drops each None, and 0.0, which is finite anyway.
+        return kinds <= {float, type(None)} and all(map(math.isfinite, filter(None, column)))
+    return kinds <= {int, type(None)} and set(column) - {None} <= set(range(len(spec.labels)))
 
 
 def _id_sort_key(spec: AttributeSpec, value) -> str:
@@ -135,16 +157,21 @@ class DataTable:
         for role in (ROLE_ID, ROLE_CLASS):
             if sum(1 for s in specs if s.role == role) > 1:
                 raise SchemaMismatchError(f"more than one attribute with role {role!r}")
-        checked = []
-        for row in rows:
-            row = tuple(row)
-            if len(row) != len(specs):
-                raise SchemaMismatchError(
-                    f"row length {len(row)} does not match schema width {len(specs)}"
-                )
-            checked.append(tuple(_check_value(s, v) for s, v in zip(specs, row)))
+        # Cells are checked a column at a time.  A table that needs a cell
+        # converted or refused goes through the row-major check, which
+        # converts, or raises the first error in row order.
+        rows = tuple([row if type(row) is tuple else tuple(row) for row in rows])
+        if not (set(map(len, rows)) <= {len(specs)} and all(map(_is_clean, specs, zip(*rows)))):
+            checked = []
+            for row in rows:
+                if len(row) != len(specs):
+                    raise SchemaMismatchError(
+                        f"row length {len(row)} does not match schema width {len(specs)}"
+                    )
+                checked.append(tuple(_check_value(s, v) for s, v in zip(specs, row)))
+            rows = tuple(checked)
         object.__setattr__(self, "specs", specs)
-        object.__setattr__(self, "rows", tuple(checked))
+        object.__setattr__(self, "rows", rows)
         id_idx = self.id_index
         if id_idx is not None:
             seen = set()
@@ -277,16 +304,21 @@ class SourceBundle:
         return name in self.sources
 
 
+def _number_text(value) -> str:
+    # repr keeps the shortest decimal text that round-trips the float.
+    if float(value).is_integer() and abs(value) < 1e16:
+        return str(int(value))
+    return repr(float(value))
+
+
+def _formatter(spec: AttributeSpec):
+    """The text of a present cell of ``spec``'s column."""
+    return _number_text if spec.is_numeric else spec.labels.__getitem__
+
+
 def value_to_text(spec: AttributeSpec, value) -> str:
     """Serialize one cell; the empty string encodes a missing value."""
-    if value is None:
-        return ""
-    if spec.is_numeric:
-        # repr keeps the shortest decimal text that round-trips the float.
-        if float(value).is_integer() and abs(value) < 1e16:
-            return str(int(value))
-        return repr(float(value))
-    return spec.labels[value]
+    return "" if value is None else _formatter(spec)(value)
 
 
 def text_to_value(spec: AttributeSpec, text: str, row: int):
@@ -318,6 +350,9 @@ def load_csv(path, schema: Sequence[AttributeSpec]) -> DataTable:
             raise SchemaMismatchError(
                 f"{path}: header {header!r} does not match schema {expected!r}"
             )
+        # A parser refuses an empty cell, a bad number or an unknown label;
+        # its row goes through text_to_value, which reads or reports each.
+        parsers = [float if s.is_numeric else s.label_index for s in schema]
         rows = []
         try:
             for line_no, record in enumerate(reader, start=1):
@@ -325,9 +360,12 @@ def load_csv(path, schema: Sequence[AttributeSpec]) -> DataTable:
                     raise ParseError(
                         line_no, "<row>", f"expected {len(schema)} cells, got {len(record)}"
                     )
-                rows.append(
-                    tuple(text_to_value(s, cell, line_no) for s, cell in zip(schema, record))
-                )
+                try:
+                    rows.append(tuple([parse(cell) for parse, cell in zip(parsers, record)]))
+                except (ValueError, KeyError):
+                    rows.append(tuple(
+                        text_to_value(s, cell, line_no) for s, cell in zip(schema, record)
+                    ))
         except csv.Error as err:  # e.g. a cell over the csv module's field size limit
             raise ParseError(len(rows) + 1, "<row>", str(err)) from None
     return DataTable(schema, rows)
@@ -339,8 +377,9 @@ def save_csv(table: DataTable, path) -> None:
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([s.name for s in table.specs])
+        formats = [_formatter(s) for s in table.specs]
         for row in table.rows:
-            writer.writerow([value_to_text(s, v) for s, v in zip(table.specs, row)])
+            writer.writerow(["" if v is None else f(v) for f, v in zip(formats, row)])
 
 
 def schema_to_json(schema: Sequence[AttributeSpec]) -> str:

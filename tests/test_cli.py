@@ -680,26 +680,32 @@ class TestRunConfigFuzz:
             assert_valid_namespace(args)
 
 
+def fuzzed_raw(data, workspace, tmp_path_factory) -> Path:
+    """A copy of the raw bundle with one fuzzed schema value or CSV line."""
+    raw = tmp_path_factory.mktemp("bundle-fuzz")
+    for path in (workspace / "raw").iterdir():
+        shutil.copy(path, raw)
+    if data.draw(st.booleans()):
+        schemas = json.loads((raw / "schema.json").read_text(encoding="utf-8"))
+        path = data.draw(st.sampled_from(list(json_paths(schemas))))
+        payload = replaced(schemas, path, data.draw(JSON_VALUES))
+        (raw / "schema.json").write_text(json.dumps(payload), encoding="utf-8")
+    else:
+        name = data.draw(st.sampled_from(["theory", "practice", "online", "exam"]))
+        lines = (raw / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+        at = data.draw(st.integers(0, len(lines) - 1))
+        lines[at] = data.draw(st.text(st.characters(codec="utf-8"), max_size=30))
+        (raw / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return raw
+
+
 class TestBundleFuzz:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_loads_or_exits_2(self, data, workspace, tmp_path_factory):
         """A raw bundle with a fuzzed schema or CSV file loads, or exits 2 in one line."""
-        raw = tmp_path_factory.mktemp("bundle-fuzz")
-        for path in (workspace / "raw").iterdir():
-            shutil.copy(path, raw)
-        if data.draw(st.booleans()):
-            schemas = json.loads((raw / "schema.json").read_text(encoding="utf-8"))
-            path = data.draw(st.sampled_from(list(json_paths(schemas))))
-            payload = replaced(schemas, path, data.draw(JSON_VALUES))
-            (raw / "schema.json").write_text(json.dumps(payload), encoding="utf-8")
-        else:
-            name = data.draw(st.sampled_from(["theory", "practice", "online", "exam"]))
-            lines = (raw / f"{name}.csv").read_text(encoding="utf-8").splitlines()
-            at = data.draw(st.integers(0, len(lines) - 1))
-            lines[at] = data.draw(st.text(st.characters(codec="utf-8"), max_size=30))
-            (raw / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        raw = fuzzed_raw(data, workspace, tmp_path_factory)
         try:
             bundle = cli.load_bundle(raw)
         except CliError as err:
@@ -707,6 +713,18 @@ class TestBundleFuzz:
             assert len(str(err).splitlines()) == 1
         else:
             assert isinstance(bundle, SourceBundle)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_preprocess_runs_or_exits_2(self, data, workspace, tmp_path_factory, capsys):
+        """``preprocess`` on a fuzzed raw bundle exits 0, or 2 with a one-line error."""
+        raw = fuzzed_raw(data, workspace, tmp_path_factory)
+        capsys.readouterr()
+        code = main(["preprocess", "--data", str(raw), "--out", str(raw / "pre")])
+        if code != 0:
+            assert code == 2
+            assert_one_line_error(capsys)
 
 
 class TestNonFiniteCell:
@@ -732,6 +750,21 @@ class TestNonFiniteCell:
         assert_one_line_error(capsys)
 
 
+class TestEmptyLabel:
+    def test_schema_label_exits_2(self, workspace, tmp_path, capsys):
+        """An empty cell reads as missing, so an empty label in ``schema.json`` is refused."""
+        data = tmp_path / "pre"
+        shutil.copytree(workspace / "pre" / "discretized", data / "discretized")
+        schema = data / "discretized" / "schema.json"
+        sources = json.loads(schema.read_text(encoding="utf-8"))
+        nominal = next(e for e in sources["theory"] if "labels" in e)
+        nominal["labels"][0] = ""
+        schema.write_text(json.dumps(sources), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["select", "--data", str(data), "--variant", "discretized"]) == 2
+        assert_one_line_error(capsys)
+
+
 class TestPreprocessConfigFile:
     @pytest.mark.parametrize("text", [
         "{not json",
@@ -741,6 +774,7 @@ class TestPreprocessConfigFile:
         '[3]',
         '{"n_bins": 4}',
         '{"pass_threshold": 11}',
+        '{"bin_labels": ["", "b", "c"]}',
     ])
     def test_bad_config_exits_2(self, workspace, tmp_path, capsys, text):
         config = tmp_path / "pre.json"

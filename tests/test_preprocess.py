@@ -257,6 +257,7 @@ class TestPreprocessBundle:
     @pytest.mark.parametrize("fields", [
         {"n_bins": "x"}, {"n_bins": True}, {"pass_threshold": "5"}, {"seed": 1.5},
         {"bin_labels": ("Low", 2, "High")}, {"n_bins": 4}, {"pass_threshold": 11.0},
+        {"bin_labels": ("", "Mid", "High")}, {"bin_labels": ("Low", "Low", "High")},
     ])
     def test_config_rejects_bad_fields(self, fields):
         with pytest.raises((InvalidParamsError, SchemaMismatchError)):

@@ -1,4 +1,7 @@
+import csv
 import json
+import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +50,13 @@ class TestSpecs:
         spec = AttributeSpec.nominal("x", ["Low", "Medium", "High"])
         assert spec.label_index("High") == 2
 
+    def test_empty_label_rejected(self):
+        """An empty CSV cell is a missing value, so an empty label could not be read back."""
+        with pytest.raises(SchemaMismatchError, match="empty label"):
+            AttributeSpec.nominal("x", ["", "a"])
+        with pytest.raises(SchemaMismatchError, match="empty label"):
+            schema_from_json('[{"name": "x", "kind": "nominal", "labels": ["", "a"]}]')
+
 
 class TestDataTable:
     def test_row_width_checked(self):
@@ -71,6 +81,11 @@ class TestDataTable:
     def test_non_finite_number_rejected(self, value):
         with pytest.raises(SchemaMismatchError):
             simple_table([1], [value])
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)])
+    def test_int_too_large_for_a_float_rejected(self, value):
+        with pytest.raises(SchemaMismatchError, match="too large for a float"):
+            DataTable([AttributeSpec.numeric("v")], [(value,)])
 
     def test_two_class_columns_rejected(self):
         specs = [
@@ -336,3 +351,269 @@ class TestJoin:
         joined = join_on_id(make_bundle())
         with pytest.raises(UnknownAttributeError):
             joined.project(["nope"])
+
+
+# The cell-by-cell check, parse and format of the row-major tabular code,
+# kept verbatim as the reference the column-at-a-time code must match.
+
+def ref_label_index(spec, label):
+    assert spec.labels is not None
+    try:
+        return spec.labels.index(label)
+    except ValueError:
+        raise KeyError(label) from None
+
+
+def ref_check_value(spec, value):
+    if value is None:
+        return None
+    if spec.is_numeric:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaMismatchError(
+                f"attribute {spec.name!r} is numeric but got {value!r}"
+            )
+        value = float(value)
+        if not math.isfinite(value):
+            raise SchemaMismatchError(
+                f"attribute {spec.name!r} needs a finite number but got {value!r}"
+            )
+        return value
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaMismatchError(
+            f"attribute {spec.name!r} is nominal but got {value!r}"
+        )
+    if not 0 <= value < len(spec.labels):
+        raise SchemaMismatchError(
+            f"label index {value} out of range for attribute {spec.name!r}"
+        )
+    return value
+
+
+def ref_table_rows(specs, rows):
+    """The rows ``DataTable(specs, rows)`` keeps, from the row-major constructor."""
+    specs = tuple(specs)
+    names = [s.name for s in specs]
+    if len(set(names)) != len(names):
+        raise SchemaMismatchError("duplicate attribute names in schema")
+    for role in ("id", "class"):
+        if sum(1 for s in specs if s.role == role) > 1:
+            raise SchemaMismatchError(f"more than one attribute with role {role!r}")
+    checked = []
+    for row in rows:
+        row = tuple(row)
+        if len(row) != len(specs):
+            raise SchemaMismatchError(
+                f"row length {len(row)} does not match schema width {len(specs)}"
+            )
+        checked.append(tuple(ref_check_value(s, v) for s, v in zip(specs, row)))
+    id_idx = next((i for i, s in enumerate(specs) if s.role == "id"), None)
+    if id_idx is not None:
+        seen = set()
+        for row in checked:
+            key = row[id_idx]
+            if key in seen:
+                raise DuplicateIdError(f"duplicate id value {key!r}")
+            seen.add(key)
+    return tuple(checked)
+
+
+def ref_value_to_text(spec, value):
+    if value is None:
+        return ""
+    if spec.is_numeric:
+        if float(value).is_integer() and abs(value) < 1e16:
+            return str(int(value))
+        return repr(float(value))
+    return spec.labels[value]
+
+
+def ref_text_to_value(spec, text, row):
+    if text == "":
+        return None
+    if spec.is_numeric:
+        try:
+            return float(text)
+        except ValueError:
+            raise ParseError(row, spec.name, f"not a number: {text!r}") from None
+    try:
+        return ref_label_index(spec, text)
+    except KeyError:
+        raise ParseError(row, spec.name, f"unknown label: {text!r}") from None
+
+
+def ref_load_csv(path, schema):
+    """The rows ``load_csv`` keeps, from the cell-by-cell reader."""
+    schema = tuple(schema)
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaMismatchError(f"{path}: file is empty") from None
+        expected = [s.name for s in schema]
+        if header != expected:
+            raise SchemaMismatchError(
+                f"{path}: header {header!r} does not match schema {expected!r}"
+            )
+        rows = []
+        try:
+            for line_no, record in enumerate(reader, start=1):
+                if len(record) != len(schema):
+                    raise ParseError(
+                        line_no, "<row>", f"expected {len(schema)} cells, got {len(record)}"
+                    )
+                rows.append(
+                    tuple(ref_text_to_value(s, cell, line_no) for s, cell in zip(schema, record))
+                )
+        except csv.Error as err:
+            raise ParseError(len(rows) + 1, "<row>", str(err)) from None
+    return ref_table_rows(schema, rows)
+
+
+def ref_save_csv(table, path):
+    path = Path(path)
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow([s.name for s in table.specs])
+        for row in table.rows:
+            writer.writerow([ref_value_to_text(s, v) for s, v in zip(table.specs, row)])
+
+
+def outcome(call, *args):
+    """A result by ``repr``, so that types count, or an error by type, text, row and column."""
+    try:
+        return "ok", repr(call(*args))
+    except Exception as err:
+        return type(err), str(err), getattr(err, "row", None), getattr(err, "column", None)
+
+
+class FloatSub(float):
+    """A float subclass; a table stores its value as a plain ``float``."""
+
+
+LABELS = ("a", "b", "c")
+IDS = st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])  # few, so ids often repeat
+
+
+def draw_schema(data):
+    """An optional id column, then up to three numeric or nominal inputs."""
+    specs = [id_spec()] if data.draw(st.booleans()) else []
+    for i in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            specs.append(AttributeSpec.numeric(f"x{i}"))
+        else:
+            specs.append(AttributeSpec.nominal(f"x{i}", LABELS[: data.draw(st.integers(1, 3))]))
+    return specs
+
+
+def clean_cells(spec):
+    if spec.role == "id":
+        return IDS
+    if spec.is_numeric:
+        return st.none() | st.floats(allow_nan=False, allow_infinity=False)
+    return st.none() | st.integers(0, len(spec.labels) - 1)
+
+
+def dirty_cells(spec):
+    """Cells a table converts or refuses.
+
+    Ints stay within float range: past it the reference raises
+    ``OverflowError`` where the table raises ``SchemaMismatchError``.
+    """
+    if spec.is_numeric:
+        return (
+            st.sampled_from([math.nan, math.inf, -math.inf, True, False, "1"])
+            | st.integers(-(2**80), 2**80)
+            | st.floats(allow_nan=False).map(FloatSub)
+        )
+    return (
+        st.sampled_from([True, False, 0.0, 1.0, "a"])
+        | st.integers(-3, -1)
+        | st.integers(len(spec.labels), len(spec.labels) + 3)
+    )
+
+
+def draw_rows(data, specs):
+    """Mostly clean rows, some with a dirty cell, a missing or extra cell, or as lists."""
+    rows = [[data.draw(clean_cells(s)) for s in specs] for _ in range(data.draw(st.integers(0, 6)))]
+    for _ in range(data.draw(st.integers(0, 2))):
+        if rows and specs:
+            row = data.draw(st.sampled_from(rows))
+            j = data.draw(st.integers(0, len(specs) - 1))
+            row[j] = data.draw(dirty_cells(specs[j]))
+    if rows and data.draw(st.integers(0, 4)) == 0:
+        row = data.draw(st.sampled_from(rows))
+        if row and data.draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(None)
+    return [row if data.draw(st.booleans()) else tuple(row) for row in rows]
+
+
+#: Text cells of a numeric column: numbers, an empty cell, and cells it cannot read.
+NUMBER_TEXTS = (
+    st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.integers(-(10**20), 10**20).map(str)
+    | st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e400", " 2 ", "1_0", "a", "0x1"])
+)
+#: A cell over the csv module's field size limit.
+HUGE_CELL = "1" * (csv.field_size_limit() + 1)
+
+
+def text_cells(spec):
+    if spec.role == "id":
+        return IDS.map(repr) | st.sampled_from(["", "x"])
+    if spec.is_numeric:
+        return NUMBER_TEXTS
+    return st.sampled_from([*spec.labels, "", "zz", "1", " a"])
+
+
+class TestColumnChecksMatchRowMajor:
+    """Tables, CSV reads and CSV writes equal the cell-by-cell reference, errors included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_table_rows(self, data):
+        specs = draw_schema(data)
+        rows = draw_rows(data, specs)
+        assert outcome(lambda: DataTable(specs, rows).rows) == outcome(ref_table_rows, specs, rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_load_csv(self, data, tmp_path_factory):
+        specs = draw_schema(data)
+        header = [s.name for s in specs]
+        if header and data.draw(st.integers(0, 9)) == 0:
+            header[-1] += "_"
+        lines = [",".join(header)]
+        for _ in range(data.draw(st.integers(0, 6))):
+            cells = [data.draw(text_cells(s)) for s in specs]
+            if cells and data.draw(st.integers(0, 9)) == 0:
+                cells[data.draw(st.integers(0, len(cells) - 1))] = HUGE_CELL
+            if data.draw(st.integers(0, 9)) == 0:
+                cells = cells[:-1] if data.draw(st.booleans()) else cells + ["1"]
+            lines.append(",".join(cells))
+        path = tmp_path_factory.mktemp("csv-ref") / "t.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert outcome(lambda: load_csv(path, specs).rows) == outcome(ref_load_csv, path, specs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_save_csv(self, data, tmp_path_factory):
+        specs = draw_schema(data)
+        numbers = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [-0.0, 1e15, 1e16, -1e16, 123456789012345.0, 5e-324, 0.1]
+        )
+        rows = {}
+        for _ in range(data.draw(st.integers(0, 6))):
+            row = tuple(
+                data.draw(clean_cells(s) if s.role == "id" or s.is_nominal else st.none() | numbers)
+                for s in specs
+            )
+            rows[row[0] if specs and specs[0].role == "id" else len(rows)] = row
+        table = DataTable(specs, list(rows.values()))
+        folder = tmp_path_factory.mktemp("csv-save")
+        save_csv(table, folder / "new.csv")
+        ref_save_csv(table, folder / "ref.csv")
+        assert (folder / "new.csv").read_bytes() == (folder / "ref.csv").read_bytes()

@@ -281,13 +281,15 @@ def cmd_preprocess(args) -> int:
     bundle = load_bundle(Path(args.data))
     config = _preprocess_config(args)
     out = Path(args.out)
+    mapping = None
     if args.anonymize:
         bundle, mapping = anonymize(bundle, config.seed)
+    result = _input(preprocess_bundle, bundle, config)
+    if mapping is not None:
         lines = ["original,anonymous"] + [
             f"{orig},{new}" for orig, new in sorted(mapping.items(), key=lambda p: str(p[0]))
         ]
         _atomic_write(out / "id_mapping.csv", "\n".join(lines) + "\n")
-    result = _input(preprocess_bundle, bundle, config)
     save_bundle(result.numeric, out / "numeric")
     save_bundle(result.discretized, out / "discretized")
     _atomic_write(out / "params.json", result.params_json())

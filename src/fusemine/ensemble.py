@@ -14,7 +14,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import InvalidParamsError, SchemaMismatchError
-from .learners import Model, predict, train
+from .learners import Model, majority, predict, train
 from .selection import reduce_to, select_best_attributes
 from .tabular import DataTable, SourceBundle, join_on_id
 
@@ -123,9 +123,7 @@ def vote_predict(vote_model: VoteModel, rows_by_source: Mapping[str, Sequence]) 
 
 
 def vote_predict_label(vote_model: VoteModel, rows_by_source) -> str:
-    dist = vote_predict(vote_model, rows_by_source)
-    best = max(range(len(dist)), key=lambda i: (dist[i], -i))
-    return vote_model.class_labels[best]
+    return vote_model.class_labels[majority(vote_predict(vote_model, rows_by_source))]
 
 
 @dataclass
@@ -143,29 +141,33 @@ def _source_with_class(bundle: SourceBundle, name: str) -> DataTable:
     return join_on_id(pair, drop_id=False)
 
 
-def prepare_approach(config: FusionConfig, bundle: SourceBundle) -> PreparedData:
-    """Build the training dataset(s) for one preprocessed bundle."""
+def prepare_approach(
+    config: FusionConfig, bundle: SourceBundle, fit_rows: Sequence[int] | None = None
+) -> PreparedData:
+    """Build the training dataset(s) for one preprocessed bundle.
+
+    The selection approaches fit CFS on the joined rows at positions
+    ``fit_rows`` (every row by default) and keep what it chose on all rows.
+    """
     if "exam" not in bundle.sources:
         raise SchemaMismatchError("bundle lacks the exam (class) source")
+    selected: dict[str, list[str]] = {}
+
+    def fitted(name: str, table: DataTable) -> DataTable:
+        if config.approach not in ("select", "ensemble-select"):
+            return table
+        names = select_best_attributes(table if fit_rows is None else table.take(fit_rows))
+        selected[name] = names
+        return reduce_to(table, names)
+
     if config.approach in ("merge", "select"):
-        merged = join_on_id(bundle, drop_id=True)
-        selected: dict[str, list[str]] = {}
-        if config.approach == "select":
-            names = select_best_attributes(merged)
-            selected["merged"] = names
-            merged = reduce_to(merged, names)
+        merged = fitted("merged", join_on_id(bundle, drop_id=True))
         return PreparedData(kind="merged", merged=merged, selected=selected)
     per_source = {}
-    selected = {}
     for name in INPUT_SOURCES:
         if name not in bundle.sources:
             raise SchemaMismatchError(f"bundle lacks input source {name!r}")
-        table = _source_with_class(bundle, name)
-        if config.approach == "ensemble-select":
-            names = select_best_attributes(table)
-            selected[name] = names
-            table = reduce_to(table, names)
-        per_source[name] = table
+        per_source[name] = fitted(name, _source_with_class(bundle, name))
     return PreparedData(kind="per_source", per_source=per_source, selected=selected)
 
 

@@ -27,8 +27,7 @@ from .errors import (
     SingleClassTruthError,
     TooFewRowsError,
 )
-from .learners import predict
-from .selection import reduce_to, select_best_attributes
+from .learners import majority, predict
 from .tabular import DataTable, SourceBundle
 
 #: Row order used by the report tables.
@@ -183,41 +182,6 @@ def _class_vector(bundle: SourceBundle) -> tuple[list[int], tuple[str, ...]]:
     return [row[class_idx] for row in exam.rows], labels
 
 
-def _prepare_for_fold(
-    config: FusionConfig,
-    base: PreparedData,
-    train_rows: list[int],
-    fold_local_select: bool,
-) -> PreparedData:
-    if not fold_local_select or config.approach in ("merge", "ensemble"):
-        return base
-    if base.kind == "merged":
-        view = base.merged.take(train_rows)
-        names = select_best_attributes(view)
-        return PreparedData(
-            kind="merged", merged=reduce_to(base.merged, names), selected={"merged": names}
-        )
-    per_source = {}
-    selected = {}
-    for name, table in base.per_source.items():
-        view = table.take(train_rows)
-        names = select_best_attributes(view)
-        selected[name] = names
-        per_source[name] = reduce_to(table, names)
-    return PreparedData(kind="per_source", per_source=per_source, selected=selected)
-
-
-def _base_prepared(config: FusionConfig, bundle: SourceBundle, fold_local_select: bool):
-    """Full-data preparation; selection is deferred when fold-local."""
-    if fold_local_select and config.approach in ("select", "ensemble-select"):
-        unselected = FusionConfig(
-            approach="merge" if config.approach == "select" else "ensemble",
-            weights=config.weights,
-        )
-        return prepare_approach(unselected, bundle)
-    return prepare_approach(config, bundle)
-
-
 def cross_validate(
     config: FusionConfig,
     algorithm: str,
@@ -233,15 +197,16 @@ def cross_validate(
     Accuracy pools every held-out prediction (micro average).  With
     ``fold_local_select`` the selection approaches choose attributes on
     each fold's training rows; every fold records what it kept.
-    ``prepared``, when given, must be what ``_base_prepared`` returns for
-    this approach, bundle and ``fold_local_select``; cells that share
-    them pass it in so the bundle is prepared once.
+    ``prepared``, when given, must be what ``prepare_approach`` returns
+    for this approach and bundle; cells that share them pass it in so the
+    bundle is prepared once.  It is not read with ``fold_local_select``.
     """
     y, labels = _class_vector(bundle)
     plan = _stratified_folds(
         y, len(labels), k, stable_seed(seed, "folds") if plan_seed is None else plan_seed
     )
-    base = _base_prepared(config, bundle, fold_local_select) if prepared is None else prepared
+    if prepared is None and not fold_local_select:
+        prepared = prepare_approach(config, bundle)
 
     n = len(y)
     predictions: list[int | None] = [None] * n
@@ -250,7 +215,7 @@ def cross_validate(
 
     for fold_no, test_rows in enumerate(plan.folds):
         train_rows = plan.train_indices(fold_no)
-        fold_data = _prepare_for_fold(config, base, train_rows, fold_local_select)
+        fold_data = prepare_approach(config, bundle, train_rows) if fold_local_select else prepared
         train_seed = stable_seed(seed, config.approach, algorithm, fold_no)
         model = train_prepared(
             fold_data, config, algorithm, seed=train_seed, row_filter=train_rows
@@ -259,7 +224,7 @@ def cross_validate(
         for i in test_rows:
             dist = _predict_row(model, fold_data, i)
             pooled[i] = dist
-            best = max(range(len(dist)), key=lambda c: (dist[c], -c))
+            best = majority(dist)
             predictions[i] = best
             if best == y[i]:
                 fold_hits += 1
@@ -350,7 +315,7 @@ def run_experiment_grid(
         for variant, bundle in variants.items():
             # The algorithms of one (approach, variant) train on the same
             # data, so it is prepared once and the cells only read it.
-            prepared = _base_prepared(config, bundle, False)
+            prepared = prepare_approach(config, bundle)
             report = EvaluationReport(approach=approach, variant=variant, rows=[], k=k, seed=seed)
             for algorithm in algorithms:
                 report.rows.append(

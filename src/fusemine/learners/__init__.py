@@ -19,6 +19,7 @@ from .model import (
     Rule,
     RuleList,
     fired_rule_index,
+    majority,
     model_from_json,
     model_to_json,
     predict,
@@ -28,7 +29,7 @@ from .model import (
 from .nnge import build_nnge
 from .render import parse_rules, render_rules
 from .rules import build_part_rules, build_ripper_rules
-from .trees import build_c45, build_randomtree, build_reptree, class_counts, majority
+from .trees import build_c45, build_randomtree, build_reptree, class_counts
 
 ALGORITHMS = ("c45", "reptree", "randomtree", "ripper", "part", "nnge")
 

@@ -144,6 +144,15 @@ class Model:
             raise SchemaMismatchError(f"model schema has no attribute {name!r}") from None
 
 
+def majority(counts) -> int:
+    """Index of the largest value; a tie goes to the smallest index."""
+    best = 0
+    for i in range(1, len(counts)):
+        if counts[i] > counts[best]:
+            best = i
+    return best
+
+
 def _laplace(counts: Sequence[float], k: int) -> tuple[float, ...]:
     total = sum(counts)
     return tuple((c + 1.0) / (total + k) for c in counts)
@@ -237,15 +246,16 @@ def _rules_distribution(model: Model, rules: RuleList, enc_values) -> tuple[floa
     return _laplace(counts, k)
 
 
-def _distance_plan(model: Model, ranges, enc_values) -> list[tuple]:
+def _distance_plan(specs, input_indices, ranges, enc_values) -> list[tuple]:
     """Per-row terms of the exemplar distance, one per input in index order.
 
     Each term is ``(index, encoded value, range span)``; the span is
-    ``None`` for a nominal input.
+    ``None`` for a nominal input.  Training and prediction both score
+    exemplars through this plan and ``_planned_distance``.
     """
     plan = []
-    for i in model.input_indices:
-        if model.specs[i].is_numeric:
+    for i in input_indices:
+        if specs[i].is_numeric:
             r_lo, r_hi = ranges.get(i, (0.0, 1.0))
             plan.append((i, enc_values[i], r_hi - r_lo))
         else:
@@ -273,14 +283,16 @@ def _planned_distance(ex: Exemplar, plan) -> float:
 
 
 def exemplar_distance(model: Model, ex: Exemplar, ranges, enc_values) -> float:
-    return _planned_distance(ex, _distance_plan(model, ranges, enc_values))
+    return _planned_distance(
+        ex, _distance_plan(model.specs, model.input_indices, ranges, enc_values)
+    )
 
 
 def _exemplar_distribution(model: Model, structure: ExemplarSet, enc_values) -> tuple[float, ...]:
     k = len(model.class_labels)
     if not structure.exemplars:
         return tuple(1.0 / k for _ in range(k))
-    plan = _distance_plan(model, structure.ranges, enc_values)
+    plan = _distance_plan(model.specs, model.input_indices, structure.ranges, enc_values)
     best = [None] * k
     for ex in structure.exemplars:
         d = _planned_distance(ex, plan)
@@ -315,9 +327,7 @@ def predict(model: Model, row: Sequence) -> tuple[float, ...]:
 
 
 def predict_label(model: Model, row: Sequence) -> str:
-    dist = predict(model, row)
-    best = max(range(len(dist)), key=lambda i: (dist[i], -i))
-    return model.class_labels[best]
+    return model.class_labels[majority(predict(model, row))]
 
 
 def fired_rule_index(model: Model, row: Sequence) -> int:

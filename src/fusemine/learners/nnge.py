@@ -9,29 +9,29 @@ when the merge would swallow an instance of another class.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .encode import Encoded
-from .model import Exemplar, ExemplarSet
+from .model import Exemplar, ExemplarSet, _distance_plan, _planned_distance
 
 
 @dataclass(eq=False)
 class _Box:
-    """A hyperrectangle; boxes compare by identity, so finding one is cheap."""
+    """A hyperrectangle with the fields of an ``Exemplar``, so prediction's
+    distance scores it; boxes compare by identity, so finding one is cheap."""
 
     cls: int
     lo: dict[int, float]
     hi: dict[int, float]
-    labels: dict[int, set[int]]
+    label_sets: dict[int, set[int]]
     members: list[dict] = field(default_factory=list)
 
 
 def _box_from_members(cls, members, numeric_attrs, nominal_attrs) -> _Box:
     lo = {a: min(m[a] for m in members) for a in numeric_attrs}
     hi = {a: max(m[a] for m in members) for a in numeric_attrs}
-    labels = {a: {m[a] for m in members} for a in nominal_attrs}
-    return _Box(cls=cls, lo=lo, hi=hi, labels=labels, members=list(members))
+    label_sets = {a: {m[a] for m in members} for a in nominal_attrs}
+    return _Box(cls=cls, lo=lo, hi=hi, label_sets=label_sets, members=list(members))
 
 
 def _covers(box: _Box, vals, numeric_attrs, nominal_attrs) -> bool:
@@ -40,27 +40,9 @@ def _covers(box: _Box, vals, numeric_attrs, nominal_attrs) -> bool:
         if v < box.lo[a] or v > box.hi[a]:
             return False
     for a in nominal_attrs:
-        if vals[a] not in box.labels[a]:
+        if vals[a] not in box.label_sets[a]:
             return False
     return True
-
-
-def _distance(box: _Box, vals, numeric_attrs, nominal_attrs, spans) -> float:
-    total = 0.0
-    for a in numeric_attrs:
-        v = vals[a]
-        span = spans[a]
-        if v < box.lo[a]:
-            d = (box.lo[a] - v) / span if span > 0 else 1.0
-        elif v > box.hi[a]:
-            d = (v - box.hi[a]) / span if span > 0 else 1.0
-        else:
-            d = 0.0
-        total += d * d
-    for a in nominal_attrs:
-        if vals[a] not in box.labels[a]:
-            total += 1.0
-    return math.sqrt(total)
 
 
 def _exclude_members(cls, members, vals, numeric_attrs, nominal_attrs, spans):
@@ -141,11 +123,12 @@ def build_nnge(enc: Encoded, idx):
                 boxes[pos : pos + 1] = _exclude_members(
                     box.cls, box.members, vals, numeric_attrs, nominal_attrs, spans
                 )
+            plan = _distance_plan(enc.specs, enc.input_idx, ranges, vals)
             nearest = None
             for j, box in enumerate(boxes):
                 if box.cls != cls:
                     continue
-                d = _distance(box, vals, numeric_attrs, nominal_attrs, spans)
+                d = _planned_distance(box, plan)
                 if nearest is None or d < nearest[0] - 1e-12:
                     nearest = (d, j)
             merged = False
@@ -153,7 +136,7 @@ def build_nnge(enc: Encoded, idx):
                 box = boxes[nearest[1]]
                 ext_lo = {a: min(box.lo[a], vals[a]) for a in numeric_attrs}
                 ext_hi = {a: max(box.hi[a], vals[a]) for a in numeric_attrs}
-                ext_labels = {a: box.labels[a] | {vals[a]} for a in nominal_attrs}
+                ext_labels = {a: box.label_sets[a] | {vals[a]} for a in nominal_attrs}
                 probe = _Box(cls, ext_lo, ext_hi, ext_labels)
                 conflict = False
                 for other_cls, others in seen_by_class.items():
@@ -168,7 +151,7 @@ def build_nnge(enc: Encoded, idx):
                 if not conflict:
                     box.lo = ext_lo
                     box.hi = ext_hi
-                    box.labels = ext_labels
+                    box.label_sets = ext_labels
                     box.members.append(vals)
                     merged = True
             if not merged:
@@ -182,7 +165,7 @@ def build_nnge(enc: Encoded, idx):
             cls=b.cls,
             lo=dict(b.lo),
             hi=dict(b.hi),
-            label_sets={a: frozenset(v) for a, v in b.labels.items()},
+            label_sets={a: frozenset(v) for a, v in b.label_sets.items()},
             n_members=len(b.members),
         )
         for b in boxes

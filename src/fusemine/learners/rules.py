@@ -13,8 +13,8 @@ import math
 from operator import itemgetter
 
 from .encode import Encoded
-from .model import Rule, RuleList, decode_condition, encoded_paths
-from .trees import Leaf, build_c45, class_counts, cut_between, holdout_split, majority
+from .model import Rule, RuleList, decode_condition, encoded_paths, majority
+from .trees import Leaf, build_c45, class_counts, cut_between, holdout_split
 
 _EPS = 1e-12
 

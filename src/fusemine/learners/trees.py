@@ -15,7 +15,7 @@ import random
 from statistics import NormalDist
 
 from .encode import Encoded
-from .model import Leaf, Split, child_index
+from .model import Leaf, Split, child_index, majority
 
 _EPS = 1e-12
 
@@ -45,14 +45,6 @@ def cut_between(lo: float, hi: float) -> float:
     ``<= cut`` always parts ``lo`` from ``hi``."""
     mid = (lo + hi) / 2.0
     return mid if lo <= mid < hi else lo
-
-
-def majority(counts) -> int:
-    best = 0
-    for i in range(1, len(counts)):
-        if counts[i] > counts[best]:
-            best = i
-    return best
 
 
 def _nominal_split(enc, idx, attr, parent_h, min_leaf, use_ratio):

@@ -40,6 +40,19 @@ DEFAULT_CLASS_LABELS = ("Pass", "Fail", "Dropout")
 _SESSION_RE = re.compile(r"^(?P<base>.+)\.s(?P<index>\d+)$")
 
 
+def equal_width_bin(value: float, minimum: float, maximum: float, n_bins: int) -> int:
+    """Index of the equal-width bin of ``[minimum, maximum]`` that holds
+    ``value``; values past either end clamp into the end bins, and a
+    range whose bin width is 0.0 puts every value in the first bin."""
+    span = maximum - minimum
+    if span == math.inf:  # halving is exact for normal floats
+        value, minimum, span = value / 2, minimum / 2, maximum / 2 - minimum / 2
+    width = span / n_bins
+    if width == 0.0:
+        return 0
+    return max(0, min(n_bins - 1, math.floor((value - minimum) / width)))
+
+
 @dataclass(frozen=True)
 class NormalizationParams:
     """Fitted per-column rescaling bounds."""
@@ -57,6 +70,8 @@ class NormalizationParams:
         span = self.maximum - self.minimum
         if span == 0.0:
             return 0.0
+        if span == math.inf:  # halved, as in ``equal_width_bin``
+            return (value / 2 - self.minimum / 2) / (self.maximum / 2 - self.minimum / 2)
         return (value - self.minimum) / span
 
 
@@ -80,12 +95,7 @@ class BinningParams:
     def bin_of(self, value: float | None) -> int | None:
         if value is None:
             return None
-        span = self.maximum - self.minimum
-        if span == 0.0:
-            return 0
-        width = span / self.n_bins
-        index = math.floor((value - self.minimum) / width)
-        return max(0, min(self.n_bins - 1, index))
+        return equal_width_bin(value, self.minimum, self.maximum, self.n_bins)
 
     def boundaries(self) -> list[float]:
         width = (self.maximum - self.minimum) / self.n_bins
@@ -223,7 +233,8 @@ def equal_width_discretize(
         if not present:
             raise EmptyColumnError("cannot discretize a column with no values")
         params = BinningParams(minimum=min(present), maximum=max(present))
-    return [params.bin_of(v) for v in column], params
+    lo, hi, n_bins = params.minimum, params.maximum, params.n_bins
+    return [None if v is None else equal_width_bin(v, lo, hi, n_bins) for v in column], params
 
 
 def label_class(exam_score: float | None, rule: ClassRule | None = None) -> str:

@@ -22,6 +22,7 @@ from .errors import (
     UnknownAttributeError,
 )
 from .learners.trees import cut_between, entropy
+from .preprocess import equal_width_bin
 from .tabular import ROLE_CLASS, ROLE_ID, DataTable
 
 _MERIT_EPS = 1e-12
@@ -79,19 +80,8 @@ def mdl_discretize(
     _mdl_split(present, cuts)
     cuts.sort()
     if not cuts:
-        lo = present[0][0]
-        hi = present[-1][0]
-        span = hi - lo
-        width = span / FALLBACK_BINS if span > 0 else 0.0
-        out = []
-        for v in values:
-            if v is None:
-                out.append(None)
-            elif width == 0.0:
-                out.append(0)
-            else:
-                out.append(max(0, min(FALLBACK_BINS - 1, math.floor((v - lo) / width))))
-        return out
+        lo, hi = present[0][0], present[-1][0]
+        return [None if v is None else equal_width_bin(v, lo, hi, FALLBACK_BINS) for v in values]
     out = []
     for v in values:
         if v is None:

@@ -112,8 +112,12 @@ def _check_value(spec: AttributeSpec, value):
             f"attribute {spec.name!r} is nominal but got {value!r}"
         )
     if not 0 <= value < len(spec.labels):
+        try:
+            shown = str(value)
+        except ValueError:  # past the interpreter's int-to-text digit limit
+            shown = f"of {value.bit_length()} bits"
         raise SchemaMismatchError(
-            f"label index {value} out of range for attribute {spec.name!r}"
+            f"label index {shown} out of range for attribute {spec.name!r}"
         )
     return value
 

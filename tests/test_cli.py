@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import importlib.util
 import io
 import json
@@ -680,10 +681,10 @@ class TestRunConfigFuzz:
             assert_valid_namespace(args)
 
 
-def fuzzed_raw(data, workspace, tmp_path_factory) -> Path:
-    """A copy of the raw bundle with one fuzzed schema value or CSV line."""
+def fuzzed_raw(data, bundle, tmp_path_factory) -> Path:
+    """A copy of the ``bundle`` directory with one fuzzed schema value or CSV line."""
     raw = tmp_path_factory.mktemp("bundle-fuzz")
-    for path in (workspace / "raw").iterdir():
+    for path in bundle.iterdir():
         shutil.copy(path, raw)
     if data.draw(st.booleans()):
         schemas = json.loads((raw / "schema.json").read_text(encoding="utf-8"))
@@ -705,7 +706,7 @@ class TestBundleFuzz:
     @given(data=st.data())
     def test_loads_or_exits_2(self, data, workspace, tmp_path_factory):
         """A raw bundle with a fuzzed schema or CSV file loads, or exits 2 in one line."""
-        raw = fuzzed_raw(data, workspace, tmp_path_factory)
+        raw = fuzzed_raw(data, workspace / "raw", tmp_path_factory)
         try:
             bundle = cli.load_bundle(raw)
         except CliError as err:
@@ -719,9 +720,25 @@ class TestBundleFuzz:
     @given(data=st.data())
     def test_preprocess_runs_or_exits_2(self, data, workspace, tmp_path_factory, capsys):
         """``preprocess`` on a fuzzed raw bundle exits 0, or 2 with a one-line error."""
-        raw = fuzzed_raw(data, workspace, tmp_path_factory)
+        raw = fuzzed_raw(data, workspace / "raw", tmp_path_factory)
         capsys.readouterr()
         code = main(["preprocess", "--data", str(raw), "--out", str(raw / "pre")])
+        if code != 0:
+            assert code == 2
+            assert_one_line_error(capsys)
+
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_select_runs_or_exits_2(self, data, workspace, tmp_path_factory, capsys):
+        """``select`` on a fuzzed preprocessed bundle exits 0, or 2 with a one-line error."""
+        variant = data.draw(st.sampled_from(VARIANTS))
+        bundle = fuzzed_raw(data, workspace / "pre" / variant, tmp_path_factory)
+        root = tmp_path_factory.mktemp("select-fuzz")
+        bundle.rename(root / variant)
+        capsys.readouterr()
+        code = main(["select", "--data", str(root), "--variant", variant])
         if code != 0:
             assert code == 2
             assert_one_line_error(capsys)
@@ -748,6 +765,58 @@ class TestNonFiniteCell:
         capsys.readouterr()
         assert main(["preprocess", "--data", str(raw), "--out", str(tmp_path / "pre")]) == 2
         assert_one_line_error(capsys)
+
+
+class TestExtremeColumn:
+    """A numeric column whose range overflows a float, or whose bin width
+    rounds to 0.0, preprocesses; values keep their order in both variants."""
+
+    @pytest.mark.parametrize("first, second, bins, scaled", [
+        pytest.param("5e-324", "0", ("Low", "Low", "Low"), (1.0, 0.0, 0.0), id="5e-324"),
+        pytest.param("-1e308", "1e308", ("Low", "High", "Medium"), (0.0, 1.0, 0.5),
+                     id="pm-1e308"),
+    ])
+    def test_preprocess_bins_it(self, workspace, tmp_path, first, second, bins, scaled):
+        raw = tmp_path / "raw"
+        shutil.copytree(workspace / "raw", raw)
+        path = raw / "online.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        ids = []
+        for at in range(1, len(lines)):
+            cells = lines[at].split(",")
+            cells[1] = {1: first, 2: second}.get(at, "0")
+            lines[at] = ",".join(cells)
+            ids.append(cells[0])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        pre = tmp_path / "pre"
+        assert main(["preprocess", "--data", str(raw), "--out", str(pre)]) == 0
+
+        def quiz(variant):
+            with (pre / variant / "online.csv").open(encoding="utf-8", newline="") as handle:
+                return {row["id"]: row["Moodle.Quiz"] for row in csv.DictReader(handle)}
+
+        labels, values = quiz("discretized"), quiz("numeric")
+        for at, student in enumerate(ids):
+            which = min(at, 2)
+            assert labels[student] == bins[which]
+            assert float(values[student]) == scaled[which]
+
+
+class TestAnonymizeFailure:
+    def test_failed_run_writes_nothing(self, workspace, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        shutil.copytree(workspace / "raw", raw)
+        path = raw / "exam.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].split(",")[0] + ",11"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([
+            "preprocess", "--data", str(raw), "--out", str(out), "--anonymize",
+        ]) == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
 
 
 class TestEmptyLabel:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusemine.ensemble import (
+    APPROACHES,
     FusionConfig,
     VoteModel,
     prepare_approach,
@@ -16,6 +17,9 @@ from fusemine.ensemble import (
 )
 from fusemine.errors import InvalidParamsError, SchemaMismatchError
 from fusemine.learners import Model, RuleList, Rule, train
+from fusemine.preprocess import preprocess_bundle
+from fusemine.synth import CohortSpec, generate
+from fusemine.selection import reduce_to, select_best_attributes
 from fusemine.tabular import AttributeSpec, DataTable, SourceBundle
 
 from helpers import GRADE, STATUS, planted_label
@@ -272,6 +276,44 @@ class TestApproaches:
         bundle = planted_bundle(n=240, seed=3)
         prepared = prepare_approach(FusionConfig(approach="ensemble-select"), bundle)
         assert "Moodle.Quiz" in prepared.selected["online"]
+
+
+@pytest.fixture(scope="module")
+def cohort():
+    raw, _ = generate(CohortSpec(n_students=60, class_counts=(20, 18, 22), seed=4))
+    pre = preprocess_bundle(raw)
+    return {"numeric": pre.numeric, "discretized": pre.discretized}
+
+
+def prepared_view(prepared):
+    """Everything a ``PreparedData`` holds, in comparable form."""
+    tables = {"merged": prepared.merged} if prepared.kind == "merged" else prepared.per_source
+    return prepared.kind, prepared.selected, {
+        name: (table.specs, table.rows) for name, table in tables.items()
+    }
+
+
+class TestSelectionFit:
+    @pytest.mark.parametrize("variant", ["numeric", "discretized"])
+    @pytest.mark.parametrize("approach", APPROACHES)
+    def test_fit_on_every_row_is_the_default(self, cohort, approach, variant):
+        config, bundle = FusionConfig(approach=approach), cohort[variant]
+        n = bundle["exam"].n_rows
+        assert prepared_view(prepare_approach(config, bundle, range(n))) == prepared_view(
+            prepare_approach(config, bundle)
+        )
+
+    def test_fit_rows_choose_the_selection_and_all_rows_stay(self, cohort):
+        bundle = cohort["numeric"]
+        config = FusionConfig(approach="select")
+        full = prepare_approach(FusionConfig(approach="merge"), bundle).merged
+        fit_rows = list(range(0, full.n_rows, 2))
+        prepared = prepare_approach(config, bundle, fit_rows)
+        names = select_best_attributes(full.take(fit_rows))
+        assert prepared.selected == {"merged": names}
+        assert prepared_view(prepared)[2]["merged"] == (
+            reduce_to(full, names).specs, reduce_to(full, names).rows
+        )
 
 
 class TestWeightSearch:

@@ -1,11 +1,16 @@
+import math
 import random
+from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fusemine.learners import ExemplarSet, Model, predict, predict_label, render_rules, train
-from fusemine.learners.encode import encode_row
+from fusemine.learners import (
+    ExemplarSet, Model, model_to_json, predict, predict_label, render_rules, train,
+)
+from fusemine.learners.encode import Encoded, encode_row, encode_table
 from fusemine.learners.model import Exemplar, exemplar_distance
-from fusemine.tabular import AttributeSpec
+from fusemine.tabular import AttributeSpec, DataTable
 
 from helpers import GRADE, STATUS, planted_dataset
 
@@ -154,3 +159,229 @@ def test_predict_matches_brute_force_on_mixed_inputs():
                 best[ex.cls] = d
         weights = [0.0 if d is None else 1.0 / (d + 1e-9) for d in best]
         assert predict(model, row) == tuple(w / sum(weights) for w in weights)
+
+
+# --- training matches the per-box distance it used to have ---------------
+# A verbatim copy of the training code from before training scored boxes
+# with prediction's distance plan: it summed the numeric terms first, then
+# the nominal ones, and took ``math.sqrt``.
+
+
+@dataclass(eq=False)
+class RefBox:
+    """A hyperrectangle; boxes compare by identity, so finding one is cheap."""
+
+    cls: int
+    lo: dict[int, float]
+    hi: dict[int, float]
+    labels: dict[int, set[int]]
+    members: list[dict] = field(default_factory=list)
+
+
+def ref_box_from_members(cls, members, numeric_attrs, nominal_attrs) -> RefBox:
+    lo = {a: min(m[a] for m in members) for a in numeric_attrs}
+    hi = {a: max(m[a] for m in members) for a in numeric_attrs}
+    labels = {a: {m[a] for m in members} for a in nominal_attrs}
+    return RefBox(cls=cls, lo=lo, hi=hi, labels=labels, members=list(members))
+
+
+def ref_covers(box: RefBox, vals, numeric_attrs, nominal_attrs) -> bool:
+    for a in numeric_attrs:
+        v = vals[a]
+        if v < box.lo[a] or v > box.hi[a]:
+            return False
+    for a in nominal_attrs:
+        if vals[a] not in box.labels[a]:
+            return False
+    return True
+
+
+def ref_distance(box: RefBox, vals, numeric_attrs, nominal_attrs, spans) -> float:
+    total = 0.0
+    for a in numeric_attrs:
+        v = vals[a]
+        span = spans[a]
+        if v < box.lo[a]:
+            d = (box.lo[a] - v) / span if span > 0 else 1.0
+        elif v > box.hi[a]:
+            d = (v - box.hi[a]) / span if span > 0 else 1.0
+        else:
+            d = 0.0
+        total += d * d
+    for a in nominal_attrs:
+        if vals[a] not in box.labels[a]:
+            total += 1.0
+    return math.sqrt(total)
+
+
+def ref_exclude_members(cls, members, vals, numeric_attrs, nominal_attrs, spans):
+    """Partition members into tight boxes that no longer cover ``vals``.
+
+    Splits along the axis separating the most members (widest margin on
+    ties) and recurses on the members that agree with the conflicting
+    value there.  Members identical to ``vals`` on every attribute
+    cannot be excluded and stay behind as a single overlapping box.
+    """
+    if not members:
+        return []
+    best = None  # (n_separated, margin, attr, is_numeric)
+    for a in numeric_attrs:
+        v = vals[a]
+        apart = [m[a] for m in members if m[a] != v]
+        if not apart:
+            continue
+        gap = min(abs(mv - v) for mv in apart)
+        margin = gap / spans[a] if spans[a] > 0 else 1.0
+        n_sep = sum(1 for m in members if m[a] != v)
+        key = (n_sep, margin)
+        if best is None or key > best[:2]:
+            best = (n_sep, margin, a, True)
+    for a in nominal_attrs:
+        n_sep = sum(1 for m in members if m[a] != vals[a])
+        if n_sep == 0:
+            continue
+        key = (n_sep, 1.0)
+        if best is None or key > best[:2]:
+            best = (n_sep, 1.0, a, False)
+    if best is None:
+        # Duplicate instances with a different class: nothing separates.
+        return [ref_box_from_members(cls, members, numeric_attrs, nominal_attrs)]
+    _, _, axis, is_numeric = best
+    v = vals[axis]
+    parts = []
+    if is_numeric:
+        left = [m for m in members if m[axis] < v]
+        right = [m for m in members if m[axis] > v]
+        rest = [m for m in members if m[axis] == v]
+        for group in (left, right):
+            if group:
+                parts.append(ref_box_from_members(cls, group, numeric_attrs, nominal_attrs))
+    else:
+        apart = [m for m in members if m[axis] != v]
+        rest = [m for m in members if m[axis] == v]
+        if apart:
+            parts.append(ref_box_from_members(cls, apart, numeric_attrs, nominal_attrs))
+    parts.extend(
+        ref_exclude_members(cls, rest, vals, numeric_attrs, nominal_attrs, spans)
+    )
+    return parts
+
+
+def ref_build_nnge(enc: Encoded, idx):
+    numeric_attrs = [a for a in enc.input_idx if enc.specs[a].is_numeric]
+    nominal_attrs = [a for a in enc.input_idx if enc.specs[a].is_nominal]
+    ranges = {}
+    spans = {}
+    for a in numeric_attrs:
+        values = [enc.cols[a][i] for i in idx]
+        lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+        ranges[a] = (lo, hi)
+        spans[a] = hi - lo
+
+    boxes: list[RefBox] = []
+    seen_by_class: dict[int, list[dict]] = {}
+    for i in idx:
+        vals = {a: enc.cols[a][i] for a in enc.input_idx}
+        cls = enc.y[i]
+        if boxes:
+            conflicts = [
+                b for b in boxes if b.cls != cls and ref_covers(b, vals, numeric_attrs, nominal_attrs)
+            ]
+            for box in conflicts:
+                pos = boxes.index(box)
+                boxes[pos : pos + 1] = ref_exclude_members(
+                    box.cls, box.members, vals, numeric_attrs, nominal_attrs, spans
+                )
+            nearest = None
+            for j, box in enumerate(boxes):
+                if box.cls != cls:
+                    continue
+                d = ref_distance(box, vals, numeric_attrs, nominal_attrs, spans)
+                if nearest is None or d < nearest[0] - 1e-12:
+                    nearest = (d, j)
+            merged = False
+            if nearest is not None:
+                box = boxes[nearest[1]]
+                ext_lo = {a: min(box.lo[a], vals[a]) for a in numeric_attrs}
+                ext_hi = {a: max(box.hi[a], vals[a]) for a in numeric_attrs}
+                ext_labels = {a: box.labels[a] | {vals[a]} for a in nominal_attrs}
+                probe = RefBox(cls, ext_lo, ext_hi, ext_labels)
+                conflict = False
+                for other_cls, others in seen_by_class.items():
+                    if other_cls == cls:
+                        continue
+                    for ovals in others:
+                        if ref_covers(probe, ovals, numeric_attrs, nominal_attrs):
+                            conflict = True
+                            break
+                    if conflict:
+                        break
+                if not conflict:
+                    box.lo = ext_lo
+                    box.hi = ext_hi
+                    box.labels = ext_labels
+                    box.members.append(vals)
+                    merged = True
+            if not merged:
+                boxes.append(ref_box_from_members(cls, [vals], numeric_attrs, nominal_attrs))
+        else:
+            boxes.append(ref_box_from_members(cls, [vals], numeric_attrs, nominal_attrs))
+        seen_by_class.setdefault(cls, []).append(vals)
+
+    exemplars = [
+        Exemplar(
+            cls=b.cls,
+            lo=dict(b.lo),
+            hi=dict(b.hi),
+            label_sets={a: frozenset(v) for a, v in b.labels.items()},
+            n_members=len(b.members),
+        )
+        for b in boxes
+    ]
+    return ExemplarSet(exemplars=exemplars, ranges=ranges)
+
+
+#: Few distinct cells, so rows repeat and boxes touch, overlap and tie.
+NUMERIC_CELLS = st.one_of(
+    st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 3.0]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+@st.composite
+def nnge_tables(draw):
+    """Numeric-only, nominal-only or mixed inputs, with missing cells,
+    repeated rows and at least two classes."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", "nominal"]), min_size=1, max_size=4))
+    specs = [
+        AttributeSpec.numeric(f"x{a}") if kind == "numeric"
+        else AttributeSpec.nominal(f"x{a}", GRADE[: draw(st.integers(1, 3))])
+        for a, kind in enumerate(kinds)
+    ]
+    specs.append(AttributeSpec.nominal("Status", STATUS, role="class"))
+
+    def cells(spec):
+        present = NUMERIC_CELLS if spec.is_numeric else st.integers(0, len(spec.labels) - 1)
+        return st.one_of(st.none(), present, present, present)
+
+    row = st.tuples(*(cells(spec) for spec in specs[:-1]), st.integers(0, 2))
+    rows = draw(st.lists(row, min_size=2, max_size=30))
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
+    for at in repeats:
+        *inputs, cls = rows[at]
+        rows.append((*inputs, draw(st.sampled_from([cls, (cls + 1) % 3]))))
+    rows = draw(st.permutations(rows))
+    rows[0], rows[1] = (*rows[0][:-1], 0), (*rows[1][:-1], 1)
+    return DataTable(specs, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=nnge_tables())
+def test_training_matches_the_per_box_distance(table):
+    model = train("nnge", table)
+    enc = encode_table(table)
+    reference = Model(
+        model.algorithm, model.specs, model.class_labels,
+        ref_build_nnge(enc, list(range(enc.n_rows))), model.metadata,
+    )
+    assert model_to_json(model) == model_to_json(reference)

@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fusemine.errors import (
     EmptyColumnError,
@@ -90,6 +91,74 @@ class TestDiscretize:
     def test_label_count_must_match_bins(self):
         with pytest.raises(SchemaMismatchError):
             BinningParams(n_bins=4)
+
+
+class TestExtremeRange:
+    """A range too wide for a float is halved; a bin width that rounds to
+    0.0 puts every value in the first bin."""
+
+    def test_overflowing_range_normalizes(self):
+        values, _ = min_max_normalize([-1e308, 5e307, 1e308, 0.0])
+        assert values == [0.0, 0.75, 1.0, 0.5]
+
+    def test_overflowing_range_bins(self):
+        bins, _ = equal_width_discretize([-1e308, 5e307, 1e308, 0.0])
+        assert bins == [0, 2, 2, 1]
+
+    def test_bin_width_below_the_smallest_float(self):
+        bins, _ = equal_width_discretize([0.0, 5e-324, None])
+        assert bins == [0, 0, None]
+        assert min_max_normalize([0.0, 5e-324])[0] == [0.0, 1.0]
+
+
+def ref_bin_of(params, value):
+    """``BinningParams.bin_of`` as it was before the bin rule had one home."""
+    if value is None:
+        return None
+    span = params.maximum - params.minimum
+    if span == 0.0:
+        return 0
+    width = span / params.n_bins
+    index = math.floor((value - params.minimum) / width)
+    return max(0, min(params.n_bins - 1, index))
+
+
+def ref_equal_width_discretize(column, params=None):
+    if params is None:
+        present = [v for v in column if v is not None]
+        if not present:
+            raise EmptyColumnError("cannot discretize a column with no values")
+        params = BinningParams(minimum=min(present), maximum=max(present))
+    return [ref_bin_of(params, v) for v in column], params
+
+
+#: Ordinary cells, and any finite float, so that spans run from 0 to huge.
+CELLS = st.one_of(
+    st.none(),
+    st.floats(-100.0, 100.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestBinningMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        column=st.lists(CELLS, min_size=1, max_size=20).filter(lambda c: c != [None] * len(c)),
+        n_bins=st.integers(2, 12),
+        fitted=st.booleans(),
+    )
+    def test_every_finite_nonzero_width(self, column, n_bins, fitted):
+        present = [v for v in column if v is not None]
+        lo, hi = min(present), max(present)
+        span = hi - lo
+        assume(math.isfinite(span) and (span == 0.0 or span / n_bins != 0.0))
+        params = None
+        if fitted:
+            labels = tuple(f"b{i}" for i in range(n_bins))
+            params = BinningParams(n_bins=n_bins, labels=labels, minimum=lo, maximum=hi)
+        assert repr(equal_width_discretize(column, params)) == repr(
+            ref_equal_width_discretize(column, params)
+        )
 
 
 class TestLabelClass:

@@ -2,11 +2,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fusemine.errors import EmptySubsetError, LengthMismatchError, UnknownAttributeError
 from fusemine.selection import (
+    FALLBACK_BINS,
     SuTable,
+    _mdl_split,
     cfs_merit,
     mdl_discretize,
     reduce_to,
@@ -101,6 +103,68 @@ class TestMdlDiscretize:
     def test_separates_values_without_a_midpoint_between(self, lo, hi):
         # The midpoint rounds onto ``hi`` or overflows; the cut falls at ``lo``.
         assert mdl_discretize([lo] * 6 + [hi] * 6, [0] * 6 + [1] * 6) == [0] * 6 + [1] * 6
+
+
+    def test_overflowing_range_falls_back_to_halved_grid(self):
+        assert mdl_discretize([-1e308, 1e308, 0.0, 5.0], [0, 0, 0, 0]) == [0, 9, 5, 5]
+
+
+def ref_mdl_discretize(values, classes):
+    """``mdl_discretize`` as it was before its fallback shared the bin rule."""
+    if len(values) != len(classes):
+        raise LengthMismatchError("values and classes differ in length")
+    present = [(v, c) for v, c in zip(values, classes) if v is not None]
+    if not present:
+        return [None] * len(values)
+    present.sort(key=lambda pair: pair[0])
+    cuts: list[float] = []
+    _mdl_split(present, cuts)
+    cuts.sort()
+    if not cuts:
+        lo = present[0][0]
+        hi = present[-1][0]
+        span = hi - lo
+        width = span / FALLBACK_BINS if span > 0 else 0.0
+        out = []
+        for v in values:
+            if v is None:
+                out.append(None)
+            elif width == 0.0:
+                out.append(0)
+            else:
+                out.append(max(0, min(FALLBACK_BINS - 1, math.floor((v - lo) / width))))
+        return out
+    out = []
+    for v in values:
+        if v is None:
+            out.append(None)
+            continue
+        bin_idx = 0
+        for cut in cuts:
+            if v > cut:
+                bin_idx += 1
+            else:
+                break
+        out.append(bin_idx)
+    return out
+
+
+#: Ordinary cells, and any finite float, so that spans run from 0 to huge.
+MDL_CELLS = st.one_of(
+    st.none(),
+    st.floats(-100.0, 100.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(st.tuples(MDL_CELLS, st.integers(0, 2)), max_size=30))
+def test_mdl_matches_reference_on_finite_spans(cells):
+    values = [v for v, _ in cells]
+    classes = [c for _, c in cells]
+    present = [v for v in values if v is not None]
+    assume(not present or math.isfinite(max(present) - min(present)))
+    assert repr(mdl_discretize(values, classes)) == repr(ref_mdl_discretize(values, classes))
 
 
 class TestMerit:

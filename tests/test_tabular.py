@@ -87,6 +87,16 @@ class TestDataTable:
         with pytest.raises(SchemaMismatchError, match="too large for a float"):
             DataTable([AttributeSpec.numeric("v")], [(value,)])
 
+    @pytest.mark.parametrize("value, shown", [
+        (10**5000, "of 16610 bits"),
+        (-(10**5000), "of 16610 bits"),
+        (10**4000, "1" + "0" * 4000),
+    ], ids=["10**5000", "-10**5000", "10**4000"])
+    def test_label_index_of_any_size_rejected(self, value, shown):
+        with pytest.raises(SchemaMismatchError) as raised:
+            DataTable([AttributeSpec.nominal("g", ["a"])], [(value,)])
+        assert str(raised.value) == f"label index {shown} out of range for attribute 'g'"
+
     def test_two_class_columns_rejected(self):
         specs = [
             id_spec(),

@@ -36,6 +36,7 @@ from .errors import FusemineError
 from .evaluation import (
     DEFAULT_ALGORITHM_ORDER,
     VARIANTS,
+    class_vector,
     cross_validate,
     render_report_text,
     render_summary_text,
@@ -159,10 +160,12 @@ def load_bundle(directory: Path) -> SourceBundle:
     return _input(SourceBundle, sources)
 
 
-def check_k(k: int, bundle: SourceBundle) -> None:
-    """A fold needs a student, so ``--k`` above the cohort size is a bad flag."""
-    if "exam" in bundle and k > bundle["exam"].n_rows:
-        raise CliError(f"--k {k} exceeds the {bundle['exam'].n_rows} students in the cohort", 2)
+def check_cohort(k: int, bundle: SourceBundle) -> None:
+    """Folds need every student's class and a student each, so a bundle
+    without them or a ``--k`` above the cohort size is a bad input."""
+    y, _labels = _input(class_vector, bundle)
+    if k > len(y):
+        raise CliError(f"--k {k} exceeds the {len(y)} students in the cohort", 2)
 
 
 def _parse_weights(text: str) -> dict[str, float]:
@@ -339,7 +342,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     directory = _variant_dirs(Path(args.data), args.variant)[args.variant]
     bundle = load_bundle(directory)
-    check_k(args.k, bundle)
+    check_cohort(args.k, bundle)
     config = _input(
         FusionConfig,
         approach=args.approach,
@@ -377,19 +380,22 @@ def cmd_experiment(args) -> int:
         for name, directory in _variant_dirs(root, args.variant).items()
     }
     for bundle in variants.values():
-        check_k(args.k, bundle)
+        check_cohort(args.k, bundle)
     algorithms = _algorithm_list(args.algorithm)
     approaches = list(APPROACHES) if args.approach == "all" else [args.approach]
     weights = _parse_weights(args.weights)
-    out = Path(args.out)
-
-    if args.weight_search:
-        search_bundle = variants.get("discretized") or next(iter(variants.values()))
-        weights = weight_search(
-            search_bundle, algorithms[0], k=args.k, seed=stable_seed(args.seed, "weights")
+    cell_weights = {(a, v): weights for a in approaches for v in variants}
+    searched = ["approach,variant,theory,practice,online"]
+    for approach, variant in list(cell_weights) if args.weight_search else ():
+        if approach not in ("ensemble", "ensemble-select"):
+            continue
+        cell_weights[(approach, variant)] = chosen = weight_search(
+            variants[variant], algorithms[0], k=args.k,
+            seed=stable_seed(args.seed, "weights", variant, approach), approach=approach,
         )
-        ordered = ",".join(str(weights[s]) for s in INPUT_SOURCES)
-        print(f"weight search chose theory,practice,online = {ordered}")
+        ordered = ",".join(f"{chosen[s]:g}" for s in INPUT_SOURCES)
+        print(f"weight search chose theory,practice,online = {ordered} for {approach} / {variant}")
+        searched.append(f"{approach},{variant},{ordered}")
 
     grid = run_experiment_grid(
         variants,
@@ -397,8 +403,11 @@ def cmd_experiment(args) -> int:
         approaches=approaches,
         k=args.k,
         seed=args.seed,
-        weights=weights,
+        weights=cell_weights,
     )
+    out = Path(args.out)
+    if args.weight_search:
+        _atomic_write(out / "weights.csv", "\n".join(searched) + "\n")
     _atomic_write(out / "report.csv", report_csv_rows(grid))
     for (approach, variant), report in sorted(grid.reports.items()):
         _atomic_write(

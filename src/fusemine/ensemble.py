@@ -86,8 +86,10 @@ def _decimal(x: float) -> tuple[int, int]:
     return int(whole + fraction), int(exponent or 0) - len(fraction)
 
 
-def vote_predict(vote_model: VoteModel, rows_by_source: Mapping[str, Sequence]) -> tuple[float, ...]:
-    """Weighted average of the base models' class distributions.
+def combine_votes(
+    dists_by_source: Mapping[str, Sequence[float]], weights: Mapping[str, float]
+) -> tuple[float, ...]:
+    """Weighted average of per-source class distributions.
 
     Weights and probabilities are read as the decimal numbers their
     shortest float representation denotes and averaged exactly, so the
@@ -101,25 +103,33 @@ def vote_predict(vote_model: VoteModel, rows_by_source: Mapping[str, Sequence]) 
     that division correctly, so it returns the float nearest the exact
     rational mean: the same float an exact ``Fraction`` average would.
     """
-    missing = set(vote_model.models) - set(rows_by_source)
-    if missing:
-        raise SchemaMismatchError(f"instance lacks parts for sources {sorted(missing)}")
-    labels = vote_model.class_labels
+    names = sorted(dists_by_source)
     weight_terms = []
-    prob_terms = [[] for _ in labels]
-    for name in sorted(vote_model.models):
-        model = vote_model.models[name]
-        if model.class_labels != labels:
-            raise SchemaMismatchError("base models disagree on class labels")
-        w_m, w_e = _decimal(vote_model.weights[name])
+    prob_terms = [[] for _ in dists_by_source[names[0]]]
+    for name in names:
+        w_m, w_e = _decimal(weights[name])
         weight_terms.append((w_m, w_e))
-        dist = predict(model, rows_by_source[name])
-        for terms, p in zip(prob_terms, dist):
+        for terms, p in zip(prob_terms, dists_by_source[name]):
             p_m, p_e = _decimal(p)
             terms.append((w_m * p_m, w_e + p_e))
     low = min(e for terms in (weight_terms, *prob_terms) for _, e in terms)
     total = sum(m * 10 ** (e - low) for m, e in weight_terms)
     return tuple(sum(m * 10 ** (e - low) for m, e in terms) / total for terms in prob_terms)
+
+
+def vote_predict(vote_model: VoteModel, rows_by_source: Mapping[str, Sequence]) -> tuple[float, ...]:
+    """Each base model's class distribution for its source's row, combined
+    by ``combine_votes`` with the model's weights."""
+    missing = set(vote_model.models) - set(rows_by_source)
+    if missing:
+        raise SchemaMismatchError(f"instance lacks parts for sources {sorted(missing)}")
+    labels = vote_model.class_labels
+    dists = {}
+    for name, model in vote_model.models.items():
+        if model.class_labels != labels:
+            raise SchemaMismatchError("base models disagree on class labels")
+        dists[name] = predict(model, rows_by_source[name])
+    return combine_votes(dists, vote_model.weights)
 
 
 def vote_predict_label(vote_model: VoteModel, rows_by_source) -> str:
@@ -215,21 +225,24 @@ def weight_search(
 ) -> dict[str, float]:
     """Exhaustive vote-weight search over ``WEIGHT_GRID`` by CV accuracy.
 
-    Ties break toward the all-ones assignment, then lexicographically in
-    canonical source order.
+    One pass of ``cross_validate``'s fold loop trains each fold's base
+    models once; ``combine_votes`` then scores every assignment on the
+    held-out rows.  Ties break toward the all-ones assignment, then
+    lexicographically in canonical source order.
     """
-    from .evaluation import cross_validate  # deferred: evaluation imports ensemble
+    from .evaluation import accuracy, held_out_distributions  # evaluation imports ensemble
 
     if approach not in ("ensemble", "ensemble-select"):
         raise InvalidParamsError("weight search applies to the ensemble approaches")
-    # Preparation depends only on the approach, so every weighting shares one.
-    prepared = prepare_approach(FusionConfig(approach=approach), bundle)
+    held_out = held_out_distributions(
+        FusionConfig(approach=approach), algorithm, bundle, k=k, seed=seed
+    )
     candidates = []
     for combo in product(WEIGHT_GRID, repeat=len(INPUT_SOURCES)):
         weights = dict(zip(INPUT_SOURCES, combo))
-        config = FusionConfig(approach=approach, weights=weights)
-        result = cross_validate(config, algorithm, bundle, k=k, seed=seed, prepared=prepared)
+        predictions = [majority(combine_votes(parts, weights)) for parts in held_out.dists]
+        accuracy_pct = accuracy(predictions, held_out.y)
         all_ones = all(w == 1.0 for w in combo)
-        candidates.append((-result.accuracy_pct, 0 if all_ones else 1, combo, weights))
+        candidates.append((-accuracy_pct, 0 if all_ones else 1, combo, weights))
     candidates.sort(key=lambda entry: entry[:3])
     return candidates[0][3]

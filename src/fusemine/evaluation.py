@@ -16,10 +16,9 @@ from .ensemble import (
     APPROACHES,
     FusionConfig,
     PreparedData,
-    VoteModel,
+    combine_votes,
     prepare_approach,
     train_prepared,
-    vote_predict,
 )
 from .errors import (
     LengthMismatchError,
@@ -53,8 +52,6 @@ def stable_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    k: int
-    seed: int
     folds: tuple[tuple[int, ...], ...]
 
     def train_indices(self, fold: int) -> list[int]:
@@ -81,7 +78,7 @@ def _stratified_folds(y: Sequence[int], n_classes: int, k: int, seed: int) -> Fo
         for i in members:
             folds[position % k].append(i)
             position += 1
-    return FoldPlan(k=k, seed=seed, folds=tuple(tuple(f) for f in folds))
+    return FoldPlan(tuple(tuple(f) for f in folds))
 
 
 def stratified_kfold(dataset: DataTable, k: int, seed: int) -> FoldPlan:
@@ -173,13 +170,69 @@ class CvResult:
     n_rows: int
 
 
-def _class_vector(bundle: SourceBundle) -> tuple[list[int], tuple[str, ...]]:
+def class_vector(bundle: SourceBundle) -> tuple[list[int], tuple[str, ...]]:
+    """Every student's class index, in id order, and the class labels."""
+    if "exam" not in bundle.sources:
+        raise SchemaMismatchError("bundle lacks the exam (class) source")
     exam = bundle["exam"].sorted_by_id()
     class_idx = exam.class_index
     if class_idx is None:
         raise SchemaMismatchError("exam source carries no class column")
-    labels = exam.specs[class_idx].labels
-    return [row[class_idx] for row in exam.rows], labels
+    y = [row[class_idx] for row in exam.rows]
+    if None in y:
+        raise SchemaMismatchError("class column must not contain missing values")
+    return y, exam.specs[class_idx].labels
+
+
+@dataclass
+class HeldOut:
+    """Row ``i``'s held-out class distribution ``dists[i]``, or its
+    ``{source: distribution}`` for the ensemble approaches; each fold's
+    held-out rows and what selection kept for it."""
+
+    y: list[int]
+    labels: tuple[str, ...]
+    per_source: bool
+    dists: list
+    folds: list[tuple[tuple[int, ...], dict[str, list[str]]]]
+
+
+def held_out_distributions(
+    config: FusionConfig,
+    algorithm: str,
+    bundle: SourceBundle,
+    k: int = 10,
+    seed: int = 0,
+    plan_seed: int | None = None,
+    fold_local_select: bool = False,
+    prepared: PreparedData | None = None,
+) -> HeldOut:
+    """The fold loop: plan the folds, train each fold once, predict its
+    held-out rows.  The vote weights of ``config`` are not read; see
+    ``cross_validate`` for the other arguments."""
+    y, labels = class_vector(bundle)
+    plan = _stratified_folds(
+        y, len(labels), k, stable_seed(seed, "folds") if plan_seed is None else plan_seed
+    )
+    if prepared is None and not fold_local_select:
+        prepared = prepare_approach(config, bundle)
+    dists: list = [None] * len(y)
+    folds = []
+    for fold_no, test_rows in enumerate(plan.folds):
+        train_rows = plan.train_indices(fold_no)
+        fold_data = prepare_approach(config, bundle, train_rows) if fold_local_select else prepared
+        train_seed = stable_seed(seed, config.approach, algorithm, fold_no)
+        model = train_prepared(
+            fold_data, config, algorithm, seed=train_seed, row_filter=train_rows
+        )
+        per_source = fold_data.kind == "per_source"
+        for i in test_rows:
+            dists[i] = {
+                name: predict(base, fold_data.per_source[name].rows[i])
+                for name, base in model.models.items()
+            } if per_source else predict(model, fold_data.merged.rows[i])
+        folds.append((test_rows, fold_data.selected))
+    return HeldOut(y, labels, per_source, dists, folds)
 
 
 def cross_validate(
@@ -194,47 +247,27 @@ def cross_validate(
 ) -> CvResult:
     """K-fold evaluation of one (approach, algorithm) cell.
 
-    Accuracy pools every held-out prediction (micro average).  With
-    ``fold_local_select`` the selection approaches choose attributes on
-    each fold's training rows; every fold records what it kept.
-    ``prepared``, when given, must be what ``prepare_approach`` returns
-    for this approach and bundle; cells that share them pass it in so the
-    bundle is prepared once.  It is not read with ``fold_local_select``.
+    Accuracy pools every held-out prediction (micro average); the
+    ensemble approaches combine each row's per-source distributions with
+    ``config.weights``.  With ``fold_local_select`` the selection
+    approaches choose attributes on each fold's training rows; every fold
+    records what it kept.  ``prepared``, when given, must be what
+    ``prepare_approach`` returns for this approach and bundle; cells that
+    share them pass it in so the bundle is prepared once.  It is not read
+    with ``fold_local_select``.
     """
-    y, labels = _class_vector(bundle)
-    plan = _stratified_folds(
-        y, len(labels), k, stable_seed(seed, "folds") if plan_seed is None else plan_seed
+    held_out = held_out_distributions(
+        config, algorithm, bundle, k, seed, plan_seed, fold_local_select, prepared
     )
-    if prepared is None and not fold_local_select:
-        prepared = prepare_approach(config, bundle)
-
-    n = len(y)
-    predictions: list[int | None] = [None] * n
-    pooled: list[tuple[float, ...] | None] = [None] * n
+    y, labels = held_out.y, held_out.labels
+    pooled = held_out.dists
+    if held_out.per_source:
+        pooled = [combine_votes(parts, config.weights) for parts in pooled]
+    predictions = [majority(dist) for dist in pooled]
     folds_detail = []
-
-    for fold_no, test_rows in enumerate(plan.folds):
-        train_rows = plan.train_indices(fold_no)
-        fold_data = prepare_approach(config, bundle, train_rows) if fold_local_select else prepared
-        train_seed = stable_seed(seed, config.approach, algorithm, fold_no)
-        model = train_prepared(
-            fold_data, config, algorithm, seed=train_seed, row_filter=train_rows
-        )
-        fold_hits = 0
-        for i in test_rows:
-            dist = _predict_row(model, fold_data, i)
-            pooled[i] = dist
-            best = majority(dist)
-            predictions[i] = best
-            if best == y[i]:
-                fold_hits += 1
-        folds_detail.append(
-            FoldDetail(
-                fold_no, tuple(test_rows), 100.0 * fold_hits / len(test_rows),
-                selected=fold_data.selected,
-            )
-        )
-
+    for fold_no, (test_rows, selected) in enumerate(held_out.folds):
+        pct = 100.0 * sum(predictions[i] == y[i] for i in test_rows) / len(test_rows)
+        folds_detail.append(FoldDetail(fold_no, test_rows, pct, selected))
     auc, per_class = auc_weighted(pooled, y, len(labels))
     confusion = [[0] * len(labels) for _ in labels]
     for truth_cls, predicted in zip(y, predictions):
@@ -247,17 +280,8 @@ def cross_validate(
         per_class_auc={labels[c]: v for c, v in per_class.items()},
         confusion=confusion,
         folds=folds_detail,
-        n_rows=n,
+        n_rows=len(y),
     )
-
-
-def _predict_row(model, prepared: PreparedData, row: int):
-    if prepared.kind == "merged":
-        return predict(model, prepared.merged.rows[row])
-    if not isinstance(model, VoteModel):
-        raise SchemaMismatchError("per-source data needs a vote model")
-    parts = {name: table.rows[row] for name, table in prepared.per_source.items()}
-    return vote_predict(model, parts)
 
 
 @dataclass
@@ -297,22 +321,24 @@ def run_experiment_grid(
     approaches: Sequence[str] = APPROACHES,
     k: int = 10,
     seed: int = 0,
-    weights: Mapping[str, float] | None = None,
+    weights: Mapping[tuple[str, str], Mapping[str, float]] | None = None,
 ) -> GridResult:
     """Evaluate every (approach, variant, algorithm) cell in enumeration order.
 
     Each cell is one ``cross_validate`` call with its own derived seed.
+    ``weights`` maps each (approach, variant) to its vote weights; without
+    it every source weighs 1.
     """
     for approach in approaches:
         if approach not in APPROACHES:
             raise SchemaMismatchError(f"unknown approach {approach!r}")
     reports: dict[tuple[str, str], EvaluationReport] = {}
     for approach in approaches:
-        config = FusionConfig(
-            approach=approach,
-            weights=weights or {s: 1.0 for s in ("theory", "practice", "online")},
-        )
         for variant, bundle in variants.items():
+            config = (
+                FusionConfig(approach, weights[(approach, variant)])
+                if weights else FusionConfig(approach)
+            )
             # The algorithms of one (approach, variant) train on the same
             # data, so it is prepared once and the cells only read it.
             prepared = prepare_approach(config, bundle)

@@ -98,7 +98,12 @@ class BinningParams:
         return equal_width_bin(value, self.minimum, self.maximum, self.n_bins)
 
     def boundaries(self) -> list[float]:
-        width = (self.maximum - self.minimum) / self.n_bins
+        span = self.maximum - self.minimum
+        if span == math.inf:  # halved, as in ``equal_width_bin``; doubling may round past the top
+            half = (self.maximum / 2 - self.minimum / 2) / self.n_bins
+            cuts = (2 * (self.minimum / 2 + i * half) for i in range(self.n_bins + 1))
+            return [min(self.maximum, cut) for cut in cuts]
+        width = span / self.n_bins
         return [self.minimum + i * width for i in range(self.n_bins + 1)]
 
 

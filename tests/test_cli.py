@@ -1,7 +1,6 @@
 import contextlib
 import copy
 import csv
-import importlib.util
 import io
 import json
 import os
@@ -236,19 +235,10 @@ class TestExperiment:
         assert (out / "report_merge_discretized.txt").is_file()
         assert (out / "summary.txt").is_file()
         assert "best cell:" in capsys.readouterr().out
+        assert not (out / "weights.csv").exists()
         lines = (out / "report.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "approach,variant,algorithm,accuracy_pct,auc"
         assert len(lines) == 1 + 2 * 2
-
-    def test_weight_search_reports_choice(self, workspace, tmp_path, capsys):
-        out = tmp_path / "reports_ws"
-        assert main([
-            "experiment", "--data", str(workspace / "pre"), "--variant", "discretized",
-            "--approach", "ensemble", "--algorithm", "c45", "--k", "3",
-            "--weight-search", "--out", str(out),
-        ]) == 0
-        printed = capsys.readouterr().out
-        assert "weight search chose theory,practice,online" in printed
 
     def test_approach_all_runs_every_approach(self, workspace, tmp_path):
         out = tmp_path / "r"
@@ -272,59 +262,119 @@ class TestExperiment:
         assert_one_line_error(capsys)
 
 
-def load_search_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "search_vote_weights.py"
-    spec = importlib.util.spec_from_file_location("search_vote_weights", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
+SEARCH_PAIRS = [
+    (approach, variant)
+    for approach in ("ensemble", "ensemble-select")
+    for variant in ("numeric", "discretized")
+]
 
 
-class TestSearchVoteWeightsScript:
-    def test_one_line_per_variant_and_ensemble_approach(self, workspace, capsys):
-        script = load_search_script()
-        capsys.readouterr()
-        assert script.run([
-            "--data", str(workspace / "pre"), "--algorithm", "c45", "--k", "3",
+@pytest.fixture(scope="module")
+def searched(workspace, tmp_path_factory):
+    """An ``experiment --weight-search`` run over all approaches and both
+    variants, with its stdout and report directory."""
+    out = tmp_path_factory.mktemp("searched") / "reports"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main([
+            "experiment", "--data", str(workspace / "pre"), "--algorithm", "c45,ripper",
+            "--k", "3", "--seed", "4", "--weight-search", "--out", str(out),
+        ])
+    assert code == 0
+    return printed.getvalue(), out
+
+
+class TestExperimentWeightSearch:
+    def test_one_line_and_row_per_pair(self, searched):
+        printed, out = searched
+        lines = [line for line in printed.splitlines() if line.startswith("weight search chose")]
+        rows = (out / "weights.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "approach,variant,theory,practice,online"
+        assert [tuple(row.split(",")[:2]) for row in rows[1:]] == SEARCH_PAIRS
+        for line, row in zip(lines, rows[1:], strict=True):
+            approach, variant, *weights = row.split(",")
+            assert line == (
+                f"weight search chose theory,practice,online = {','.join(weights)} "
+                f"for {approach} / {variant}"
+            )
+            assert {float(w) for w in weights} <= {1.0, 2.0}
+
+    def test_searched_rows_equal_eval_with_the_winner(self, workspace, searched, capsys):
+        _printed, out = searched
+        winners = {
+            (approach, variant): weights
+            for approach, variant, weights in (
+                row.split(",", 2)
+                for row in (out / "weights.csv").read_text(encoding="utf-8").splitlines()[1:]
+            )
+        }
+        report = (out / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
+        checked = 0
+        for row in report:
+            approach, variant, algorithm = row.split(",")[:3]
+            if (approach, variant) not in winners:
+                continue
+            capsys.readouterr()
+            assert main([
+                "eval", "--data", str(workspace / "pre"), "--variant", variant,
+                "--approach", approach, "--algorithm", algorithm, "--k", "3", "--seed", "4",
+                "--weights", winners[(approach, variant)],
+            ]) == 0
+            assert capsys.readouterr().out == row + "\n"
+            checked += 1
+        assert checked == len(SEARCH_PAIRS) * 2
+        assert set(winners.values()) != {"1,1,1"}
+
+    def test_only_the_ensemble_approaches_are_searched(self, workspace, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main([
+            "experiment", "--data", str(workspace / "pre"), "--variant", "discretized",
+            "--approach", "merge", "--algorithm", "c45", "--k", "3",
+            "--weight-search", "--out", str(out),
         ]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split(": ")[0].split() for line in lines] == [
-            [variant, approach]
-            for variant in ("numeric", "discretized")
-            for approach in ("ensemble", "ensemble-select")
-        ]
-        for line in lines:
-            assert line.split(": ")[1].startswith("theory,practice,online = ")
+        assert "weight search chose" not in capsys.readouterr().out
+        assert (out / "weights.csv").read_text(encoding="utf-8") == (
+            "approach,variant,theory,practice,online\n"
+        )
 
-    def test_bad_input_prints_one_line_and_exits_2(self, workspace, tmp_path, capsys):
-        script = load_search_script()
-        capsys.readouterr()
-        assert script.run(["--data", str(workspace / "pre"), "--k", "500"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --k 500 exceeds the 57 students in the cohort\n"
-
+    def test_bad_bundle_exits_2_in_one_line(self, workspace, tmp_path, capsys):
         broken = tmp_path / "pre"
         shutil.copytree(workspace / "pre", broken)
         (broken / "numeric" / "schema.json").write_text("{not json", encoding="utf-8")
-        assert script.run(["--data", str(broken), "--k", "3"]) == 2
+        capsys.readouterr()
+        assert main([
+            "experiment", "--data", str(broken), "--approach", "ensemble", "--algorithm", "c45",
+            "--k", "3", "--weight-search", "--out", str(tmp_path / "r"),
+        ]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--k", "x"], "argument --k: invalid int value: 'x'"),
-        (["--algorithm", "cart"], "argument --algorithm: invalid choice: 'cart'"),
-    ], ids=["bad-int", "bad-algorithm"])
-    def test_bad_flag_prints_one_line_and_exits_2(self, workspace, capsys, flags, message):
-        script = load_search_script()
+        (["--approach", "vote"], "argument --approach: invalid choice: 'vote'"),
+    ], ids=["bad-int", "bad-approach"])
+    def test_bad_flag_exits_2_in_one_line(self, workspace, tmp_path, capsys, flags, message):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exited:
-            script.run(["--data", str(workspace / "pre")] + flags)
+            main([
+                "experiment", "--data", str(workspace / "pre"), "--weight-search",
+                "--out", str(tmp_path / "r"),
+            ] + flags)
         assert exited.value.code == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert ": error: " + message in err
+
+    def test_bad_algorithm_exits_2_in_one_line(self, workspace, tmp_path, capsys):
+        capsys.readouterr()
+        assert main([
+            "experiment", "--data", str(workspace / "pre"), "--approach", "ensemble",
+            "--algorithm", "cart", "--weight-search", "--out", str(tmp_path / "r"),
+        ]) == 2
+        assert capsys.readouterr().err == "error: unknown algorithm 'cart'\n"
+        assert not (tmp_path / "r").exists()
 
 
 class TestStudentExplainEveryApproach:
@@ -700,6 +750,29 @@ def fuzzed_raw(data, bundle, tmp_path_factory) -> Path:
     return raw
 
 
+CELL_VALUES = st.one_of(
+    st.sampled_from(["", "Low", "High", "Pass", "Dropout", "0", "1", "-1", "1e308", "5e-324"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(max_size=4),
+)
+
+
+def fuzzed_cells(data, bundle, tmp_path_factory) -> Path:
+    """A copy of the ``bundle`` directory with up to four CSV cells replaced."""
+    raw = tmp_path_factory.mktemp("cell-fuzz")
+    for path in bundle.iterdir():
+        shutil.copy(path, raw)
+    for _ in range(data.draw(st.integers(1, 4))):
+        path = raw / f"{data.draw(st.sampled_from(['theory', 'practice', 'online', 'exam']))}.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        at = data.draw(st.integers(1, len(lines) - 1))
+        cells = lines[at].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(CELL_VALUES)
+        lines[at] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return raw
+
+
 class TestBundleFuzz:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -739,6 +812,29 @@ class TestBundleFuzz:
         bundle.rename(root / variant)
         capsys.readouterr()
         code = main(["select", "--data", str(root), "--variant", variant])
+        if code != 0:
+            assert code == 2
+            assert_one_line_error(capsys)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_experiment_weight_search_runs_or_exits_2(
+        self, data, workspace, tmp_path_factory, capsys
+    ):
+        """``experiment --weight-search`` on a preprocessed bundle with a fuzzed
+        schema, line or cells exits 0, or 2 with a one-line error."""
+        variant = data.draw(st.sampled_from(VARIANTS))
+        fuzzed = data.draw(st.sampled_from([fuzzed_raw, fuzzed_cells]))
+        bundle = fuzzed(data, workspace / "pre" / variant, tmp_path_factory)
+        root = tmp_path_factory.mktemp("experiment-fuzz")
+        bundle.rename(root / variant)
+        capsys.readouterr()
+        code = main([
+            "experiment", "--data", str(root), "--variant", variant, "--weight-search",
+            "--approach", "ensemble", "--algorithm", "c45", "--k", "3",
+            "--out", str(root / "reports"),
+        ])
         if code != 0:
             assert code == 2
             assert_one_line_error(capsys)

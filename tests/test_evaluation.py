@@ -1,13 +1,28 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusemine import ensemble, evaluation
-from fusemine.ensemble import APPROACHES, FusionConfig, prepare_approach, weight_search
-from fusemine.errors import LengthMismatchError, SingleClassTruthError, TooFewRowsError
+from fusemine.ensemble import (
+    APPROACHES,
+    INPUT_SOURCES,
+    WEIGHT_GRID,
+    FusionConfig,
+    prepare_approach,
+    weight_search,
+)
+from fusemine.errors import (
+    InvalidParamsError,
+    LengthMismatchError,
+    SingleClassTruthError,
+    TooFewRowsError,
+)
 from fusemine.evaluation import (
     DEFAULT_ALGORITHM_ORDER,
+    VARIANTS,
     EvaluationReport,
     GridResult,
     accuracy,
@@ -399,6 +414,58 @@ class TestSharedPreparation:
         assert calls["prepare_approach"] == 8 + 48
         assert report_csv_rows(GridResult(reports, k=3, seed=2)) == report_csv_rows(grid)
 
-    def test_weight_search_prepares_once(self, variants, calls):
+    def test_weight_search_prepares_once(self, variants, calls, monkeypatch):
+        trained = []
+        train = ensemble.train
+
+        def counted_train(*args, **kwargs):
+            trained.append(args[0])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "train", counted_train)
         weight_search(variants["discretized"], "c45", k=3, seed=1)
-        assert calls == {"cross_validate": 8, "prepare_approach": 1}
+        assert calls["prepare_approach"] == 1
+        # One base model per source and fold, not one per source, fold and assignment.
+        assert len(trained) == 3 * 3
+
+
+def reference_weight_search(bundle, algorithm, k=10, seed=0, approach="ensemble"):
+    """The search as eight ``cross_validate`` calls, one per assignment:
+    the earlier ``weight_search``, kept verbatim as the oracle."""
+    if approach not in ("ensemble", "ensemble-select"):
+        raise InvalidParamsError("weight search applies to the ensemble approaches")
+    # Preparation depends only on the approach, so every weighting shares one.
+    prepared = prepare_approach(FusionConfig(approach=approach), bundle)
+    candidates = []
+    for combo in product(WEIGHT_GRID, repeat=len(INPUT_SOURCES)):
+        weights = dict(zip(INPUT_SOURCES, combo))
+        config = FusionConfig(approach=approach, weights=weights)
+        result = cross_validate(config, algorithm, bundle, k=k, seed=seed, prepared=prepared)
+        all_ones = all(w == 1.0 for w in combo)
+        candidates.append((-result.accuracy_pct, 0 if all_ones else 1, combo, weights))
+    candidates.sort(key=lambda entry: entry[:3])
+    return candidates[0][3]
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    cohort_seed=st.integers(0, 10**6),
+    noise=st.sampled_from([0.0, 0.15, 0.3]),
+    variant=st.sampled_from(VARIANTS),
+    approach=st.sampled_from(["ensemble", "ensemble-select"]),
+    algorithm=st.sampled_from(["c45", "ripper", "nnge", "randomtree", "reptree"]),
+    k=st.integers(2, 4),
+    seed=st.integers(0, 10**6),
+)
+def test_weight_search_matches_eight_cross_validations(
+    cohort_seed, noise, variant, approach, algorithm, k, seed
+):
+    """One pass of the fold loop picks the weights the eight-call search picks."""
+    raw, _ = generate(
+        CohortSpec(n_students=24, class_counts=(8, 8, 8), noise_rate=noise, seed=cohort_seed)
+    )
+    pre = preprocess_bundle(raw)
+    bundle = pre.numeric if variant == "numeric" else pre.discretized
+    assert weight_search(bundle, algorithm, k=k, seed=seed, approach=approach) == (
+        reference_weight_search(bundle, algorithm, k=k, seed=seed, approach=approach)
+    )

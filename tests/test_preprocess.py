@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -105,6 +106,17 @@ class TestExtremeRange:
         bins, _ = equal_width_discretize([-1e308, 5e307, 1e308, 0.0])
         assert bins == [0, 2, 2, 1]
 
+    @pytest.mark.parametrize("n_bins", [2, 3, 6, 7, 9])
+    @pytest.mark.parametrize("low, high", [
+        (-1e308, 1e308), (-sys.float_info.max, sys.float_info.max), (-sys.float_info.max, 1e300),
+    ])
+    def test_overflowing_range_boundaries(self, low, high, n_bins):
+        labels = tuple(f"b{i}" for i in range(n_bins))
+        bounds = BinningParams(n_bins, labels, low, high).boundaries()
+        assert all(math.isfinite(b) for b in bounds)
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        assert bounds[0] == low and bounds[-1] <= high
+
     def test_bin_width_below_the_smallest_float(self):
         bins, _ = equal_width_discretize([0.0, 5e-324, None])
         assert bins == [0, 0, None]
@@ -159,6 +171,9 @@ class TestBinningMatchesReference:
         assert repr(equal_width_discretize(column, params)) == repr(
             ref_equal_width_discretize(column, params)
         )
+        params = equal_width_discretize(column, params)[1]
+        width = (params.maximum - params.minimum) / params.n_bins
+        assert params.boundaries() == [params.minimum + i * width for i in range(params.n_bins + 1)]
 
 
 class TestLabelClass:

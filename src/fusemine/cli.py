@@ -161,11 +161,16 @@ def load_bundle(directory: Path) -> SourceBundle:
 
 
 def check_cohort(k: int, bundle: SourceBundle) -> None:
-    """Folds need every student's class and a student each, so a bundle
-    without them or a ``--k`` above the cohort size is a bad input."""
-    y, _labels = _input(class_vector, bundle)
+    """Folds need every student's class, a student each and a student of
+    every class, so a bundle without them or a ``--k`` above the cohort
+    size is a bad input."""
+    y, labels = _input(class_vector, bundle)
     if k > len(y):
         raise CliError(f"--k {k} exceeds the {len(y)} students in the cohort", 2)
+    present = set(y)
+    for cls, label in enumerate(labels):
+        if cls not in present:
+            raise CliError(f"class {label!r} has no student in the cohort", 2)
 
 
 def _parse_weights(text: str) -> dict[str, float]:
@@ -312,6 +317,7 @@ def _preprocess_config(args) -> PreprocessConfig:
 def cmd_select(args) -> int:
     directory = _variant_dirs(Path(args.data), args.variant)[args.variant]
     bundle = load_bundle(directory)
+    _input(class_vector, bundle)
     merged = join_on_id(bundle, drop_id=True)
     names = select_best_attributes(merged) if args.select == "cfs" else [
         s.name for s in merged.specs if s.role == "input"
@@ -326,6 +332,7 @@ def cmd_select(args) -> int:
 def cmd_train(args) -> int:
     directory = _variant_dirs(Path(args.data), args.variant)[args.variant]
     bundle = load_bundle(directory)
+    _input(class_vector, bundle)
     config = _input(
         FusionConfig,
         approach=args.approach,

@@ -9,22 +9,22 @@ when the merge would swallow an instance of another class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .encode import Encoded
 from .model import Exemplar, ExemplarSet, _distance_plan, _planned_distance
 
 
-@dataclass(eq=False)
+@dataclass
 class _Box:
     """A hyperrectangle with the fields of an ``Exemplar``, so prediction's
-    distance scores it; boxes compare by identity, so finding one is cheap."""
+    distance scores it, tight around its members."""
 
     cls: int
     lo: dict[int, float]
     hi: dict[int, float]
     label_sets: dict[int, set[int]]
-    members: list[dict] = field(default_factory=list)
+    members: list[dict]
 
 
 def _box_from_members(cls, members, numeric_attrs, nominal_attrs) -> _Box:
@@ -45,13 +45,23 @@ def _covers(box: _Box, vals, numeric_attrs, nominal_attrs) -> bool:
     return True
 
 
-def _exclude_members(cls, members, vals, numeric_attrs, nominal_attrs, spans):
-    """Partition members into tight boxes that no longer cover ``vals``.
+def _swallows(box: _Box, seen_by_class, numeric_attrs, nominal_attrs) -> bool:
+    """Whether ``box`` covers an instance already seen of another class."""
+    for other_cls, others in seen_by_class.items():
+        if other_cls != box.cls:
+            for ovals in others:
+                if _covers(box, ovals, numeric_attrs, nominal_attrs):
+                    return True
+    return False
+
+
+def _exclude_members(members, vals, numeric_attrs, nominal_attrs, spans):
+    """Partition members into groups whose tight boxes no longer cover ``vals``.
 
     Splits along the axis separating the most members (widest margin on
     ties) and recurses on the members that agree with the conflicting
     value there.  Members identical to ``vals`` on every attribute
-    cannot be excluded and stay behind as a single overlapping box.
+    cannot be excluded and stay behind as a single overlapping group.
     """
     if not members:
         return []
@@ -63,10 +73,9 @@ def _exclude_members(cls, members, vals, numeric_attrs, nominal_attrs, spans):
             continue
         gap = min(abs(mv - v) for mv in apart)
         margin = gap / spans[a] if spans[a] > 0 else 1.0
-        n_sep = sum(1 for m in members if m[a] != v)
-        key = (n_sep, margin)
+        key = (len(apart), margin)
         if best is None or key > best[:2]:
-            best = (n_sep, margin, a, True)
+            best = (len(apart), margin, a, True)
     for a in nominal_attrs:
         n_sep = sum(1 for m in members if m[a] != vals[a])
         if n_sep == 0:
@@ -76,26 +85,17 @@ def _exclude_members(cls, members, vals, numeric_attrs, nominal_attrs, spans):
             best = (n_sep, 1.0, a, False)
     if best is None:
         # Duplicate instances with a different class: nothing separates.
-        return [_box_from_members(cls, members, numeric_attrs, nominal_attrs)]
+        return [members]
     _, _, axis, is_numeric = best
     v = vals[axis]
-    parts = []
     if is_numeric:
-        left = [m for m in members if m[axis] < v]
-        right = [m for m in members if m[axis] > v]
-        rest = [m for m in members if m[axis] == v]
-        for group in (left, right):
-            if group:
-                parts.append(_box_from_members(cls, group, numeric_attrs, nominal_attrs))
+        groups = [[m for m in members if m[axis] < v], [m for m in members if m[axis] > v]]
     else:
-        apart = [m for m in members if m[axis] != v]
-        rest = [m for m in members if m[axis] == v]
-        if apart:
-            parts.append(_box_from_members(cls, apart, numeric_attrs, nominal_attrs))
-    parts.extend(
-        _exclude_members(cls, rest, vals, numeric_attrs, nominal_attrs, spans)
+        groups = [[m for m in members if m[axis] != v]]
+    rest = [m for m in members if m[axis] == v]
+    return [g for g in groups if g] + _exclude_members(
+        rest, vals, numeric_attrs, nominal_attrs, spans
     )
-    return parts
 
 
 def build_nnge(enc: Encoded, idx):
@@ -114,50 +114,43 @@ def build_nnge(enc: Encoded, idx):
     for i in idx:
         vals = {a: enc.cols[a][i] for a in enc.input_idx}
         cls = enc.y[i]
-        if boxes:
-            conflicts = [
-                b for b in boxes if b.cls != cls and _covers(b, vals, numeric_attrs, nominal_attrs)
-            ]
-            for box in conflicts:
-                pos = boxes.index(box)
-                boxes[pos : pos + 1] = _exclude_members(
-                    box.cls, box.members, vals, numeric_attrs, nominal_attrs, spans
-                )
-            plan = _distance_plan(enc.specs, enc.input_idx, ranges, vals)
-            nearest = None
-            for j, box in enumerate(boxes):
-                if box.cls != cls:
-                    continue
-                d = _planned_distance(box, plan)
-                if nearest is None or d < nearest[0] - 1e-12:
-                    nearest = (d, j)
-            merged = False
-            if nearest is not None:
-                box = boxes[nearest[1]]
-                ext_lo = {a: min(box.lo[a], vals[a]) for a in numeric_attrs}
-                ext_hi = {a: max(box.hi[a], vals[a]) for a in numeric_attrs}
-                ext_labels = {a: box.label_sets[a] | {vals[a]} for a in nominal_attrs}
-                probe = _Box(cls, ext_lo, ext_hi, ext_labels)
-                conflict = False
-                for other_cls, others in seen_by_class.items():
-                    if other_cls == cls:
-                        continue
-                    for ovals in others:
-                        if _covers(probe, ovals, numeric_attrs, nominal_attrs):
-                            conflict = True
-                            break
-                    if conflict:
-                        break
-                if not conflict:
-                    box.lo = ext_lo
-                    box.hi = ext_hi
-                    box.label_sets = ext_labels
-                    box.members.append(vals)
-                    merged = True
-            if not merged:
-                boxes.append(_box_from_members(cls, [vals], numeric_attrs, nominal_attrs))
-        else:
+        conflicts = [
+            j for j, b in enumerate(boxes)
+            if b.cls != cls and _covers(b, vals, numeric_attrs, nominal_attrs)
+        ]
+        # Last to first, so a split does not shift the positions still to do.
+        for j in reversed(conflicts):
+            box = boxes[j]
+            groups = _exclude_members(box.members, vals, numeric_attrs, nominal_attrs, spans)
+            # A covering box is tight around its members, so a split leaves
+            # two groups or more; one group is every member, and would
+            # rebuild the box as it is.
+            if len(groups) > 1:
+                boxes[j : j + 1] = [
+                    _box_from_members(box.cls, g, numeric_attrs, nominal_attrs) for g in groups
+                ]
+        plan = _distance_plan(enc.specs, enc.input_idx, ranges, vals)
+        nearest = None
+        for j, box in enumerate(boxes):
+            if box.cls != cls:
+                continue
+            d = _planned_distance(box, plan)
+            if nearest is None or d < nearest[0] - 1e-12:
+                nearest = (d, j)
+        grown = None
+        if nearest is not None:
+            box = boxes[nearest[1]]
+            grown = _Box(
+                cls,
+                {a: min(box.lo[a], vals[a]) for a in numeric_attrs},
+                {a: max(box.hi[a], vals[a]) for a in numeric_attrs},
+                {a: box.label_sets[a] | {vals[a]} for a in nominal_attrs},
+                box.members + [vals],
+            )
+        if grown is None or _swallows(grown, seen_by_class, numeric_attrs, nominal_attrs):
             boxes.append(_box_from_members(cls, [vals], numeric_attrs, nominal_attrs))
+        else:
+            boxes[nearest[1]] = grown
         seen_by_class.setdefault(cls, []).append(vals)
 
     exemplars = [

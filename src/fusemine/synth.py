@@ -45,6 +45,13 @@ ATTRIBUTES = (
     ("Moodle.Time", "online", 0.0, 6000.0),
 )
 
+#: Raw per-session columns: each theory attribute has one per theory
+#: session, practice attendance one per practice session and the practice
+#: score one per practical subject.
+THEORY_SESSIONS = 15
+PRACTICE_SESSIONS = 10
+PRACTICAL_SUBJECTS = 5
+
 ATTR_NAMES = tuple(entry[0] for entry in ATTRIBUTES)
 ATTR_RANGE = {entry[0]: (entry[2], entry[3]) for entry in ATTRIBUTES}
 ATTR_SOURCE = {entry[0]: entry[1] for entry in ATTRIBUTES}
@@ -79,9 +86,6 @@ class CohortSpec:
     class_counts: tuple[int, int, int] = (19, 17, 21)  # Pass, Fail, Dropout
     noise_rate: float = 0.0
     ruleset: RuleList = field(default_factory=default_ruleset)
-    theory_sessions: int = 15
-    practice_sessions: int = 10
-    practical_subjects: int = 5
     seed: int = 0
     #: Optional per-class weighting over which planted rule generates a
     #: student (rule index -> weight); default is uniform over all value
@@ -96,9 +100,6 @@ class CohortSpec:
             raise SchemaMismatchError("class counts must sum to the cohort size")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise SchemaMismatchError("noise rate must lie in [0, 1]")
-        for sessions in (self.theory_sessions, self.practice_sessions, self.practical_subjects):
-            if sessions < 1:
-                raise SchemaMismatchError("session counts must be positive")
 
 
 def _fires(ruleset: RuleList, values: Mapping[str, str]) -> tuple[int, str]:
@@ -233,12 +234,12 @@ def _repair_occupancy(allocation, constrained, cells):
                 )
 
 
-def _session_columns(spec: CohortSpec, attr: str) -> int:
+def _session_columns(attr: str) -> int:
     if ATTR_SOURCE[attr] != "theory" and ATTR_SOURCE[attr] != "practice":
         return 1
     if ATTR_SOURCE[attr] == "theory":
-        return spec.theory_sessions
-    return spec.practice_sessions if attr == "Practice.Attendance" else spec.practical_subjects
+        return THEORY_SESSIONS
+    return PRACTICE_SESSIONS if attr == "Practice.Attendance" else PRACTICAL_SUBJECTS
 
 
 def _expand_sessions(rng: random.Random, value: float, lo: float, hi: float, s: int):
@@ -334,7 +335,7 @@ def generate(spec: CohortSpec) -> tuple[SourceBundle, DataTable]:
             if ATTR_SOURCE[attr] != source:
                 continue
             lo, hi = ATTR_RANGE[attr]
-            s = _session_columns(spec, attr)
+            s = _session_columns(attr)
             if s == 1:
                 specs.append(AttributeSpec.numeric(attr))
                 columns.append(fused[attr])

@@ -773,6 +773,40 @@ def fuzzed_cells(data, bundle, tmp_path_factory) -> Path:
     return raw
 
 
+def fuzzed_pre(data, workspace, tmp_path_factory) -> tuple[Path, str]:
+    """A data root holding one preprocessed variant with a fuzzed schema,
+    line or cells, and the variant's name."""
+    variant = data.draw(st.sampled_from(VARIANTS))
+    fuzzed = data.draw(st.sampled_from([fuzzed_raw, fuzzed_cells]))
+    bundle = fuzzed(data, workspace / "pre" / variant, tmp_path_factory)
+    root = tmp_path_factory.mktemp("pre-fuzz")
+    bundle.rename(root / variant)
+    return root, variant
+
+
+def assert_runs_or_exits_2(argv, capsys):
+    capsys.readouterr()
+    code = main(argv)
+    if code != 0:
+        assert code == 2
+        assert_one_line_error(capsys)
+
+
+@pytest.fixture(scope="module")
+def explain_models(workspace):
+    """The model file of a merge and an ensemble C4.5 on each variant."""
+    paths = {}
+    for variant in VARIANTS:
+        for approach in ("merge", "ensemble"):
+            out = workspace / f"explain-{variant}-{approach}"
+            assert main([
+                "train", "--data", str(workspace / "pre"), "--variant", variant,
+                "--approach", approach, "--algorithm", "c45", "--out", str(out),
+            ]) == 0
+            paths[(variant, approach)] = out / "model.json"
+    return paths
+
+
 class TestBundleFuzz:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -806,15 +840,48 @@ class TestBundleFuzz:
     @given(data=st.data())
     def test_select_runs_or_exits_2(self, data, workspace, tmp_path_factory, capsys):
         """``select`` on a fuzzed preprocessed bundle exits 0, or 2 with a one-line error."""
-        variant = data.draw(st.sampled_from(VARIANTS))
-        bundle = fuzzed_raw(data, workspace / "pre" / variant, tmp_path_factory)
-        root = tmp_path_factory.mktemp("select-fuzz")
-        bundle.rename(root / variant)
-        capsys.readouterr()
-        code = main(["select", "--data", str(root), "--variant", variant])
-        if code != 0:
-            assert code == 2
-            assert_one_line_error(capsys)
+        root, variant = fuzzed_pre(data, workspace, tmp_path_factory)
+        assert_runs_or_exits_2(["select", "--data", str(root), "--variant", variant], capsys)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_train_runs_or_exits_2(self, data, workspace, tmp_path_factory, capsys):
+        """``train`` on a fuzzed preprocessed bundle exits 0, or 2 with a one-line error."""
+        root, variant = fuzzed_pre(data, workspace, tmp_path_factory)
+        approach = data.draw(st.sampled_from(["merge", "ensemble-select"]))
+        assert_runs_or_exits_2([
+            "train", "--data", str(root), "--variant", variant, "--approach", approach,
+            "--algorithm", "c45", "--out", str(root / "model"),
+        ], capsys)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_eval_runs_or_exits_2(self, data, workspace, tmp_path_factory, capsys):
+        """``eval`` on a fuzzed preprocessed bundle exits 0, or 2 with a one-line error."""
+        root, variant = fuzzed_pre(data, workspace, tmp_path_factory)
+        approach = data.draw(st.sampled_from(["merge", "ensemble-select"]))
+        assert_runs_or_exits_2([
+            "eval", "--data", str(root), "--variant", variant, "--approach", approach,
+            "--algorithm", "c45", "--k", "3",
+        ], capsys)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_explain_student_runs_or_exits_2(
+        self, data, workspace, explain_models, tmp_path_factory, capsys
+    ):
+        """``explain --student`` with a fuzzed preprocessed bundle exits 0, or 2
+        with a one-line error."""
+        root, variant = fuzzed_pre(data, workspace, tmp_path_factory)
+        approach = data.draw(st.sampled_from(["merge", "ensemble"]))
+        assert_runs_or_exits_2([
+            "explain", "--model", str(explain_models[(variant, approach)]),
+            "--student", str(data.draw(st.integers(0, 56))),
+            "--data", str(root), "--variant", variant,
+        ], capsys)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -824,20 +891,88 @@ class TestBundleFuzz:
     ):
         """``experiment --weight-search`` on a preprocessed bundle with a fuzzed
         schema, line or cells exits 0, or 2 with a one-line error."""
-        variant = data.draw(st.sampled_from(VARIANTS))
-        fuzzed = data.draw(st.sampled_from([fuzzed_raw, fuzzed_cells]))
-        bundle = fuzzed(data, workspace / "pre" / variant, tmp_path_factory)
-        root = tmp_path_factory.mktemp("experiment-fuzz")
-        bundle.rename(root / variant)
-        capsys.readouterr()
-        code = main([
+        root, variant = fuzzed_pre(data, workspace, tmp_path_factory)
+        assert_runs_or_exits_2([
             "experiment", "--data", str(root), "--variant", variant, "--weight-search",
             "--approach", "ensemble", "--algorithm", "c45", "--k", "3",
             "--out", str(root / "reports"),
-        ])
-        if code != 0:
-            assert code == 2
-            assert_one_line_error(capsys)
+        ], capsys)
+
+
+def empty_first_class_cell(pre: Path) -> None:
+    for variant in VARIANTS:
+        path = pre / variant / "exam.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        student, _status = lines[1].split(",")
+        lines[1] = f"{student},"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def drop_exam_schema(pre: Path) -> None:
+    for variant in VARIANTS:
+        path = pre / variant / "schema.json"
+        schemas = json.loads(path.read_text(encoding="utf-8"))
+        del schemas["exam"]
+        path.write_text(json.dumps(schemas), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def bad_class_bundles(workspace):
+    """Preprocessed cohorts whose class a command cannot use, by case name."""
+    roots = {}
+    for case, damage in (("no-exam", drop_exam_schema), ("empty-class-cell", empty_first_class_cell)):
+        roots[case] = workspace / f"bad-{case}"
+        shutil.copytree(workspace / "pre", roots[case])
+        damage(roots[case])
+    raw = workspace / "raw-no-dropout"
+    assert main(["synth", "--n", "57", "--proportions", "30", "27", "0", "--seed", "5",
+                 "--out", str(raw)]) == 0
+    roots["class-without-student"] = workspace / "bad-class-without-student"
+    assert main(["preprocess", "--data", str(raw), "--out", str(roots["class-without-student"])]) == 0
+    return roots
+
+
+BAD_CLASS_MESSAGES = {
+    "no-exam": "error: bundle lacks the exam (class) source\n",
+    "empty-class-cell": "error: class column must not contain missing values\n",
+    "class-without-student": "error: class 'Dropout' has no student in the cohort\n",
+}
+
+BAD_CLASS_COMMANDS = {
+    "select": ["select", "--variant", "discretized"],
+    "train": ["train", "--variant", "numeric", "--algorithm", "c45"],
+    "eval": ["eval", "--variant", "discretized", "--algorithm", "c45", "--k", "3"],
+    "experiment": ["experiment", "--variant", "both", "--algorithm", "c45", "--k", "3"],
+    "experiment-weight-search": [
+        "experiment", "--variant", "discretized", "--algorithm", "c45", "--k", "3",
+        "--weight-search",
+    ],
+}
+
+
+class TestBadClass:
+    """Bundles whose class is missing, holds an empty cell, or lacks a
+    student of one label exit 2 in one line and write nothing.  Training on
+    a class without a student works, so only the fold commands refuse it."""
+
+    @pytest.mark.parametrize("case, command", [
+        (case, command)
+        for case in ("no-exam", "empty-class-cell")
+        for command in BAD_CLASS_COMMANDS
+    ] + [
+        ("class-without-student", command)
+        for command in ("eval", "experiment", "experiment-weight-search")
+    ])
+    def test_exits_2_in_one_line(self, bad_class_bundles, tmp_path, capsys, case, command):
+        name, *flags = BAD_CLASS_COMMANDS[command]
+        if name in ("train", "experiment"):
+            flags += ["--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main([name, "--data", str(bad_class_bundles[case])] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == BAD_CLASS_MESSAGES[case]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestNonFiniteCell:

@@ -206,9 +206,11 @@ def _algorithm_list(text: str) -> list[str]:
     names = [t.strip() for t in text.split(",") if t.strip()]
     if not names:
         raise CliError(f"no algorithm named in {text!r}", 2)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in ALGORITHMS:
             raise CliError(f"unknown algorithm {name!r}", 2)
+        if name in names[:i]:
+            raise CliError(f"algorithm {name!r} is named more than once", 2)
     return names
 
 

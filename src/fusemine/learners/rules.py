@@ -309,34 +309,43 @@ def _holdout(rs: _RowSets, rows: int, seed: int, folds: int) -> tuple[int, int]:
     return rs.of(grow), rs.of(prune)
 
 
-def _learn_class_rules(rs: _RowSets, universe: int, cls, seed, folds, dl_slack):
-    """Grow/prune covering loop for one class with a DL stopping budget."""
-    n_possible = _count_possible_conditions(rs.enc, rs.rows(universe))
+def _cover(
+    rs: _RowSets, rules, universe: int, cls, seed, first_rule_no, folds, dl_slack, n_possible,
+    stop_on_prune_errors,
+):
+    """Grow/prune covering loop for one class: extend a copy of ``rules``
+    until the class's rows of ``universe`` that it leaves uncovered run
+    out, a rule prunes to nothing or covers none of them, or the ruleset's
+    description length passes its minimum by more than ``dl_slack``.  With
+    ``stop_on_prune_errors``, a rule that errs on most of the prune rows it
+    covers also ends the loop."""
+    rules = list(rules)
     positives = rs.by_class[cls]
-    rules: list[tuple] = []
     data = universe
-    dl_min = _ruleset_dl(rs, [], universe, cls, n_possible)
-    rule_no = 0
+    for conds, _ in rules:
+        data &= ~rs.rule(conds)
+    dl_min = _ruleset_dl(rs, [c for c, _ in rules], universe, cls, n_possible)
+    rule_no = first_rule_no
     while data & positives:
         rule_no += 1
         grow, prune = _holdout(rs, data, seed + 7919 * rule_no, folds)
-        conds = _grow_rule(rs, grow, cls)
-        conds = _prune_rule(rs, prune, cls, conds)
+        conds = _prune_rule(rs, prune, cls, _grow_rule(rs, grow, cls))
         if not conds:
             break
-        p, n = _coverage(rs, conds, data, cls)
+        p, _ = _coverage(rs, conds, data, cls)
         if p == 0:
             break
-        pp, pn = _coverage(rs, conds, prune, cls)
-        if pp + pn > 0 and pp < pn:
-            break
+        if stop_on_prune_errors:
+            pp, pn = _coverage(rs, conds, prune, cls)
+            if pp + pn > 0 and pp < pn:
+                break
         dl = _ruleset_dl(rs, [c for c, _ in rules] + [conds], universe, cls, n_possible)
         if dl > dl_min + dl_slack:
             break
         dl_min = min(dl_min, dl)
         rules.append((conds, cls))
         data &= ~rs.rule(conds)
-    return rules, n_possible
+    return rules
 
 
 def _optimize_class_rules(rs: _RowSets, rules, universe: int, cls, seed, folds, n_possible):
@@ -371,31 +380,9 @@ def _optimize_class_rules(rs: _RowSets, rules, universe: int, cls, seed, folds, 
     return rules
 
 
-def _residual_and_cleanup(
-    rs: _RowSets, rules, universe: int, cls, seed, folds, dl_slack, n_possible
-):
+def _drop_unpaid(rs: _RowSets, rules, universe: int, cls, n_possible):
+    """Backward sweep: drop rules whose removal lowers the description length."""
     rules = list(rules)
-    data = universe
-    for conds, _ in rules:
-        data &= ~rs.rule(conds)
-    dl_min = _ruleset_dl(rs, [c for c, _ in rules], universe, cls, n_possible)
-    rule_no = 100
-    while data & rs.by_class[cls]:
-        rule_no += 1
-        grow, prune = _holdout(rs, data, seed + 7919 * rule_no, folds)
-        conds = _prune_rule(rs, prune, cls, _grow_rule(rs, grow, cls))
-        if not conds:
-            break
-        p, _ = _coverage(rs, conds, data, cls)
-        if p == 0:
-            break
-        dl = _ruleset_dl(rs, [c for c, _ in rules] + [conds], universe, cls, n_possible)
-        if dl > dl_min + dl_slack:
-            break
-        dl_min = min(dl_min, dl)
-        rules.append((conds, cls))
-        data &= ~rs.rule(conds)
-    # Backward sweep: drop rules whose removal lowers the description length.
     changed = True
     while changed and len(rules) > 1:
         changed = False
@@ -423,16 +410,18 @@ def build_ripper_rules(enc: Encoded, idx, seed: int, holdout_folds: int, dl_slac
     all_rules: list[tuple] = []
     for stage_no, cls in enumerate(stages):
         stage_seed = seed + 15485863 * (stage_no + 1)
-        stage_rules, n_possible = _learn_class_rules(
-            rs, remaining, cls, stage_seed, holdout_folds, dl_slack
+        n_possible = _count_possible_conditions(enc, rs.rows(remaining))
+        stage_rules = _cover(
+            rs, [], remaining, cls, stage_seed, 0, holdout_folds, dl_slack, n_possible, True
         )
         stage_rules = _optimize_class_rules(
             rs, stage_rules, remaining, cls, stage_seed + 1, holdout_folds, n_possible
         )
-        stage_rules = _residual_and_cleanup(
-            rs, stage_rules, remaining, cls, stage_seed + 2, holdout_folds, dl_slack,
-            n_possible,
+        stage_rules = _cover(
+            rs, stage_rules, remaining, cls, stage_seed + 2, 100, holdout_folds, dl_slack,
+            n_possible, False,
         )
+        stage_rules = _drop_unpaid(rs, stage_rules, remaining, cls, n_possible)
         all_rules.extend(stage_rules)
         for conds, _ in stage_rules:
             remaining &= ~rs.rule(conds)

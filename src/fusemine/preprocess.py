@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -182,7 +183,6 @@ def anonymize(bundle: SourceBundle, seed: int) -> tuple[SourceBundle, dict]:
     if not names:
         return bundle, {}
     first = bundle[names[0]]
-    id_spec = first.specs[first.id_index]
     originals = sorted(set(first.id_values()), key=lambda v: str(v))
     rng = random.Random(seed)
     fresh = rng.sample(range(10_000_000, 100_000_000), len(originals))
@@ -194,13 +194,18 @@ def anonymize(bundle: SourceBundle, seed: int) -> tuple[SourceBundle, dict]:
         idx = table.id_index
         specs = list(table.specs)
         specs[idx] = AttributeSpec.numeric(specs[idx].name, role=ROLE_ID)
-        rows = []
-        for row in table.rows:
-            row = list(row)
-            row[idx] = mapping[row[idx]]
-            rows.append(tuple(row))
+        rows = [row[:idx] + (mapping[row[idx]],) + row[idx + 1:] for row in table.rows]
         new_sources[name] = DataTable(specs, rows)
     return SourceBundle(new_sources), mapping
+
+
+def _value_range(column: Sequence[float | None], message: str) -> tuple[float, float]:
+    """The (minimum, maximum) of a column's present values; a column with
+    none raises ``EmptyColumnError`` with ``message``."""
+    present = [v for v in column if v is not None]
+    if not present:
+        raise EmptyColumnError(message)
+    return min(present), max(present)
 
 
 def min_max_normalize(
@@ -211,10 +216,8 @@ def min_max_normalize(
     Values outside fitted ``params`` clamp to the nearer end.
     """
     if params is None:
-        present = [v for v in column if v is not None]
-        if not present:
-            raise EmptyColumnError("cannot normalize a column with no values")
-        params = NormalizationParams(min(present), max(present))
+        lo, hi = _value_range(column, "cannot normalize a column with no values")
+        params = NormalizationParams(lo, hi)
     rescaled = []
     for v in column:
         out = params.apply(v)
@@ -234,10 +237,8 @@ def equal_width_discretize(
     the first bin.
     """
     if params is None:
-        present = [v for v in column if v is not None]
-        if not present:
-            raise EmptyColumnError("cannot discretize a column with no values")
-        params = BinningParams(minimum=min(present), maximum=max(present))
+        lo, hi = _value_range(column, "cannot discretize a column with no values")
+        params = BinningParams(minimum=lo, maximum=hi)
     lo, hi, n_bins = params.minimum, params.maximum, params.n_bins
     return [None if v is None else equal_width_bin(v, lo, hi, n_bins) for v in column], params
 
@@ -253,21 +254,21 @@ def label_class(exam_score: float | None, rule: ClassRule | None = None) -> str:
     return passed if exam_score >= rule.pass_threshold else failed
 
 
-def _session_groups(table: DataTable):
-    """Yield output column plan: ('plain', idx) or ('group', base, [idx...])."""
-    seen_groups: dict[str, list[int]] = {}
-    plan = []
-    for i, spec in enumerate(table.specs):
-        match = _SESSION_RE.match(spec.name)
-        if match is None or spec.role != ROLE_INPUT:
-            plan.append(("plain", i))
-            continue
-        base = match.group("base")
-        if base not in seen_groups:
-            seen_groups[base] = []
-            plan.append(("group", base, seen_groups[base]))
-        seen_groups[base].append(i)
-    return plan
+def _mean_of(members: list[int]):
+    def fuse(row):
+        values = [row[i] for i in members if row[i] is not None]
+        return sum(values) / len(values) if values else None
+    return fuse
+
+
+def _mode_of(members: list[int]):
+    def fuse(row):
+        counts = Counter([row[i] for i in members if row[i] is not None])
+        if not counts:
+            return None
+        top = max(counts.values())
+        return min(v for v, c in counts.items() if c == top)
+    return fuse
 
 
 def fuse_sessions(table: DataTable) -> DataTable:
@@ -277,39 +278,28 @@ def fuse_sessions(table: DataTable) -> DataTable:
     the most frequent label, ties breaking to the smallest label index.
     Columns without a session suffix pass through unchanged.
     """
-    plan = _session_groups(table)
     specs = []
-    for entry in plan:
-        if entry[0] == "plain":
-            specs.append(table.specs[entry[1]])
+    fusers = []
+    groups: dict[str, list[int]] = {}
+    for i, spec in enumerate(table.specs):
+        match = _SESSION_RE.match(spec.name)
+        if match is None or spec.role != ROLE_INPUT:
+            specs.append(spec)
+            fusers.append(operator.itemgetter(i))
             continue
-        _, base, members = entry
-        kinds = {table.specs[i].kind for i in members}
-        label_sets = {table.specs[i].labels for i in members}
-        if len(kinds) != 1 or len(label_sets) != 1:
+        base = match.group("base")
+        members = groups.get(base)
+        if members is None:
+            # Later columns of the group join ``members`` before the fuser reads a row.
+            groups[base] = members = [i]
+            specs.append(replace(spec, name=base))
+            fusers.append((_mean_of if spec.is_numeric else _mode_of)(members))
+            continue
+        first = table.specs[members[0]]
+        if (spec.kind, spec.labels) != (first.kind, first.labels):
             raise MixedKindGroupError(f"session columns of {base!r} disagree on kind")
-        proto = table.specs[members[0]]
-        specs.append(replace(proto, name=base))
-
-    rows = []
-    for row in table.rows:
-        out = []
-        for entry in plan:
-            if entry[0] == "plain":
-                out.append(row[entry[1]])
-                continue
-            _, base, members = entry
-            values = [row[i] for i in members if row[i] is not None]
-            if not values:
-                out.append(None)
-            elif table.specs[members[0]].is_numeric:
-                out.append(sum(values) / len(values))
-            else:
-                counts = Counter(values)
-                top = max(counts.values())
-                out.append(min(v for v, c in counts.items() if c == top))
-        rows.append(tuple(out))
-    return DataTable(specs, rows)
+        members.append(i)
+    return DataTable(specs, [tuple([fuse(row) for fuse in fusers]) for row in table.rows])
 
 
 def _class_table(exam: DataTable, rule: ClassRule) -> DataTable:
@@ -380,23 +370,20 @@ def transform_fused(
             numeric_sources[name] = table
             discrete_sources[name] = table
             continue
-        num_specs, num_cols = [], []
-        dis_specs, dis_cols = [], []
+        num_cols, dis_specs, dis_cols = [], [], []
         for i, spec in enumerate(table.specs):
             column = [row[i] for row in table.rows]
             if spec.role == ROLE_INPUT and spec.is_numeric:
                 bins = binning[spec.name]
-                num_specs.append(spec)
                 num_cols.append(min_max_normalize(column, normalization[spec.name])[0])
                 dis_specs.append(AttributeSpec.nominal(spec.name, bins.labels, role=ROLE_INPUT))
                 dis_cols.append(equal_width_discretize(column, bins)[0])
             else:
-                num_specs.append(spec)
                 num_cols.append(column)
                 dis_specs.append(spec)
                 dis_cols.append(column)
-        numeric_sources[name] = DataTable(num_specs, list(zip(*num_cols)) if num_cols else [])
-        discrete_sources[name] = DataTable(dis_specs, list(zip(*dis_cols)) if dis_cols else [])
+        numeric_sources[name] = DataTable(table.specs, list(zip(*num_cols)))
+        discrete_sources[name] = DataTable(dis_specs, list(zip(*dis_cols)))
     return SourceBundle(numeric_sources), SourceBundle(discrete_sources)
 
 
@@ -413,10 +400,7 @@ def fit_params(
             if spec.role != ROLE_INPUT or not spec.is_numeric:
                 continue
             column = [row[i] for row in table.rows]
-            present = [v for v in column if v is not None]
-            if not present:
-                raise EmptyColumnError(f"column {spec.name!r} has no values")
-            lo, hi = min(present), max(present)
+            lo, hi = _value_range(column, f"column {spec.name!r} has no values")
             normalization[spec.name] = NormalizationParams(lo, hi)
             binning[spec.name] = BinningParams(
                 n_bins=config.n_bins, labels=config.bin_labels, minimum=lo, maximum=hi

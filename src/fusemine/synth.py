@@ -96,6 +96,8 @@ class CohortSpec:
     value_bias: Mapping[str, Mapping[str, float]] | None = None
 
     def __post_init__(self):
+        if any(count < 0 for count in self.class_counts):
+            raise SchemaMismatchError("class counts must not be negative")
         if sum(self.class_counts) != self.n_students:
             raise SchemaMismatchError("class counts must sum to the cohort size")
         if not 0.0 <= self.noise_rate <= 1.0:

@@ -47,6 +47,14 @@ class TestSynth:
         for name in ("theory.csv", "practice.csv", "online.csv", "exam.csv", "truth.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_negative_class_count_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "raw"
+        capsys.readouterr()
+        argv = ["synth", "--n", "60", "--proportions", "70", "-5", "-5", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: class counts must not be negative\n"
+        assert not out.exists()
+
 
 class TestPreprocess:
     def test_writes_both_variants_and_params(self, workspace):
@@ -251,7 +259,7 @@ class TestExperiment:
             "ensemble", "ensemble-select", "merge", "select",
         ]
 
-    @pytest.mark.parametrize("algorithms", [",", "cart"])
+    @pytest.mark.parametrize("algorithms", [",", "cart", "c45,c45", "c45, part ,c45"])
     def test_bad_algorithm_list_exits_2(self, workspace, tmp_path, capsys, algorithms):
         capsys.readouterr()
         assert main([
@@ -260,6 +268,19 @@ class TestExperiment:
             "--out", str(tmp_path / "r"),
         ]) == 2
         assert_one_line_error(capsys)
+        assert not (tmp_path / "r").exists()
+
+    def test_repeated_algorithm_in_run_config_exits_2(self, workspace, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"algorithm": "c45,c45"}), encoding="utf-8")
+        capsys.readouterr()
+        assert main([
+            "experiment", "--data", str(workspace / "pre"), "--variant", "discretized",
+            "--approach", "merge", "--k", "3", "--config", str(config),
+            "--out", str(tmp_path / "r"),
+        ]) == 2
+        assert capsys.readouterr().err == "error: algorithm 'c45' is named more than once\n"
+        assert not (tmp_path / "r").exists()
 
 
 SEARCH_PAIRS = [
@@ -773,11 +794,44 @@ def fuzzed_cells(data, bundle, tmp_path_factory) -> Path:
     return raw
 
 
+FINITE_NUMBERS = st.one_of(
+    st.sampled_from([1e308, -1e308, -0.0, 5e-324, -5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def fuzzed_kind_cells(data, bundle, tmp_path_factory) -> Path:
+    """A copy of the ``bundle`` directory with up to four CSV cells replaced
+    by a value of the column's kind in ``schema.json`` (a finite number or
+    one of the column's labels) or by an empty cell.  Id cells are left
+    alone: the other fuzzers cover a damaged id, which no learner sees."""
+    raw = tmp_path_factory.mktemp("kind-fuzz")
+    for path in bundle.iterdir():
+        shutil.copy(path, raw)
+    schemas = json.loads((raw / "schema.json").read_text(encoding="utf-8"))
+    for _ in range(data.draw(st.integers(1, 4))):
+        source = data.draw(st.sampled_from(sorted(schemas)))
+        path = raw / f"{source}.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        at = data.draw(st.integers(1, len(lines) - 1))
+        cells = lines[at].split(",")
+        schema = schemas[source]
+        column = data.draw(st.sampled_from(
+            [i for i, entry in enumerate(schema) if entry["role"] != "id"]
+        ))
+        labels = schema[column].get("labels")
+        values = st.sampled_from(labels) if labels else FINITE_NUMBERS.map(repr)
+        cells[column] = data.draw(values | st.just(""))
+        lines[at] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return raw
+
+
 def fuzzed_pre(data, workspace, tmp_path_factory) -> tuple[Path, str]:
     """A data root holding one preprocessed variant with a fuzzed schema,
     line or cells, and the variant's name."""
     variant = data.draw(st.sampled_from(VARIANTS))
-    fuzzed = data.draw(st.sampled_from([fuzzed_raw, fuzzed_cells]))
+    fuzzed = data.draw(st.sampled_from([fuzzed_raw, fuzzed_cells, fuzzed_kind_cells]))
     bundle = fuzzed(data, workspace / "pre" / variant, tmp_path_factory)
     root = tmp_path_factory.mktemp("pre-fuzz")
     bundle.rename(root / variant)

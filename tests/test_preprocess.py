@@ -236,6 +236,16 @@ class TestFuseSessions:
         with pytest.raises(MixedKindGroupError):
             fuse_sessions(table)
 
+    def test_group_with_differing_labels_rejected(self):
+        specs = [
+            AttributeSpec.numeric("id", role="id"),
+            AttributeSpec.nominal("A.s1", ("x", "y")),
+            AttributeSpec.nominal("A.s2", ("y", "x")),
+        ]
+        table = DataTable(specs, [(1.0, 0, 0)])
+        with pytest.raises(MixedKindGroupError):
+            fuse_sessions(table)
+
     def test_missing_sessions_ignored(self):
         table = session_table([(2.0, None, 4.0)])
         assert fuse_sessions(table).rows[0][1] == 3.0

@@ -115,6 +115,10 @@ class TestGenerate:
         with pytest.raises(SchemaMismatchError):
             CohortSpec(n_students=10, class_counts=(5, 5, 5))
 
+    def test_negative_class_count_rejected(self):
+        with pytest.raises(SchemaMismatchError, match="must not be negative"):
+            CohortSpec(n_students=10, class_counts=(20, -5, -5))
+
     def test_rule_mix_shifts_usage(self):
         mix = {"Pass": {0: 1.0}}  # every Pass student satisfies rule 1 (Quiz=High)
         bundle, truth = generate(CohortSpec(seed=7, rule_mix=mix))

@@ -28,11 +28,11 @@ from .ensemble import (
     VoteModel,
     _source_with_class,
     check_vote_weights,
+    combine_votes,
     run_approach,
-    vote_predict_label,
     weight_search,
 )
-from .errors import FusemineError
+from .errors import FusemineError, InfeasibleRulesetError
 from .evaluation import (
     DEFAULT_ALGORITHM_ORDER,
     VARIANTS,
@@ -50,8 +50,10 @@ from .learners import (
     Model,
     RuleList,
     fired_rule_index,
+    majority,
     model_from_json,
     model_to_json,
+    predict,
     predict_label,
     render_rules,
     tree_paths,
@@ -279,7 +281,10 @@ def cmd_synth(args) -> int:
         noise_rate=args.noise,
         seed=args.seed,
     )
-    bundle, truth = generate(spec)
+    try:
+        bundle, truth = generate(spec)
+    except InfeasibleRulesetError as err:
+        raise CliError(str(err), 2) from err
     out = Path(args.out)
     save_bundle(bundle, out)
     _atomic_write(out / "truth.csv", truth)
@@ -486,18 +491,19 @@ def _student_row(model: Model, table: DataTable, student: int) -> tuple:
 
 
 def _explain_vote_student(model: VoteModel, bundle, student: int) -> int:
-    parts = {}
+    dists = {}
     for name, base in model.models.items():
         if name not in bundle or "exam" not in bundle:
             raise CliError(f"the data lacks the {name!r} or 'exam' source", 2)
-        parts[name] = _student_row(base, _source_with_class(bundle, name), student)
+        dists[name] = predict(base, _student_row(base, _source_with_class(bundle, name), student))
     print()
+    labels = model.class_labels
     for name in SOURCE_ORDER:
-        if name not in model.models:
-            continue
-        label = predict_label(model.models[name], parts[name])
-        print(f"student {student}: {SOURCE_DISPLAY[name]} model votes {label}")
-    print(f"student {student}: combined vote -> {vote_predict_label(model, parts)}")
+        if name in dists:
+            label = labels[majority(dists[name])]
+            print(f"student {student}: {SOURCE_DISPLAY[name]} model votes {label}")
+    label = labels[majority(combine_votes(dists, model.weights))]
+    print(f"student {student}: combined vote -> {label}")
     return 0
 
 

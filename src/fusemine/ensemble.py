@@ -65,6 +65,10 @@ class VoteModel:
     def __post_init__(self):
         if not self.models:
             raise InvalidParamsError("a vote needs at least one base model")
+        if not set(self.models) <= set(INPUT_SOURCES):
+            raise InvalidParamsError(
+                f"vote base models {sorted(self.models)} are not all input sources {INPUT_SOURCES}"
+            )
         if set(self.weights) != set(self.models):
             raise InvalidParamsError(
                 f"vote weights {sorted(self.weights)} do not match the base models "
@@ -123,17 +127,8 @@ def vote_predict(vote_model: VoteModel, rows_by_source: Mapping[str, Sequence]) 
     missing = set(vote_model.models) - set(rows_by_source)
     if missing:
         raise SchemaMismatchError(f"instance lacks parts for sources {sorted(missing)}")
-    labels = vote_model.class_labels
-    dists = {}
-    for name, model in vote_model.models.items():
-        if model.class_labels != labels:
-            raise SchemaMismatchError("base models disagree on class labels")
-        dists[name] = predict(model, rows_by_source[name])
+    dists = {name: predict(m, rows_by_source[name]) for name, m in vote_model.models.items()}
     return combine_votes(dists, vote_model.weights)
-
-
-def vote_predict_label(vote_model: VoteModel, rows_by_source) -> str:
-    return vote_model.class_labels[majority(vote_predict(vote_model, rows_by_source))]
 
 
 @dataclass

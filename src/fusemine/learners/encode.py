@@ -19,7 +19,6 @@ from ..tabular import ROLE_INPUT, AttributeSpec, DataTable
 @dataclass
 class Encoded:
     specs: tuple[AttributeSpec, ...]
-    class_idx: int
     input_idx: tuple[int, ...]
     class_labels: tuple[str, ...]
     y: list[int]
@@ -92,7 +91,6 @@ def encode_table(table: DataTable) -> Encoded:
             cols[i] = [missing_slot if v is None else v for v in raw]
     return Encoded(
         specs=table.specs,
-        class_idx=class_idx,
         input_idx=input_idx,
         class_labels=tuple(class_spec.labels),
         y=y,

@@ -10,6 +10,7 @@ probability one.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence, Union
@@ -306,12 +307,16 @@ def _exemplar_distribution(model: Model, structure: ExemplarSet, enc_values) -> 
     return tuple(w / total for w in weights)
 
 
-def predict(model: Model, row: Sequence) -> tuple[float, ...]:
-    """Class probability distribution for one in-schema row."""
+def _check_length(model: Model, row: Sequence) -> None:
     if len(row) != len(model.specs):
         raise SchemaMismatchError(
             f"instance has {len(row)} values, schema expects {len(model.specs)}"
         )
+
+
+def predict(model: Model, row: Sequence) -> tuple[float, ...]:
+    """Class probability distribution for one in-schema row."""
+    _check_length(model, row)
     if model.metadata.get("degenerate"):
         target = model.metadata["constant_class"]
         return tuple(1.0 if label == target else 0.0 for label in model.class_labels)
@@ -335,6 +340,7 @@ def fired_rule_index(model: Model, row: Sequence) -> int:
     structure = model.structure
     if not isinstance(structure, RuleList):
         raise SchemaMismatchError("model is not a rule list")
+    _check_length(model, row)
     enc_values = encode_row(
         model.specs, model.input_indices, model.metadata.get("numeric_fill", {}), row
     )
@@ -448,6 +454,123 @@ def _structure_from_dict(data) -> Structure:
     )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_index(value, n: int) -> bool:
+    return type(value) is int and 0 <= value < n
+
+
+def _check_counts(counts, k: int, what: str) -> None:
+    if len(counts) != k or not all(_is_number(c) and c >= 0 for c in counts):
+        raise SchemaMismatchError(f"{what} needs {k} non-negative class counts")
+
+
+def _input_spec(model: Model, attr, what: str) -> AttributeSpec:
+    """The input attribute that ``attr``, an index or a name, denotes."""
+    index = model._index_by_name.get(attr) if isinstance(attr, str) else attr
+    if type(index) is not int or index not in model.input_indices:
+        raise SchemaMismatchError(f"{what} tests {attr!r}, which is not an input attribute")
+    return model.specs[index]
+
+
+def _check_tree(model: Model, root) -> None:
+    k = len(model.class_labels)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if not _is_index(node.cls, k):
+            raise SchemaMismatchError(f"tree node class {node.cls!r} is not a class index")
+        _check_counts(node.counts, k, "a tree node")
+        if isinstance(node, Leaf):
+            continue
+        spec = _input_spec(model, node.attr, "a split")
+        if spec.is_numeric:
+            need = "a finite threshold and two children"
+            fits = _is_number(node.threshold) and len(node.children) == 2
+        else:
+            need = "no threshold and a child per label"
+            n_labels = len(spec.labels)
+            fits = node.threshold is None and len(node.children) in (n_labels, n_labels + 1)
+        if not fits:
+            raise SchemaMismatchError(f"a split on {spec.name!r} needs {need}")
+        stack.extend(node.children)
+
+
+def _check_rules(model: Model, rules: RuleList) -> None:
+    for no, rule in enumerate(rules.rules, start=1):
+        if rule.cls not in model.class_labels:
+            raise SchemaMismatchError(f"rule {no} concludes {rule.cls!r}, not a class label")
+        if rule.counts:
+            _check_counts(rule.counts, len(model.class_labels), f"rule {no}")
+        for cond in rule.conditions:
+            spec = _input_spec(model, cond.attr, f"rule {no}")
+            if spec.is_nominal:
+                fits = cond.op == "=" and cond.value in (*spec.labels, "?")
+            else:
+                fits = cond.op != "=" and _is_number(cond.value)
+            if not fits:
+                raise SchemaMismatchError(
+                    f"rule {no}: {cond.attr} {cond.op} {cond.value!r} does not fit "
+                    f"the {spec.kind} attribute"
+                )
+
+
+def _check_exemplars(model: Model, structure: ExemplarSet) -> None:
+    numeric = {i for i in model.input_indices if model.specs[i].is_numeric}
+    nominal = set(model.input_indices) - numeric
+
+    def interval(lo, hi) -> bool:
+        return _is_number(lo) and _is_number(hi) and lo <= hi
+
+    for i, bounds in structure.ranges.items():
+        if i not in numeric or len(bounds) != 2 or not interval(*bounds):
+            raise SchemaMismatchError(f"range of attribute {i} is not a numeric input's interval")
+    for no, ex in enumerate(structure.exemplars, start=1):
+        fits = (
+            _is_index(ex.cls, len(model.class_labels))
+            and type(ex.n_members) is int
+            and ex.n_members > 0
+            and set(ex.lo) == set(ex.hi) == numeric
+            and all(interval(ex.lo[i], ex.hi[i]) for i in numeric)
+            and set(ex.label_sets) == nominal
+            and all(
+                values and all(_is_index(v, len(model.specs[i].labels) + 1) for v in values)
+                for i, values in ex.label_sets.items()
+            )
+        )
+        if not fits:
+            raise SchemaMismatchError(
+                f"exemplar {no} needs a class index, a member count, an interval for "
+                "every numeric input and label slots for every nominal input"
+            )
+
+
+def _check_model(model: Model) -> None:
+    """Raise ``SchemaMismatchError`` unless the model fits its own schema,
+    so that rendering it and predicting with it cannot fail."""
+    labels = model.class_labels
+    if not all(isinstance(c, str) for c in labels) or not 0 < len(set(labels)) == len(labels):
+        raise SchemaMismatchError("class labels must be distinct strings")
+    if len({s.name for s in model.specs}) != len(model.specs):
+        raise SchemaMismatchError("attribute names must be distinct")
+    if not isinstance(model.algorithm, str) or not isinstance(model.metadata, dict):
+        raise SchemaMismatchError("a model needs an algorithm name and a metadata object")
+    fill = model.metadata.get("numeric_fill", {})
+    if not isinstance(fill, dict) or not all(_is_number(v) for v in fill.values()):
+        raise SchemaMismatchError("numeric_fill must map attribute names to finite numbers")
+    if model.metadata.get("degenerate") and model.metadata.get("constant_class") not in labels:
+        raise SchemaMismatchError("a degenerate model needs a class label as its constant_class")
+    structure = model.structure
+    if isinstance(structure, DecisionTree):
+        _check_tree(model, structure.root)
+    elif isinstance(structure, RuleList):
+        _check_rules(model, structure)
+    else:
+        _check_exemplars(model, structure)
+
+
 def model_to_json(model: Model) -> str:
     payload = {
         "algorithm": model.algorithm,
@@ -460,11 +583,15 @@ def model_to_json(model: Model) -> str:
 
 
 def model_from_json(text: str) -> Model:
+    """Parse ``model_to_json`` output; a model that does not fit its own
+    schema is a schema mismatch."""
     payload = json.loads(text)
-    return Model(
+    model = Model(
         algorithm=payload["algorithm"],
         specs=schema_from_json(json.dumps(payload["schema"])),
         class_labels=tuple(payload["class_labels"]),
         structure=_structure_from_dict(payload["structure"]),
         metadata=payload["metadata"],
     )
+    _check_model(model)
+    return model

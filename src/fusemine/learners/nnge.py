@@ -9,32 +9,23 @@ when the merge would swallow an instance of another class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .encode import Encoded
 from .model import Exemplar, ExemplarSet, _distance_plan, _planned_distance
 
 
-@dataclass
-class _Box:
-    """A hyperrectangle with the fields of an ``Exemplar``, so prediction's
-    distance scores it, tight around its members."""
-
-    cls: int
-    lo: dict[int, float]
-    hi: dict[int, float]
-    label_sets: dict[int, set[int]]
-    members: list[dict]
-
-
-def _box_from_members(cls, members, numeric_attrs, nominal_attrs) -> _Box:
-    lo = {a: min(m[a] for m in members) for a in numeric_attrs}
-    hi = {a: max(m[a] for m in members) for a in numeric_attrs}
-    label_sets = {a: {m[a] for m in members} for a in nominal_attrs}
-    return _Box(cls=cls, lo=lo, hi=hi, label_sets=label_sets, members=list(members))
+def _box_from_members(cls, members, numeric_attrs, nominal_attrs):
+    """An exemplar tight around ``members``, paired with them."""
+    exemplar = Exemplar(
+        cls=cls,
+        lo={a: min(m[a] for m in members) for a in numeric_attrs},
+        hi={a: max(m[a] for m in members) for a in numeric_attrs},
+        label_sets={a: frozenset(m[a] for m in members) for a in nominal_attrs},
+        n_members=len(members),
+    )
+    return exemplar, members
 
 
-def _covers(box: _Box, vals, numeric_attrs, nominal_attrs) -> bool:
+def _covers(box: Exemplar, vals, numeric_attrs, nominal_attrs) -> bool:
     for a in numeric_attrs:
         v = vals[a]
         if v < box.lo[a] or v > box.hi[a]:
@@ -45,12 +36,15 @@ def _covers(box: _Box, vals, numeric_attrs, nominal_attrs) -> bool:
     return True
 
 
-def _swallows(box: _Box, seen_by_class, numeric_attrs, nominal_attrs) -> bool:
-    """Whether ``box`` covers an instance already seen of another class."""
-    for other_cls, others in seen_by_class.items():
-        if other_cls != box.cls:
-            for ovals in others:
-                if _covers(box, ovals, numeric_attrs, nominal_attrs):
+def _swallows(box: Exemplar, boxes, numeric_attrs, nominal_attrs) -> bool:
+    """Whether ``box`` covers an instance already seen of another class.
+
+    Every instance seen so far is a member of exactly one of ``boxes``.
+    """
+    for other, members in boxes:
+        if other.cls != box.cls:
+            for m in members:
+                if _covers(box, m, numeric_attrs, nominal_attrs):
                     return True
     return False
 
@@ -109,58 +103,45 @@ def build_nnge(enc: Encoded, idx):
         ranges[a] = (lo, hi)
         spans[a] = hi - lo
 
-    boxes: list[_Box] = []
-    seen_by_class: dict[int, list[dict]] = {}
+    boxes: list[tuple[Exemplar, list[dict]]] = []
     for i in idx:
         vals = {a: enc.cols[a][i] for a in enc.input_idx}
         cls = enc.y[i]
         conflicts = [
-            j for j, b in enumerate(boxes)
-            if b.cls != cls and _covers(b, vals, numeric_attrs, nominal_attrs)
+            j for j, (ex, _) in enumerate(boxes)
+            if ex.cls != cls and _covers(ex, vals, numeric_attrs, nominal_attrs)
         ]
         # Last to first, so a split does not shift the positions still to do.
         for j in reversed(conflicts):
-            box = boxes[j]
-            groups = _exclude_members(box.members, vals, numeric_attrs, nominal_attrs, spans)
+            ex, members = boxes[j]
+            groups = _exclude_members(members, vals, numeric_attrs, nominal_attrs, spans)
             # A covering box is tight around its members, so a split leaves
             # two groups or more; one group is every member, and would
             # rebuild the box as it is.
             if len(groups) > 1:
                 boxes[j : j + 1] = [
-                    _box_from_members(box.cls, g, numeric_attrs, nominal_attrs) for g in groups
+                    _box_from_members(ex.cls, g, numeric_attrs, nominal_attrs) for g in groups
                 ]
         plan = _distance_plan(enc.specs, enc.input_idx, ranges, vals)
         nearest = None
-        for j, box in enumerate(boxes):
-            if box.cls != cls:
+        for j, (ex, _) in enumerate(boxes):
+            if ex.cls != cls:
                 continue
-            d = _planned_distance(box, plan)
+            d = _planned_distance(ex, plan)
             if nearest is None or d < nearest[0] - 1e-12:
                 nearest = (d, j)
         grown = None
         if nearest is not None:
-            box = boxes[nearest[1]]
-            grown = _Box(
+            ex, members = boxes[nearest[1]]
+            grown = Exemplar(
                 cls,
-                {a: min(box.lo[a], vals[a]) for a in numeric_attrs},
-                {a: max(box.hi[a], vals[a]) for a in numeric_attrs},
-                {a: box.label_sets[a] | {vals[a]} for a in nominal_attrs},
-                box.members + [vals],
+                {a: min(ex.lo[a], vals[a]) for a in numeric_attrs},
+                {a: max(ex.hi[a], vals[a]) for a in numeric_attrs},
+                {a: ex.label_sets[a] | {vals[a]} for a in nominal_attrs},
+                len(members) + 1,
             )
-        if grown is None or _swallows(grown, seen_by_class, numeric_attrs, nominal_attrs):
+        if grown is None or _swallows(grown, boxes, numeric_attrs, nominal_attrs):
             boxes.append(_box_from_members(cls, [vals], numeric_attrs, nominal_attrs))
         else:
-            boxes[nearest[1]] = grown
-        seen_by_class.setdefault(cls, []).append(vals)
-
-    exemplars = [
-        Exemplar(
-            cls=b.cls,
-            lo=dict(b.lo),
-            hi=dict(b.hi),
-            label_sets={a: frozenset(v) for a, v in b.label_sets.items()},
-            n_members=len(b.members),
-        )
-        for b in boxes
-    ]
-    return ExemplarSet(exemplars=exemplars, ranges=ranges)
+            boxes[nearest[1]] = (grown, members + [vals])
+    return ExemplarSet([ex for ex, _ in boxes], ranges)

@@ -257,7 +257,15 @@ def label_class(exam_score: float | None, rule: ClassRule | None = None) -> str:
 def _mean_of(members: list[int]):
     def fuse(row):
         values = [row[i] for i in members if row[i] is not None]
-        return sum(values) / len(values) if values else None
+        if not values:
+            return None
+        total = sum(values)
+        if math.isfinite(total):
+            return total / len(values)
+        # Finite values whose sum overflows: average their shares, and keep
+        # the mean, which rounding may push past either end, in their range.
+        mean = sum(v / len(values) for v in values)
+        return min(max(mean, min(values)), max(values))
     return fuse
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping
 
-from .errors import InfeasibleRulesetError, SchemaMismatchError
+from .errors import FusemineError, InfeasibleRulesetError, SchemaMismatchError
 from .learners import Rule, RuleList
 from .preprocess import (
     DEFAULT_BIN_LABELS,
@@ -201,36 +201,46 @@ def _allocate_cells(spec: CohortSpec, cells, constrained):
     return allocation
 
 
-def _repair_occupancy(allocation, constrained, cells):
+def _repair_occupancy(allocation, constrained):
     """Equal-width binning pins the column minimum to Low and the maximum
     to High, so every constrained attribute needs at least one student in
-    each extreme bin; move one student onto a compatible cell if not."""
+    each extreme bin; move one student onto a compatible cell if not.
+
+    A move never empties an extreme bin that is already filled: the
+    donor cell must share each of its extreme bins with another student
+    or with the receiving cell.
+    """
+
+    def occupancy(pos, b):
+        return sum(
+            count
+            for by_class in allocation.values()
+            for combo, count in by_class
+            if combo[pos] == b
+        )
+
+    def keeps_filled(donor, receiver):
+        return all(
+            b not in (0, 2) or b == receiver[at] or occupancy(at, b) > 1
+            for at, b in enumerate(donor)
+        )
+
+    def move_into(pos, target_bin) -> bool:
+        for label in STATUS:
+            by_class = allocation[label]
+            for receiver, (combo_r, count_r) in enumerate(by_class):
+                if combo_r[pos] != target_bin:
+                    continue
+                for donor, (combo_d, count_d) in enumerate(by_class):
+                    if count_d > 0 and keeps_filled(combo_d, combo_r):
+                        by_class[donor] = (combo_d, count_d - 1)
+                        by_class[receiver] = (combo_r, count_r + 1)
+                        return True
+        return False
+
     for pos, attr in enumerate(constrained):
         for target_bin in (0, 2):
-            occupied = any(
-                combo[pos] == target_bin and count > 0
-                for by_class in allocation.values()
-                for combo, count in by_class
-            )
-            if occupied:
-                continue
-            moved = False
-            for label in STATUS:
-                by_class = allocation[label]
-                donors = [i for i, (_c, count) in enumerate(by_class) if count > 0]
-                receivers = [
-                    i for i, (combo, _count) in enumerate(by_class) if combo[pos] == target_bin
-                ]
-                if donors and receivers:
-                    donor = donors[0]
-                    receiver = receivers[0]
-                    combo_d, count_d = by_class[donor]
-                    combo_r, count_r = by_class[receiver]
-                    by_class[donor] = (combo_d, count_d - 1)
-                    by_class[receiver] = (combo_r, count_r + 1)
-                    moved = True
-                    break
-            if not moved:
+            if not occupancy(pos, target_bin) and not move_into(pos, target_bin):
                 raise InfeasibleRulesetError(
                     f"attribute {attr!r} can never reach bin {GRADE[target_bin]!r}"
                 )
@@ -245,8 +255,7 @@ def _session_columns(attr: str) -> int:
 
 
 def _expand_sessions(rng: random.Random, value: float, lo: float, hi: float, s: int):
-    if s == 1:
-        return [value]
+    """``s`` session values, ``s`` above one, whose mean recovers ``value``."""
     delta = min(value - lo, hi - value, (hi - lo) / 20.0)
     step = delta / (s - 1)
     head = [value + rng.uniform(-step, step) for _ in range(s - 1)]
@@ -260,7 +269,7 @@ def generate(spec: CohortSpec) -> tuple[SourceBundle, DataTable]:
     constrained = _validate_ruleset(spec.ruleset)
     cells = _cells_by_class(spec.ruleset, constrained)
     allocation = _allocate_cells(spec, cells, constrained)
-    _repair_occupancy(allocation, constrained, cells)
+    _repair_occupancy(allocation, constrained)
 
     classes: list[int] = []
     for cls, count in enumerate(spec.class_counts):
@@ -299,8 +308,8 @@ def generate(spec: CohortSpec) -> tuple[SourceBundle, DataTable]:
             lows = [i for i in range(n) if bins[i] == 0]
             highs = [i for i in range(n) if bins[i] == 2]
             if not lows or not highs:
-                raise InfeasibleRulesetError(
-                    f"attribute {attr!r} lacks an extreme bin occupant"
+                raise FusemineError(
+                    f"internal generation error: attribute {attr!r} lacks an extreme bin occupant"
                 )
             values[lows[0]] = lo
             values[highs[0]] = hi
@@ -385,13 +394,13 @@ def _verify_construction(spec, bundle, truth, constrained, target_bins):
         values = {attr: GRADE[recovered[attr][student]] for attr in constrained}
         _rule, fired = _fires(spec.ruleset, values)
         if fired != STATUS[cls]:
-            raise InfeasibleRulesetError(
+            raise FusemineError(
                 "internal generation error: pipeline bins contradict the planted class"
             )
         for attr in constrained:
             expected = target_bins[attr][student]
             # Students sorted by id here and at draw time share positions.
             if expected is not None and recovered[attr][student] != expected:
-                raise InfeasibleRulesetError(
+                raise FusemineError(
                     "internal generation error: bin drifted through the pipeline"
                 )

@@ -12,9 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fusemine import cli
 from fusemine.cli import CliError, load_model, main
-from fusemine.ensemble import VoteModel
+from fusemine.ensemble import VoteModel, vote_predict
 from fusemine.evaluation import VARIANTS
-from fusemine.learners import ALGORITHMS, Model
+from fusemine.learners import ALGORITHMS, Model, RuleList, fired_rule_index, predict
 from fusemine.tabular import AttributeSpec, DataTable, SourceBundle
 
 from helpers import json_values
@@ -53,6 +53,20 @@ class TestSynth:
         argv = ["synth", "--n", "60", "--proportions", "70", "-5", "-5", "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: class counts must not be negative\n"
+        assert not out.exists()
+
+    def test_smallest_cohort_generates(self, tmp_path):
+        argv = ["synth", "--n", "3", "--proportions", "1", "1", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+
+    def test_cohort_the_rules_cannot_produce_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "raw"
+        capsys.readouterr()
+        argv = ["synth", "--n", "10", "--proportions", "0", "0", "10", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: attribute 'Theory.Attention' can never reach bin 'High'\n"
+        )
         assert not out.exists()
 
 
@@ -418,6 +432,29 @@ class TestStudentExplainEveryApproach:
         assert ("combined vote ->" if vote else "predicted ") in captured.out
         assert ("leaf path: " in captured.out) == (algorithm == "c45" and not vote)
 
+    def test_missing_cell_without_a_branch_prints_no_leaf_path(
+        self, workspace, explain_models, tmp_path, capsys
+    ):
+        """The tree's root splits on ``Moodle.Quiz``, and its training data
+        had no gap there, so a student without a quiz grade stops at the root."""
+        model = explain_models[("discretized", "merge")]
+        data = tmp_path / "pre"
+        shutil.copytree(workspace / "pre" / "discretized", data / "discretized")
+        path = data / "discretized" / "online.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("id,Moodle.Quiz,")
+        cells = lines[1].split(",")
+        cells[1] = ""
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([
+            "explain", "--model", str(model), "--student", "0", "--data", str(data),
+        ]) == 0
+        text = (model.parent / "model.txt").read_text(encoding="utf-8")
+        assert text.startswith("IF Moodle.Quiz = ")
+        assert capsys.readouterr() == (text + "\nstudent 0: predicted Dropout\n", "")
+
     def test_attribute_missing_from_data_exits_2(self, workspace, tmp_path, capsys):
         out = tmp_path / "model"
         assert main([
@@ -618,6 +655,63 @@ class TestMalformedModelFile:
         assert capsys.readouterr().out == (out / "model.txt").read_text(encoding="utf-8")
 
 
+@pytest.fixture(scope="module")
+def numeric_merge_models(workspace):
+    """The model file of a numeric merge C4.5, RIPPER and NNGE."""
+    paths = {}
+    for algorithm in ("c45", "ripper", "nnge"):
+        out = workspace / f"numeric-merge-{algorithm}"
+        assert main([
+            "train", "--data", str(workspace / "pre"), "--variant", "numeric",
+            "--approach", "merge", "--algorithm", algorithm, "--out", str(out),
+        ]) == 0
+        paths[algorithm] = out / "model.json"
+    return paths
+
+
+EXEMPLAR_MISFIT = (
+    "exemplar 1 needs a class index, a member count, an interval for every numeric "
+    "input and label slots for every nominal input"
+)
+
+
+class TestMalformedModelStructure:
+    @pytest.mark.parametrize("algorithm, path, value, message", [
+        ("c45", ("root", "threshold"), "abc",
+         "a split on 'Moodle.Quiz' needs a finite threshold and two children"),
+        ("c45", ("root", "attr"), 99, "a split tests 99, which is not an input attribute"),
+        ("c45", ("root", "children"), [],
+         "a split on 'Moodle.Quiz' needs a finite threshold and two children"),
+        ("ripper", ("rules", 0, "conditions", 0, "value"), "abc",
+         "rule 1: Moodle.Quiz <= 'abc' does not fit the numeric attribute"),
+        ("ripper", ("rules", 0, "conditions", 0, "attr"), "Moodle.Nope",
+         "rule 1 tests 'Moodle.Nope', which is not an input attribute"),
+        ("nnge", ("exemplars", 0, "cls"), 9, EXEMPLAR_MISFIT),
+        ("nnge", ("exemplars", 0, "lo", "0"), "x", EXEMPLAR_MISFIT),
+        ("nnge", ("ranges", "0"), [1], "range of attribute 0 is not a numeric input's interval"),
+    ], ids=[
+        "threshold", "attr", "children", "rule-value", "rule-attr", "exemplar-cls",
+        "exemplar-lo", "range",
+    ])
+    @pytest.mark.parametrize("student", [False, True], ids=["render", "student"])
+    def test_exits_2_in_one_line(
+        self, workspace, numeric_merge_models, tmp_path, capsys, algorithm, path, value,
+        message, student,
+    ):
+        payload = json.loads(numeric_merge_models[algorithm].read_text(encoding="utf-8"))
+        payload["model"]["structure"] = replaced(payload["model"]["structure"], path, value)
+        file = tmp_path / "model.json"
+        file.write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["explain", "--model", str(file)]
+        if student:
+            argv += ["--student", "0", "--data", str(workspace / "pre"), "--variant", "numeric"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: malformed model file {file}: SchemaMismatchError: {message}\n"
+        )
+
+
 JSON_VALUES = json_values()
 
 
@@ -646,7 +740,7 @@ def replaced(value, path, new):
 
 
 @pytest.fixture(scope="module")
-def stored_models(workspace):
+def stored_models(workspace, numeric_merge_models):
     payloads = []
     for approach, algorithm in (("ensemble", "ripper"), ("merge", "c45"), ("merge", "nnge")):
         out = workspace / f"stored-{approach}-{algorithm}"
@@ -655,7 +749,20 @@ def stored_models(workspace):
             "--algorithm", algorithm, "--out", str(out),
         ]) == 0
         payloads.append(json.loads((out / "model.json").read_text(encoding="utf-8")))
+    for path in numeric_merge_models.values():
+        payloads.append(json.loads(path.read_text(encoding="utf-8")))
     return payloads
+
+
+def model_row(data, model: Model) -> tuple:
+    """A row in ``model``'s schema: a finite number, a label or a gap per input."""
+    return tuple(
+        data.draw(st.none() | (
+            st.floats(allow_nan=False, allow_infinity=False) if spec.is_numeric
+            else st.integers(0, len(spec.labels) - 1)
+        )) if spec.role == "input" else None
+        for spec in model.specs
+    )
 
 
 class TestLoadModelFuzz:
@@ -663,7 +770,8 @@ class TestLoadModelFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_loads_or_exits_2(self, data, stored_models, tmp_path_factory):
-        """``load_model`` on any JSON value loads or raises ``CliError`` with code 2."""
+        """``load_model`` on any JSON value loads or raises ``CliError`` with code 2;
+        a model that loads renders, and predicts any row of its schema."""
         base = data.draw(st.sampled_from(stored_models + [None]))
         if base is None:
             payload = data.draw(JSON_VALUES)
@@ -679,6 +787,15 @@ class TestLoadModelFuzz:
             assert "\n" not in str(err)
         else:
             assert isinstance(model, (Model, VoteModel))
+            cli.render_model(model)
+            bases = model.models if isinstance(model, VoteModel) else {"merged": model}
+            rows = {name: model_row(data, base) for name, base in bases.items()}
+            for name, base in bases.items():
+                predict(base, rows[name])
+                if isinstance(base.structure, RuleList):
+                    fired_rule_index(base, rows[name])
+            if isinstance(model, VoteModel):
+                vote_predict(model, rows)
 
 
 #: A minimal command line for each subcommand that takes a run config.
@@ -1085,6 +1202,26 @@ class TestExtremeColumn:
             which = min(at, 2)
             assert labels[student] == bins[which]
             assert float(values[student]) == scaled[which]
+
+
+class TestOverflowingSessionMean:
+    def test_preprocess_averages_it(self, workspace, tmp_path):
+        """Two finite sessions whose sum overflows fuse to the column's top."""
+        raw = tmp_path / "raw"
+        shutil.copytree(workspace / "raw", raw)
+        path = raw / "theory.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0].split(",")[1:3] == ["Theory.Attendance.s1", "Theory.Attendance.s2"]
+        cells = lines[1].split(",")
+        cells[1] = cells[2] = "1e308"
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        pre = tmp_path / "pre"
+        assert main(["preprocess", "--data", str(raw), "--out", str(pre)]) == 0
+        for variant, top in (("numeric", "1"), ("discretized", "High")):
+            with (pre / variant / "theory.csv").open(encoding="utf-8", newline="") as handle:
+                fused = {row["id"]: row["Theory.Attendance"] for row in csv.DictReader(handle)}
+            assert fused[cells[0]] == top
 
 
 class TestAnonymizeFailure:

@@ -185,6 +185,12 @@ class TestVoteModel:
         with pytest.raises(InvalidParamsError):
             VoteModel(models={"theory": model}, weights={"practice": 1.0})
 
+    @pytest.mark.parametrize("name", ["exam", "bogus"])
+    def test_base_models_must_be_input_sources(self, name):
+        model = fixed_model((1, 0, 0))
+        with pytest.raises(InvalidParamsError, match="are not all input sources"):
+            VoteModel(models={"theory": model, name: model}, weights={"theory": 1.0, name: 1.0})
+
     def test_base_models_must_share_class_labels(self):
         other = constant_model(("Yes", "No"), "Yes")
         with pytest.raises(InvalidParamsError):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -10,6 +11,7 @@ from fusemine.learners import (
     Rule,
     RuleList,
     fired_rule_index,
+    model_to_json,
     predict,
     predict_label,
     render_rules,
@@ -39,6 +41,39 @@ def training_accuracy(model, table):
     return hits / table.n_rows
 
 
+class TestSingleClassTraining:
+    @pytest.mark.parametrize("algorithm, structure", [
+        ("ripper", {
+            "type": "rules",
+            "rules": [{"cls": "Dropout", "conditions": [], "counts": [0.0, 0.0, 3.0]}],
+        }),
+        ("part", {
+            "type": "rules",
+            "rules": [{"cls": "Dropout", "conditions": [], "counts": [0.0, 0.0, 3.0]}],
+        }),
+        ("nnge", {
+            "type": "exemplars",
+            "exemplars": [{
+                "cls": 2, "lo": {"1": 1.0}, "hi": {"1": 3.0}, "labels": {"0": [0, 2]},
+                "n_members": 3,
+            }],
+            "ranges": {"1": [1.0, 3.0]},
+        }),
+    ])
+    def test_rule_and_exemplar_structures(self, algorithm, structure):
+        specs = [
+            AttributeSpec.nominal("a", GRADE),
+            AttributeSpec.numeric("x"),
+            AttributeSpec.nominal("Status", STATUS, role="class"),
+        ]
+        table = DataTable(specs, [(0, 1.0, 2), (2, 3.0, 2), (2, 2.0, 2)])
+        model = train(algorithm, table)
+        assert model.metadata["degenerate"] is True
+        assert json.loads(model_to_json(model))["structure"] == structure
+        assert predict(model, (1, 5.0, None)) == (0.0, 0.0, 1.0)
+        assert render_rules(model) == "ELSE Dropout\nNumber of Rules : 1\n"
+
+
 @pytest.mark.parametrize("algorithm", ["part", "ripper"])
 class TestRuleInducers:
     def test_planted_rules_fit_exactly(self, algorithm):
@@ -61,6 +96,16 @@ class TestRuleInducers:
         for _ in range(50):
             row = tuple(rng.randrange(3) for _ in range(5)) + (None,)
             assert fired_rule_index(model, row) >= 0
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_row_of_wrong_length_rejected(self, algorithm, length):
+        model = train(algorithm, planted_dataset(n=150, seed=3), seed=4)
+        row = (0,) * length
+        message = f"instance has {length} values, schema expects 6"
+        with pytest.raises(SchemaMismatchError, match=message):
+            fired_rule_index(model, row)
+        with pytest.raises(SchemaMismatchError, match=message):
+            predict(model, row)
 
     def test_deterministic(self, algorithm):
         table = planted_dataset(n=150, seed=4, noise=0.1)

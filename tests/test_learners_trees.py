@@ -10,6 +10,7 @@ from fusemine.errors import InvalidParamsError
 from fusemine.learners import (
     ALGORITHMS,
     DecisionTree,
+    Leaf,
     Model,
     RuleList,
     predict,
@@ -91,6 +92,14 @@ class TestC45:
         assert model.metadata["degenerate"] is True
         assert predict(model, (0, None)) == (0.0, 1.0, 0.0)
         assert render_rules(model) == "ELSE Fail\nNumber of Rules : 1\n"
+
+    def test_missing_slot_without_a_child_stops_at_the_split(self):
+        model = train("c45", planted_dataset(n=60, seed=1))
+        root = model.structure.root
+        assert (root.attr, len(root.children), root.counts) == (0, 3, (35.0, 22.0, 3.0))
+        # No training row missed Quiz, so the missing slot has no child: the
+        # Laplace-smoothed counts of the root answer.
+        assert predict(model, (None,) * len(model.specs)) == (36 / 63, 23 / 63, 4 / 63)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(InvalidParamsError):
@@ -195,6 +204,17 @@ class TestTreeRender:
         table = planted_dataset(n=300, seed=13)
         text = render_rules(train("c45", table))
         assert any(line.startswith("| ") for line in text.splitlines())
+
+    @pytest.mark.parametrize("algorithm", ["c45", "reptree", "randomtree"])
+    def test_single_leaf_tree_renders_its_class(self, algorithm):
+        specs = [
+            AttributeSpec.nominal("a", GRADE),
+            AttributeSpec.nominal("Status", STATUS, role="class"),
+        ]
+        model = train(algorithm, DataTable(specs, [(1, 0)] * 3 + [(1, 1)] * 2))
+        assert "degenerate" not in model.metadata
+        assert isinstance(model.structure.root, Leaf)
+        assert render_rules(model) == "ELSE Pass\nNumber of Rules : 1\n"
 
 
 class TestPathInvariants:

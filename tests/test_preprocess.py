@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -215,6 +216,19 @@ class TestFuseSessions:
         fused = fuse_sessions(table)
         assert [s.name for s in fused.specs] == ["id", "Theory.X"]
         assert fused.rows[0][1] == 1.0
+
+    @pytest.mark.parametrize("sessions", [
+        (1e308, 1e308, 1.0),
+        (sys.float_info.max,) * 3,
+        (-sys.float_info.max,) * 9,
+        (sys.float_info.max, -sys.float_info.max, sys.float_info.max, 1e308),
+    ])
+    def test_mean_of_values_whose_sum_overflows(self, sessions):
+        table = session_table([sessions], n_sessions=len(sessions))
+        mean = fuse_sessions(table).rows[0][1]
+        exact = float(sum(map(Fraction, sessions)) / len(sessions))
+        assert min(sessions) <= mean <= max(sessions)
+        assert mean == pytest.approx(exact, rel=1e-12)
 
     def test_nominal_majority(self):
         table = session_table([(0, 0, 2)], kind="nominal", labels=("Low", "Medium", "High"))

@@ -111,6 +111,20 @@ class TestGenerate:
         with pytest.raises(InfeasibleRulesetError):
             generate(CohortSpec(ruleset=all_pass))
 
+    def test_every_cohort_with_a_pass_and_a_fail_generates(self):
+        # Binning pins each planted attribute's extremes to Low and High, and
+        # only a Pass student has Quiz High and only a Fail student Quiz Low.
+        for n in range(3, 9):
+            for passes in range(1, n):
+                for fails in range(1, n - passes + 1):
+                    counts = (passes, fails, n - passes - fails)
+                    generate(CohortSpec(n_students=n, class_counts=counts))
+
+    def test_dropout_only_cohort_rejected(self):
+        message = "'Theory.Attention' can never reach bin 'High'"
+        with pytest.raises(InfeasibleRulesetError, match=message):
+            generate(CohortSpec(n_students=10, class_counts=(0, 0, 10)))
+
     def test_bad_proportions_rejected(self):
         with pytest.raises(SchemaMismatchError):
             CohortSpec(n_students=10, class_counts=(5, 5, 5))

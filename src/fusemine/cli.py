@@ -56,10 +56,8 @@ from .learners import (
     predict,
     predict_label,
     render_rules,
-    tree_paths,
+    row_path,
 )
-from .learners.encode import encode_row
-from .learners.model import condition_matches
 from .preprocess import PreprocessConfig, anonymize, preprocess_bundle
 from .selection import select_best_attributes
 from .synth import CohortSpec, generate
@@ -468,14 +466,12 @@ def cmd_explain(args) -> int:
         return 0
     print(f"student {args.student}: predicted {label}")
     if isinstance(structure, DecisionTree):
-        enc = encode_row(
-            model.specs, model.input_indices, model.metadata.get("numeric_fill", {}), row
-        )
-        for conditions, _leaf in tree_paths(model):
-            if all(condition_matches(model, c, enc) for c in conditions):
-                path = " AND ".join(c.render() for c in conditions) or "(root)"
-                print(f"leaf path: {path}")
-                break
+        conditions, stop = row_path(model, row)
+        path = " AND ".join(c.render() for c in conditions) or "(root)"
+        if stop is None:
+            print(f"leaf path: {path}")
+        else:
+            print(f"stopped at: {path}; no branch for {stop.render()}")
     return 0
 
 

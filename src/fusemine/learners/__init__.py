@@ -24,6 +24,7 @@ from .model import (
     model_to_json,
     predict,
     predict_label,
+    row_path,
     tree_paths,
 )
 from .nnge import build_nnge
@@ -113,6 +114,7 @@ __all__ = [
     "predict",
     "predict_label",
     "render_rules",
+    "row_path",
     "train",
     "tree_paths",
 ]

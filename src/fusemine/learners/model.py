@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from ..errors import SchemaMismatchError
-from ..tabular import AttributeSpec, schema_from_json, schema_to_json
+from ..tabular import AttributeSpec, number_text, schema_from_json, schema_to_json
 from .encode import encode_row
 
 
@@ -33,10 +33,7 @@ class Condition:
     def render(self) -> str:
         if self.op == "=":
             return f"{self.attr} = {self.value}"
-        from ..tabular import value_to_text  # numeric text, shortest round-trip
-
-        spec = AttributeSpec.numeric(self.attr)
-        return f"{self.attr} {self.op} {value_to_text(spec, float(self.value))}"
+        return f"{self.attr} {self.op} {number_text(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -207,14 +204,18 @@ def decode_condition(specs: Sequence[AttributeSpec], cond) -> Condition:
     return Condition(spec.name, op, float(value))
 
 
-def _tree_distribution(model: Model, node, enc_values) -> tuple[float, ...]:
-    k = len(model.class_labels)
+def _tree_walk(node, enc_values) -> tuple[list[tuple[Split, int]], Union[Leaf, Split]]:
+    """The ``(split, child index)`` branches an encoded row takes from
+    ``node`` down, and the node where it stops: a leaf, or a split that
+    has no child for the row's value."""
+    taken = []
     while isinstance(node, Split):
         branch = child_index(node, enc_values[node.attr])
         if branch is None:
             break
+        taken.append((node, branch))
         node = node.children[branch]
-    return _laplace(node.counts, k)
+    return taken, node
 
 
 def condition_matches(model: Model, cond: Condition, enc_values) -> bool:
@@ -307,25 +308,28 @@ def _exemplar_distribution(model: Model, structure: ExemplarSet, enc_values) -> 
     return tuple(w / total for w in weights)
 
 
-def _check_length(model: Model, row: Sequence) -> None:
+def _encoded(model: Model, row: Sequence) -> dict:
+    """The encoded input values of an in-schema row; prediction and every
+    explanation read a row through this."""
     if len(row) != len(model.specs):
         raise SchemaMismatchError(
             f"instance has {len(row)} values, schema expects {len(model.specs)}"
         )
+    return encode_row(
+        model.specs, model.input_indices, model.metadata.get("numeric_fill", {}), row
+    )
 
 
 def predict(model: Model, row: Sequence) -> tuple[float, ...]:
     """Class probability distribution for one in-schema row."""
-    _check_length(model, row)
+    enc_values = _encoded(model, row)
     if model.metadata.get("degenerate"):
         target = model.metadata["constant_class"]
         return tuple(1.0 if label == target else 0.0 for label in model.class_labels)
-    enc_values = encode_row(
-        model.specs, model.input_indices, model.metadata.get("numeric_fill", {}), row
-    )
     structure = model.structure
     if isinstance(structure, DecisionTree):
-        return _tree_distribution(model, structure.root, enc_values)
+        _, node = _tree_walk(structure.root, enc_values)
+        return _laplace(node.counts, len(model.class_labels))
     if isinstance(structure, RuleList):
         return _rules_distribution(model, structure, enc_values)
     return _exemplar_distribution(model, structure, enc_values)
@@ -340,18 +344,30 @@ def fired_rule_index(model: Model, row: Sequence) -> int:
     structure = model.structure
     if not isinstance(structure, RuleList):
         raise SchemaMismatchError("model is not a rule list")
-    _check_length(model, row)
-    enc_values = encode_row(
-        model.specs, model.input_indices, model.metadata.get("numeric_fill", {}), row
-    )
-    return _fired(model, structure, enc_values)
+    return _fired(model, structure, _encoded(model, row))
+
+
+def _tree_of(model: Model) -> DecisionTree:
+    if not isinstance(model.structure, DecisionTree):
+        raise SchemaMismatchError("model is not a decision tree")
+    return model.structure
+
+
+def row_path(model: Model, row: Sequence) -> tuple[tuple[Condition, ...], Condition | None]:
+    """The conditions a row takes through a tree model, and, when it stops
+    at a split with no branch for its value, that value's condition
+    (``None`` when it reaches a leaf)."""
+    enc_values = _encoded(model, row)
+    taken, node = _tree_walk(_tree_of(model).root, enc_values)
+    path = tuple(decode_condition(model.specs, branches(s)[b][0]) for s, b in taken)
+    if isinstance(node, Leaf):
+        return path, None
+    return path, decode_condition(model.specs, (node.attr, "=", enc_values[node.attr]))
 
 
 def tree_paths(model: Model) -> list[tuple[tuple[Condition, ...], Leaf]]:
     """Root-to-leaf paths of a tree model as condition tuples."""
-    structure = model.structure
-    if not isinstance(structure, DecisionTree):
-        raise SchemaMismatchError("model is not a decision tree")
+    structure = _tree_of(model)
     return [
         (tuple(decode_condition(model.specs, c) for c in conds), leaf)
         for conds, leaf in encoded_paths(structure.root)

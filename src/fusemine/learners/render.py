@@ -17,7 +17,7 @@ constant models read the same for every algorithm.
 from __future__ import annotations
 
 from ..errors import RuleSyntaxError, SchemaMismatchError
-from ..tabular import AttributeSpec, value_to_text
+from ..tabular import AttributeSpec, number_text
 from .model import (
     Condition,
     DecisionTree,
@@ -26,19 +26,14 @@ from .model import (
     Model,
     Rule,
     RuleList,
+    _check_model,
     branches,
     decode_condition,
     slot_name,
 )
 
-_NUM_SPEC = AttributeSpec.numeric("_")
 
-
-def _num(value: float) -> str:
-    return value_to_text(_NUM_SPEC, float(value))
-
-
-def _render_rule_list(model: Model, rules: RuleList) -> str:
+def _render_rule_list(rules: RuleList) -> str:
     lines = []
     for rule in rules.rules[:-1]:
         conds = " AND ".join(c.render() for c in rule.conditions)
@@ -82,9 +77,9 @@ def _render_exemplars(model: Model, structure: ExemplarSet) -> str:
                 if lo is None:
                     continue
                 if lo == hi:
-                    parts.append(f"{spec.name} = {_num(lo)}")
+                    parts.append(f"{spec.name} = {number_text(lo)}")
                 else:
-                    parts.append(f"{spec.name} in [{_num(lo)}, {_num(hi)}]")
+                    parts.append(f"{spec.name} in [{number_text(lo)}, {number_text(hi)}]")
             else:
                 values = ex.label_sets.get(i)
                 if values is None or len(values) >= len(spec.labels) + 1:
@@ -107,7 +102,7 @@ def render_rules(model: Model) -> str:
         return f"ELSE {cls}\nNumber of Rules : 1\n"
     structure = model.structure
     if isinstance(structure, RuleList):
-        return _render_rule_list(model, structure)
+        return _render_rule_list(structure)
     if isinstance(structure, DecisionTree):
         if isinstance(structure.root, Leaf):
             cls = model.class_labels[structure.root.cls]
@@ -134,7 +129,7 @@ def _parse_condition(text: str, line_no: int) -> Condition:
     raise RuleSyntaxError(line_no, f"no operator in condition {text!r}")
 
 
-def _infer_schema(rules: list[Rule], class_labels: list[str]):
+def _infer_schema(rules: list[Rule], class_labels: tuple[str, ...]):
     attrs: dict[str, AttributeSpec | list] = {}
     for rule in rules:
         for cond in rule.conditions:
@@ -150,15 +145,16 @@ def _infer_schema(rules: list[Rule], class_labels: list[str]):
             specs.append(AttributeSpec.nominal(name, tuple(entry)))
         else:
             specs.append(entry)
-    specs.append(AttributeSpec.nominal("class", tuple(class_labels), role="class"))
+    specs.append(AttributeSpec.nominal("class", class_labels, role="class"))
     return tuple(specs)
 
 
 def parse_rules(text: str, specs=None) -> Model:
     """Parse rule-dialect text back into a rule-list model.
 
-    With ``specs`` given the rules are validated against that schema;
-    otherwise a minimal schema is inferred from the text itself.
+    The rules are checked against ``specs`` when given, otherwise against
+    a minimal schema inferred from the text itself; a rule that does not
+    fit the schema is a syntax error.
     """
     rules: list[Rule] = []
     default_cls: str | None = None
@@ -203,43 +199,23 @@ def parse_rules(text: str, specs=None) -> Model:
     if declared is not None and declared != total:
         raise RuleSyntaxError(1, f"footer declares {declared} rules, found {total}")
 
-    class_labels: list[str] = []
-    for rule in rules + [Rule((), default_cls)]:
-        if rule.cls not in class_labels:
-            class_labels.append(rule.cls)
+    rules.append(Rule((), default_cls))
+    labels = tuple(dict.fromkeys(rule.cls for rule in rules))
     if specs is None:
-        specs = _infer_schema(rules, class_labels)
-        labels = tuple(class_labels)
+        specs = _infer_schema(rules, labels)
     else:
         specs = tuple(specs)
         class_spec = next((s for s in specs if s.role == "class"), None)
         if class_spec is None:
             raise SchemaMismatchError("schema has no class attribute")
         labels = class_spec.labels
-        by_name = {s.name: s for s in specs}
-        for line_rule in rules:
-            for cond in line_rule.conditions:
-                spec = by_name.get(cond.attr)
-                if spec is None:
-                    raise RuleSyntaxError(1, f"unknown attribute {cond.attr!r}")
-                if cond.op == "=" and cond.value != "?" and cond.value not in spec.labels:
-                    raise RuleSyntaxError(
-                        1, f"unknown label {cond.value!r} for {cond.attr!r}"
-                    )
-        for cls in class_labels:
-            if cls not in labels:
-                raise RuleSyntaxError(1, f"unknown class label {cls!r}")
-
-    def one_hot(cls):
-        return tuple(1.0 if label == cls else 0.0 for label in labels)
-
     bound = tuple(
-        Rule(rule.conditions, rule.cls, one_hot(rule.cls)) for rule in rules
-    ) + (Rule((), default_cls, one_hot(default_cls)),)
-    return Model(
-        algorithm="rules",
-        specs=specs,
-        class_labels=tuple(labels),
-        structure=RuleList(bound),
-        metadata={"parsed": True},
+        Rule(rule.conditions, rule.cls, tuple(1.0 if c == rule.cls else 0.0 for c in labels))
+        for rule in rules
     )
+    model = Model("rules", specs, labels, RuleList(bound), {"parsed": True})
+    try:
+        _check_model(model)
+    except SchemaMismatchError as exc:
+        raise RuleSyntaxError(1, str(exc)) from None
+    return model

@@ -10,6 +10,7 @@ cut is accepted).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -82,19 +83,7 @@ def mdl_discretize(
     if not cuts:
         lo, hi = present[0][0], present[-1][0]
         return [None if v is None else equal_width_bin(v, lo, hi, FALLBACK_BINS) for v in values]
-    out = []
-    for v in values:
-        if v is None:
-            out.append(None)
-            continue
-        bin_idx = 0
-        for cut in cuts:
-            if v > cut:
-                bin_idx += 1
-            else:
-                break
-        out.append(bin_idx)
-    return out
+    return [None if v is None else bisect_left(cuts, v) for v in values]
 
 
 def _class_entropy(pairs: Sequence[tuple[float, int]]) -> tuple[float, int]:

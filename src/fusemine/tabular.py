@@ -308,16 +308,18 @@ class SourceBundle:
         return name in self.sources
 
 
-def _number_text(value) -> str:
-    # repr keeps the shortest decimal text that round-trips the float.
-    if float(value).is_integer() and abs(value) < 1e16:
+def number_text(value) -> str:
+    """Text of a number as a float: an integer, or the shortest decimal
+    text that round-trips it (``repr``)."""
+    value = float(value)
+    if value.is_integer() and abs(value) < 1e16:
         return str(int(value))
-    return repr(float(value))
+    return repr(value)
 
 
 def _formatter(spec: AttributeSpec):
     """The text of a present cell of ``spec``'s column."""
-    return _number_text if spec.is_numeric else spec.labels.__getitem__
+    return number_text if spec.is_numeric else spec.labels.__getitem__
 
 
 def value_to_text(spec: AttributeSpec, value) -> str:

@@ -55,6 +55,19 @@ def planted_dataset(n=240, seed=0, noise=0.0, numeric=False):
     return DataTable(specs, rows)
 
 
+def missing_slot_table():
+    """Grade ``a`` decides the class, a missing ``a`` included; under
+    ``a = High`` the numeric ``b`` decides it."""
+    specs = [
+        AttributeSpec.nominal("a", GRADE),
+        AttributeSpec.numeric("b"),
+        AttributeSpec.nominal("Status", STATUS, role="class"),
+    ]
+    rows = [(2, 0.1 * i, 0 if i < 4 else 1) for i in range(8)]
+    rows += [(0, 0.5, 1)] * 6 + [(None, 0.5, 2)] * 6 + [(1, 0.3, 0)] * 6
+    return DataTable(specs, rows)
+
+
 def json_values(keys=st.text(max_size=6)):
     """Any JSON value; objects draw their keys from ``keys``."""
     return st.recursive(

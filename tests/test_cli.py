@@ -436,7 +436,8 @@ class TestStudentExplainEveryApproach:
         self, workspace, explain_models, tmp_path, capsys
     ):
         """The tree's root splits on ``Moodle.Quiz``, and its training data
-        had no gap there, so a student without a quiz grade stops at the root."""
+        had no gap there, so a student without a quiz grade stops at the root,
+        and the explanation says so in place of a leaf path."""
         model = explain_models[("discretized", "merge")]
         data = tmp_path / "pre"
         shutil.copytree(workspace / "pre" / "discretized", data / "discretized")
@@ -453,7 +454,11 @@ class TestStudentExplainEveryApproach:
         ]) == 0
         text = (model.parent / "model.txt").read_text(encoding="utf-8")
         assert text.startswith("IF Moodle.Quiz = ")
-        assert capsys.readouterr() == (text + "\nstudent 0: predicted Dropout\n", "")
+        assert capsys.readouterr() == (
+            text + "\nstudent 0: predicted Dropout\n"
+            "stopped at: (root); no branch for Moodle.Quiz = ?\n",
+            "",
+        )
 
     def test_attribute_missing_from_data_exits_2(self, workspace, tmp_path, capsys):
         out = tmp_path / "model"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fusemine.errors import InvalidParamsError
 from fusemine.learners import (
     ALGORITHMS,
+    Condition,
     DecisionTree,
     Leaf,
     Model,
@@ -16,10 +17,12 @@ from fusemine.learners import (
     predict,
     predict_label,
     render_rules,
+    row_path,
     train,
+    tree_paths,
 )
-from fusemine.learners.encode import encode_table
-from fusemine.learners.model import encoded_paths
+from fusemine.learners.encode import encode_row, encode_table
+from fusemine.learners.model import condition_matches, encoded_paths
 from fusemine.learners.trees import (
     _EPS,
     _numeric_split,
@@ -31,7 +34,7 @@ from fusemine.learners.trees import (
 )
 from fusemine.tabular import AttributeSpec, DataTable
 
-from helpers import GRADE, STATUS, planted_dataset
+from helpers import GRADE, STATUS, missing_slot_table, planted_dataset
 
 
 def training_accuracy(model, table):
@@ -100,6 +103,7 @@ class TestC45:
         # No training row missed Quiz, so the missing slot has no child: the
         # Laplace-smoothed counts of the root answer.
         assert predict(model, (None,) * len(model.specs)) == (36 / 63, 23 / 63, 4 / 63)
+        assert row_path(model, (None,) * len(model.specs)) == ((), Condition("Quiz", "=", "?"))
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(InvalidParamsError):
@@ -218,9 +222,22 @@ class TestTreeRender:
 
 
 class TestPathInvariants:
-    def test_nominal_attribute_tested_at_most_once_per_path(self):
-        from fusemine.learners import tree_paths
+    @pytest.mark.parametrize("algorithm", ["c45", "reptree", "randomtree"])
+    def test_row_path_is_the_one_root_to_leaf_path_that_matches(self, algorithm):
+        table = missing_slot_table()
+        model = train(algorithm, table, seed=0)
+        paths = tree_paths(model)
+        fill = model.metadata["numeric_fill"]
+        for row in table.rows:
+            enc = encode_row(model.specs, model.input_indices, fill, row)
+            matching = [
+                conds for conds, _ in paths
+                if all(condition_matches(model, c, enc) for c in conds)
+            ]
+            assert len(matching) == 1
+            assert row_path(model, row) == (matching[0], None)
 
+    def test_nominal_attribute_tested_at_most_once_per_path(self):
         table = planted_dataset(n=200, seed=14, noise=0.2)
         for algorithm in ("c45", "reptree", "randomtree"):
             model = train(algorithm, table, seed=3)

@@ -12,9 +12,9 @@ from fusemine.learners import (
     train,
     tree_paths,
 )
-from fusemine.tabular import AttributeSpec, DataTable, value_to_text
+from fusemine.tabular import AttributeSpec, value_to_text
 
-from helpers import planted_dataset
+from helpers import missing_slot_table, planted_dataset
 
 PLANTED_LIST_TEXT = """IF Moodle.Quiz = High THEN Pass
 IF Moodle.Quiz = Medium AND Theory.Attention = Medium THEN Pass
@@ -30,6 +30,9 @@ PLANTED_LIST_SPECS = (
     AttributeSpec.nominal("Theory.Attention", GRADE),
     AttributeSpec.nominal("Moodle.Forum", GRADE),
     AttributeSpec.nominal("Status", ("Pass", "Fail", "Dropout"), role="class"),
+)
+MIXED_SPECS = (
+    *PLANTED_LIST_SPECS[:3], AttributeSpec.numeric("Moodle.Time"), PLANTED_LIST_SPECS[3]
 )
 
 
@@ -56,10 +59,37 @@ class TestParse:
         with pytest.raises(RuleSyntaxError):
             parse_rules(text)
 
-    def test_unknown_label_rejected_against_schema(self):
-        text = "IF Moodle.Quiz = Enormous THEN Pass\nELSE Fail\n"
+    @pytest.mark.parametrize("rule", [
+        "IF Moodle.Quiz = Enormous THEN Pass",
+        "IF Moodle.Absent = High THEN Pass",
+        "IF Moodle.Quiz = High THEN Excellent",
+        "IF Status = Pass THEN Pass",
+        "IF Moodle.Time = High THEN Pass",
+        "IF Moodle.Quiz <= 1 THEN Pass",
+        "IF Moodle.Time <= nan THEN Pass",
+        "IF Moodle.Time > inf THEN Pass",
+        "IF Moodle.Time <= -inf THEN Pass",
+    ], ids=[
+        "unknown-label", "unknown-attribute", "unknown-class", "class-attribute",
+        "equality-on-numeric", "threshold-on-nominal", "nan", "inf", "minus-inf",
+    ])
+    def test_unknown_label_rejected_against_schema(self, rule):
         with pytest.raises(RuleSyntaxError):
-            parse_rules(text, PLANTED_LIST_SPECS)
+            parse_rules(f"{rule}\nELSE Fail\n", MIXED_SPECS)
+
+    @pytest.mark.parametrize("text", [
+        "IF a = x THEN Pass\nIF a <= 1 THEN Fail\nELSE Pass\n",
+        "IF a > 1 THEN Pass\nIF a = x THEN Fail\nELSE Pass\n",
+        "IF a = x AND a <= 1 THEN Pass\nELSE Fail\n",
+    ], ids=["equality-first", "threshold-first", "one-rule"])
+    def test_mixed_operators_on_one_attribute_rejected_without_schema(self, text):
+        with pytest.raises(RuleSyntaxError):
+            parse_rules(text)
+
+    def test_missing_slot_and_threshold_accepted_against_schema(self):
+        text = "IF Moodle.Quiz = ? THEN Dropout\nIF Moodle.Time > 0.5 THEN Pass\nELSE Fail\n"
+        model = parse_rules(text, MIXED_SPECS)
+        assert render_rules(model) == text + "Number of Rules : 3\n"
 
     def test_parse_without_schema_infers_one(self):
         model = parse_rules(PLANTED_LIST_TEXT)
@@ -197,19 +227,6 @@ def parent_render_tree(model, tree) -> str:
     lines.append(f"Number of Leaves: {tree.n_leaves()}")
     lines.append(f"Size of the tree : {tree.size()}")
     return "\n".join(lines) + "\n"
-
-
-def missing_slot_table():
-    """Grade ``a`` decides the class, a missing ``a`` included; under
-    ``a = High`` the numeric ``b`` decides it."""
-    specs = [
-        AttributeSpec.nominal("a", GRADE),
-        AttributeSpec.numeric("b"),
-        AttributeSpec.nominal("Status", ("Pass", "Fail", "Dropout"), role="class"),
-    ]
-    rows = [(2, 0.1 * i, 0 if i < 4 else 1) for i in range(8)]
-    rows += [(0, 0.5, 1)] * 6 + [(None, 0.5, 2)] * 6 + [(1, 0.3, 0)] * 6
-    return DataTable(specs, rows)
 
 
 @pytest.mark.parametrize("algorithm", ["c45", "reptree", "randomtree"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -83,9 +84,13 @@ class VoteModel:
         return next(iter(self.models.values())).class_labels
 
 
+@lru_cache(maxsize=1024)
 def _decimal(x: float) -> tuple[int, int]:
-    """``(m, e)`` with ``m * 10**e`` the decimal that ``repr(float(x))`` denotes."""
-    digits, _, exponent = repr(float(x)).partition("e")
+    """``(m, e)`` with ``m * 10**e`` the decimal that ``repr(x)`` denotes.
+
+    Callers pass floats.  The cache is bounded: tree and rule leaves
+    repeat their distributions, but exemplar sets rarely do."""
+    digits, _, exponent = repr(x).partition("e")
     whole, _, fraction = digits.partition(".")
     return int(whole + fraction), int(exponent or 0) - len(fraction)
 
@@ -111,10 +116,10 @@ def combine_votes(
     weight_terms = []
     prob_terms = [[] for _ in dists_by_source[names[0]]]
     for name in names:
-        w_m, w_e = _decimal(weights[name])
+        w_m, w_e = _decimal(float(weights[name]))
         weight_terms.append((w_m, w_e))
         for terms, p in zip(prob_terms, dists_by_source[name]):
-            p_m, p_e = _decimal(p)
+            p_m, p_e = _decimal(float(p))
             terms.append((w_m * p_m, w_e + p_e))
     low = min(e for terms in (weight_terms, *prob_terms) for _, e in terms)
     total = sum(m * 10 ** (e - low) for m, e in weight_terms)

@@ -284,12 +284,6 @@ def _planned_distance(ex: Exemplar, plan) -> float:
     return total ** 0.5
 
 
-def exemplar_distance(model: Model, ex: Exemplar, ranges, enc_values) -> float:
-    return _planned_distance(
-        ex, _distance_plan(model.specs, model.input_indices, ranges, enc_values)
-    )
-
-
 def _exemplar_distribution(model: Model, structure: ExemplarSet, enc_values) -> tuple[float, ...]:
     k = len(model.class_labels)
     if not structure.exemplars:

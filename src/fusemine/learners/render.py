@@ -135,7 +135,8 @@ def _infer_schema(rules: list[Rule], class_labels: tuple[str, ...]):
         for cond in rule.conditions:
             if cond.op == "=":
                 labels = attrs.setdefault(cond.attr, [])
-                if isinstance(labels, list) and cond.value not in labels:
+                # "?" names the missing slot, never a label.
+                if isinstance(labels, list) and cond.value not in (*labels, "?"):
                     labels.append(cond.value)
             else:
                 attrs.setdefault(cond.attr, AttributeSpec.numeric(cond.attr))
@@ -201,20 +202,20 @@ def parse_rules(text: str, specs=None) -> Model:
 
     rules.append(Rule((), default_cls))
     labels = tuple(dict.fromkeys(rule.cls for rule in rules))
-    if specs is None:
-        specs = _infer_schema(rules, labels)
-    else:
-        specs = tuple(specs)
-        class_spec = next((s for s in specs if s.role == "class"), None)
-        if class_spec is None:
-            raise SchemaMismatchError("schema has no class attribute")
-        labels = class_spec.labels
-    bound = tuple(
-        Rule(rule.conditions, rule.cls, tuple(1.0 if c == rule.cls else 0.0 for c in labels))
-        for rule in rules
-    )
-    model = Model("rules", specs, labels, RuleList(bound), {"parsed": True})
     try:
+        if specs is None:
+            specs = _infer_schema(rules, labels)
+        else:
+            specs = tuple(specs)
+            class_spec = next((s for s in specs if s.role == "class"), None)
+            if class_spec is None:
+                raise SchemaMismatchError("schema has no class attribute")
+            labels = class_spec.labels
+        bound = tuple(
+            Rule(rule.conditions, rule.cls, tuple(1.0 if c == rule.cls else 0.0 for c in labels))
+            for rule in rules
+        )
+        model = Model("rules", specs, labels, RuleList(bound), {"parsed": True})
         _check_model(model)
     except SchemaMismatchError as exc:
         raise RuleSyntaxError(1, str(exc)) from None

@@ -1,6 +1,6 @@
-"""Decision-tree induction: gain-ratio trees with pessimistic pruning,
-information-gain trees with reduced-error pruning, and per-node random
-attribute subset trees.
+"""Decision-tree induction: J48-style trees (MDL-corrected numeric cuts,
+gain ratio) with pessimistic pruning, information-gain trees with
+reduced-error pruning, and per-node random attribute subset trees.
 
 Split scoring is order-insensitive (counts only), so permuting training
 rows never changes the resulting model; internal holdouts shuffle a
@@ -47,7 +47,9 @@ def cut_between(lo: float, hi: float) -> float:
     return mid if lo <= mid < hi else lo
 
 
-def _nominal_split(enc, idx, attr, parent_h, min_leaf, use_ratio):
+def _nominal_split(enc, idx, attr, parent_h, min_leaf):
+    """``(gain, split_info)`` of the multiway split on a nominal attribute,
+    or None unless two of its branches hold ``min_leaf`` rows each."""
     col = enc.cols[attr]
     y = enc.y
     slots = enc.n_slots(attr)
@@ -69,24 +71,30 @@ def _nominal_split(enc, idx, attr, parent_h, min_leaf, use_ratio):
             weighted += t / n * entropy(counts[v], t)
             p = t / n
             split_info -= p * math.log2(p)
-    gain = parent_h - weighted
-    if gain <= _EPS or split_info <= _EPS:
-        return None
-    score = gain / split_info if use_ratio else gain
-    return score, None
+    return parent_h - weighted, split_info
 
 
-def _numeric_split(enc, idx, attr, parent_h, min_leaf, use_ratio):
+def _best_cut(enc, idx, attr, parent_h, min_size):
+    """Binary cut of a numeric attribute with the highest information gain
+    among the cuts that leave at least ``min_size`` rows on each side.
+
+    Returns ``(gain, n_left, lo, hi, cuts)``: the cut parts the
+    neighbouring values ``lo < hi``, ``n_left`` rows go to the ``lo``
+    side, and ``cuts`` counts every cut that met the minimum.  Returns
+    None when no such cut gains; ties go to the smaller threshold.
+    """
     col = enc.cols[attr]
     y = enc.y
     n = len(idx)
-    if n < 2 * min_leaf:
+    if n < 2 * min_size:
         return None
     order = sorted(idx, key=col.__getitem__)
     left = [0.0] * enc.n_classes
     right = class_counts(enc, order)
     log2 = math.log2
     best = None
+    best_gain = 0.0
+    cuts = 0
     n_left = 0
     value = col[order[0]]
     for pos in range(n - 1):
@@ -99,8 +107,9 @@ def _numeric_split(enc, idx, attr, parent_h, min_leaf, use_ratio):
             continue
         here, value = value, next_value
         n_right = n - n_left
-        if n_left < min_leaf or n_right < min_leaf:
+        if n_left < min_size or n_right < min_size:
             continue
+        cuts += 1
         # entropy(left, n_left) and entropy(right, n_right), inlined: the
         # same float operations in the same order, without the calls.
         h_left = 0.0
@@ -115,39 +124,86 @@ def _numeric_split(enc, idx, attr, parent_h, min_leaf, use_ratio):
                 h_right -= p * log2(p)
         weighted = n_left / n * h_left + n_right / n * h_right
         gain = parent_h - weighted
-        if gain <= _EPS:
-            continue
-        if use_ratio:
-            p = n_left / n
-            split_info = -(p * log2(p) + (1 - p) * log2(1 - p))
-            if split_info <= _EPS:
-                continue
-            score = gain / split_info
-        else:
-            score = gain
-        if best is None or score > best[0] + _EPS:
-            best = (score, cut_between(here, next_value))
-    return best
+        if gain > best_gain + _EPS:
+            best_gain = gain
+            best = (n_left, here, next_value)
+    return None if best is None else (best_gain, *best, cuts)
 
 
-def choose_split(enc, idx, attrs, parent_h, min_leaf, use_ratio):
-    """Best-scoring split; ties go to the earlier attribute, then the
-    smaller threshold (thresholds are scanned ascending)."""
+def _numeric_split(enc, idx, attr, parent_h, min_leaf):
+    """``(gain, threshold)`` of the best cut, the threshold midway between
+    the two values it parts."""
+    cut = _best_cut(enc, idx, attr, parent_h, min_leaf)
+    return None if cut is None else (cut[0], cut_between(cut[2], cut[3]))
+
+
+def choose_split(enc, idx, attrs, parent_h, min_leaf):
+    """Split of highest information gain; ties go to the earlier attribute,
+    then the smaller threshold (thresholds are scanned ascending)."""
     best = None
     for attr in attrs:
         if enc.specs[attr].is_nominal:
-            result = _nominal_split(enc, idx, attr, parent_h, min_leaf, use_ratio)
+            scan = _nominal_split(enc, idx, attr, parent_h, min_leaf)
+            result = None if scan is None else (scan[0], None)
         else:
-            result = _numeric_split(enc, idx, attr, parent_h, min_leaf, use_ratio)
-        if result is None:
+            result = _numeric_split(enc, idx, attr, parent_h, min_leaf)
+        if result is None or result[0] <= _EPS:
             continue
-        score, threshold = result
-        if best is None or score > best[0] + _EPS:
-            best = (score, attr, threshold)
+        gain, threshold = result
+        if best is None or gain > best[0] + _EPS:
+            best = (gain, attr, threshold)
     return best
 
 
-def grow_tree(enc, idx, min_leaf, use_ratio, used_nominal=frozenset(), attr_picker=None):
+def choose_c45_split(enc, idx, attrs, parent_h, min_leaf):
+    """J48's split (Weka's ``C45ModelSelection`` over ``C45Split``s).
+
+    - A numeric attribute takes its highest-gain cut among those with
+      ``clamp(0.1 * n / classes, min_leaf, 25)`` rows on each side, less
+      Quinlan's MDL charge of ``log2(cuts) / n`` for the cuts that met
+      that minimum (JAIR 4, 1996); it drops out if no gain is left.
+    - A nominal attribute counts if two of its branches hold ``min_leaf``
+      rows, whatever its gain.
+    - Of these, the attributes whose gain is at least the average less
+      1e-3 compete on gain ratio; ties go to the earlier attribute.
+    - A numeric threshold is the lower value the cut parts, so it is a
+      training value.  Weka takes the largest value of the whole training
+      set at or below the midpoint, which may lie outside this node; that
+      search is left out.
+    """
+    n = len(idx)
+    min_split = min(max(0.1 * n / enc.n_classes, min_leaf), 25.0)
+    candidates = []
+    for attr in attrs:
+        if enc.specs[attr].is_nominal:
+            scan = _nominal_split(enc, idx, attr, parent_h, min_leaf)
+            if scan is None:
+                continue
+            gain, split_info = scan
+            threshold = None
+        else:
+            cut = _best_cut(enc, idx, attr, parent_h, min_split)
+            if cut is None:
+                continue
+            gain, n_left, threshold, _, cuts = cut
+            gain -= math.log2(cuts) / n
+            if gain <= _EPS:
+                continue
+            split_info = entropy((n_left, n - n_left), n)
+        candidates.append((gain, gain / split_info, attr, threshold))
+    if not candidates:
+        return None
+    floor = sum(c[0] for c in candidates) / len(candidates) - 1e-3
+    best = None
+    for gain, ratio, attr, threshold in candidates:
+        if gain >= floor and ratio > (0.0 if best is None else best[0]) + _EPS:
+            best = (ratio, attr, threshold)
+    return best
+
+
+def grow_tree(enc, idx, min_leaf, choose, used_nominal=frozenset()):
+    """Grow a full tree; ``choose(enc, idx, attrs, parent_h, min_leaf)``
+    picks each node's ``(score, attr, threshold)``, or None for a leaf."""
     counts = class_counts(enc, idx)
     total = len(idx)
     node_cls = majority(counts)
@@ -155,9 +211,7 @@ def grow_tree(enc, idx, min_leaf, use_ratio, used_nominal=frozenset(), attr_pick
     if parent_h <= _EPS or total < 2 * min_leaf:
         return Leaf(tuple(counts), node_cls)
     attrs = [a for a in enc.input_idx if enc.specs[a].is_numeric or a not in used_nominal]
-    if attr_picker is not None:
-        attrs = attr_picker(attrs)
-    chosen = choose_split(enc, idx, attrs, parent_h, min_leaf, use_ratio)
+    chosen = choose(enc, idx, attrs, parent_h, min_leaf)
     if chosen is None:
         return Leaf(tuple(counts), node_cls)
     _, attr, threshold = chosen
@@ -171,17 +225,15 @@ def grow_tree(enc, idx, min_leaf, use_ratio, used_nominal=frozenset(), attr_pick
         child_used = used_nominal | {attr}
         for group in groups:
             if group:
-                children.append(
-                    grow_tree(enc, group, min_leaf, use_ratio, child_used, attr_picker)
-                )
+                children.append(grow_tree(enc, group, min_leaf, choose, child_used))
             else:
                 children.append(Leaf((0.0,) * enc.n_classes, node_cls))
         return Split(attr, None, tuple(children), tuple(counts), node_cls)
     col = enc.cols[attr]
     left_idx = [i for i in idx if col[i] <= threshold]
     right_idx = [i for i in idx if col[i] > threshold]
-    left = grow_tree(enc, left_idx, min_leaf, use_ratio, used_nominal, attr_picker)
-    right = grow_tree(enc, right_idx, min_leaf, use_ratio, used_nominal, attr_picker)
+    left = grow_tree(enc, left_idx, min_leaf, choose, used_nominal)
+    right = grow_tree(enc, right_idx, min_leaf, choose, used_nominal)
     return Split(attr, threshold, (left, right), tuple(counts), node_cls)
 
 
@@ -271,7 +323,7 @@ def rep_prune(node, enc, prune_idx):
 
 
 def build_c45(enc: Encoded, idx, confidence: float, min_leaf: int):
-    tree = grow_tree(enc, list(idx), min_leaf, use_ratio=True)
+    tree = grow_tree(enc, list(idx), min_leaf, choose_c45_split)
     pruned, _ = ebp_prune(tree, confidence)
     return pruned
 
@@ -296,7 +348,7 @@ def holdout_split(enc: Encoded, idx, seed: int, folds: int):
 
 def build_reptree(enc: Encoded, idx, min_leaf: int, seed: int, holdout_folds: int):
     grow, prune = holdout_split(enc, idx, seed, holdout_folds)
-    tree = grow_tree(enc, grow, min_leaf, use_ratio=False)
+    tree = grow_tree(enc, grow, min_leaf, choose_split)
     if prune:
         tree, _ = rep_prune(tree, enc, prune)
     return tree
@@ -307,9 +359,9 @@ def build_randomtree(enc: Encoded, idx, min_leaf: int, seed: int):
     d = max(1, len(enc.input_idx))
     k = max(1, math.ceil(math.log2(d) + 1))
 
-    def picker(attrs):
-        if len(attrs) <= k:
-            return attrs
-        return sorted(rng.sample(attrs, k))
+    def choose(enc, idx, attrs, parent_h, min_leaf):
+        if len(attrs) > k:
+            attrs = sorted(rng.sample(attrs, k))
+        return choose_split(enc, idx, attrs, parent_h, min_leaf)
 
-    return grow_tree(enc, list(idx), min_leaf, use_ratio=False, attr_picker=picker)
+    return grow_tree(enc, list(idx), min_leaf, choose)

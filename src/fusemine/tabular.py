@@ -54,13 +54,17 @@ class AttributeSpec:
         if self.role not in (ROLE_ID, ROLE_INPUT, ROLE_CLASS):
             raise SchemaMismatchError(f"unknown role {self.role!r} for attribute {self.name!r}")
         if self.kind == NOMINAL:
-            if not self.labels:
+            # An input may have no labels: every cell of it is missing.
+            if self.labels is None or (not self.labels and self.role == ROLE_CLASS):
                 raise SchemaMismatchError(f"nominal attribute {self.name!r} needs labels")
             if len(set(self.labels)) != len(self.labels):
                 raise SchemaMismatchError(f"duplicate labels in attribute {self.name!r}")
             # An empty cell is a missing value, so an empty label could not be read back.
             if "" in self.labels:
                 raise SchemaMismatchError(f"empty label in attribute {self.name!r}")
+            # Rules name the missing value "?", so a "?" label could not be told from it.
+            if "?" in self.labels:
+                raise SchemaMismatchError(f"label '?' in attribute {self.name!r}")
             object.__setattr__(self, "labels", tuple(self.labels))
             object.__setattr__(self, "_indices", {v: i for i, v in enumerate(self.labels)})
         elif self.labels is not None:

@@ -1261,6 +1261,24 @@ class TestEmptyLabel:
         assert_one_line_error(capsys)
 
 
+
+class TestQuestionMarkLabel:
+    def test_schema_label_exits_2(self, workspace, tmp_path, capsys):
+        """A rule names the missing value "?", so a "?" label in ``schema.json`` is refused."""
+        data = tmp_path / "pre"
+        shutil.copytree(workspace / "pre" / "discretized", data / "discretized")
+        schema = data / "discretized" / "schema.json"
+        sources = json.loads(schema.read_text(encoding="utf-8"))
+        nominal = next(e for e in sources["theory"] if "labels" in e)
+        nominal["labels"][0] = "?"
+        schema.write_text(json.dumps(sources), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["select", "--data", str(data), "--variant", "discretized"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "label '?'" in err
+
+
 class TestPreprocessConfigFile:
     @pytest.mark.parametrize("text", [
         "{not json",

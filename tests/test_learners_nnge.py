@@ -9,7 +9,7 @@ from fusemine.learners import (
     ExemplarSet, Model, model_to_json, predict, predict_label, render_rules, train,
 )
 from fusemine.learners.encode import Encoded, encode_row, encode_table
-from fusemine.learners.model import Exemplar, exemplar_distance
+from fusemine.learners.model import Exemplar, _distance_plan, _planned_distance
 from fusemine.tabular import AttributeSpec, DataTable
 
 from helpers import GRADE, STATUS, planted_dataset
@@ -60,9 +60,10 @@ class TestNnge:
                 model.specs, model.input_indices,
                 model.metadata.get("numeric_fill", {}), row,
             )
+            plan = _distance_plan(model.specs, model.input_indices, structure.ranges, enc)
             for ex in structure.exemplars:
                 if ex.cls != label:
-                    d = exemplar_distance(model, ex, structure.ranges, enc)
+                    d = _planned_distance(ex, plan)
                     assert d > 0.0
 
     def test_distributions_valid(self):
@@ -152,9 +153,10 @@ def test_predict_matches_brute_force_on_mixed_inputs():
             model.specs, model.input_indices, model.metadata["numeric_fill"], row,
         )
         best = [None] * 3
+        plan = _distance_plan(model.specs, model.input_indices, structure.ranges, enc)
         for ex in structure.exemplars:
             d = reference_distance(model, ex, structure.ranges, enc)
-            assert exemplar_distance(model, ex, structure.ranges, enc) == d
+            assert _planned_distance(ex, plan) == d
             if best[ex.cls] is None or d < best[ex.cls]:
                 best[ex.cls] = d
         weights = [0.0 if d is None else 1.0 / (d + 1e-9) for d in best]

@@ -26,8 +26,10 @@ from fusemine.learners.model import condition_matches, encoded_paths
 from fusemine.learners.trees import (
     _EPS,
     _numeric_split,
+    _best_cut,
     add_errs,
     build_c45,
+    choose_c45_split,
     class_counts,
     cut_between,
     entropy,
@@ -276,7 +278,7 @@ class TestMissingValueRobustness:
         assert model.metadata["numeric_fill"]["x"] == 5.5  # median of present values
 
 
-def reference_numeric_split(enc, idx, attr, parent_h, min_leaf, use_ratio):
+def reference_numeric_split(enc, idx, attr, parent_h, min_leaf):
     """The threshold scan as first written, one ``entropy`` call per side.
 
     The cut between two neighbouring values comes from ``cut_between``,
@@ -307,17 +309,9 @@ def reference_numeric_split(enc, idx, attr, parent_h, min_leaf, use_ratio):
         gain = parent_h - weighted
         if gain <= _EPS:
             continue
-        if use_ratio:
-            p = n_left / n
-            split_info = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
-            if split_info <= _EPS:
-                continue
-            score = gain / split_info
-        else:
-            score = gain
         threshold = cut_between(col[i], col[order[pos + 1]])
-        if best is None or score > best[0] + _EPS:
-            best = (score, threshold)
+        if best is None or gain > best[0] + _EPS:
+            best = (gain, threshold)
     return best
 
 
@@ -343,9 +337,155 @@ class TestNumericSplitScan:
         idx = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
         parent_h = entropy(class_counts(enc, idx), len(idx))
         min_leaf = data.draw(st.integers(1, 3))
-        use_ratio = data.draw(st.booleans())
-        args = (enc, idx, 0, parent_h, min_leaf, use_ratio)
+        args = (enc, idx, 0, parent_h, min_leaf)
         assert repr(_numeric_split(*args)) == repr(reference_numeric_split(*args))
+
+
+def first_best(items, score):
+    """The first item whose score beats every earlier one by more than
+    ``_EPS``, starting from 0, as the choosers scan; None if none does."""
+    best, best_score = None, 0.0
+    for item in items:
+        if score(item) > best_score + _EPS:
+            best, best_score = item, score(item)
+    return best
+
+
+def reference_c45_split(enc, idx, min_leaf):
+    """J48's four rules applied one after another over every cut, with
+    one ``entropy`` call per branch: ``(attr, threshold)`` or None."""
+    n = len(idx)
+    parent_h = entropy(class_counts(enc, idx), n)
+
+    def gain_of(branches):
+        kept = [b for b in branches if b]
+        weighted = sum(len(b) / n * entropy(class_counts(enc, b), len(b)) for b in kept)
+        return parent_h - weighted, entropy([len(b) for b in kept], n)
+
+    min_split = min(max(0.1 * n / enc.n_classes, min_leaf), 25.0)
+    counted = []  # (gain, ratio, attr, threshold)
+    for attr in enc.input_idx:
+        col = enc.cols[attr]
+        if enc.specs[attr].is_nominal:
+            branches = [[i for i in idx if col[i] == v] for v in range(enc.n_slots(attr))]
+            if sum(1 for b in branches if len(b) >= min_leaf) < 2:
+                continue
+            gain, split_info = gain_of(branches)
+            counted.append((gain, gain / split_info, attr, None))
+            continue
+        values = sorted({col[i] for i in idx})
+        cuts = []  # (gain, split_info, lower value) of every cut
+        for lo in values[:-1]:
+            left = [i for i in idx if col[i] <= lo]
+            right = [i for i in idx if col[i] > lo]
+            if len(left) >= min_split and len(right) >= min_split:  # minimum split
+                cuts.append((*gain_of([left, right]), lo))
+        best = first_best(cuts, lambda cut: cut[0])  # best cut by gain
+        if best is None:
+            continue
+        gain = best[0] - math.log2(len(cuts)) / n  # MDL correction
+        if gain > _EPS:
+            counted.append((gain, gain / best[1], attr, best[2]))
+    if not counted:
+        return None
+    floor = sum(c[0] for c in counted) / len(counted) - 1e-3  # average gain
+    chosen = first_best([c for c in counted if c[0] >= floor], lambda c: c[1])  # ratio
+    return None if chosen is None else chosen[2:]
+
+
+class TestC45SplitChoice:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, data):
+        n_classes = data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(1, 40))
+        numbers = TIED_VALUES | st.floats(-5, 5, allow_nan=False)
+        grades = st.none() | st.integers(0, 2)
+        columns = [data.draw(st.lists(kind, min_size=n, max_size=n))
+                   for kind in (numbers, grades, numbers)]
+        classes = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+        specs = [
+            AttributeSpec.numeric("x"),
+            AttributeSpec.nominal("g", GRADE),
+            AttributeSpec.numeric("z"),
+            AttributeSpec.nominal("Status", STATUS[:n_classes], role="class"),
+        ]
+        enc = encode_table(DataTable(specs, list(zip(*columns, classes))))
+        idx = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+        parent_h = entropy(class_counts(enc, idx), len(idx))
+        min_leaf = data.draw(st.integers(1, 3))
+        chosen = choose_c45_split(enc, idx, list(enc.input_idx), parent_h, min_leaf)
+        expected = reference_c45_split(enc, idx, min_leaf)
+        assert (chosen and chosen[1:]) == expected
+
+    def test_mdl_correction_changes_the_attribute(self):
+        # x parts 4 Pass rows from 4 Pass and 8 Fail with the best of its
+        # 13 cuts, which beats g on plain gain ratio; the charge of
+        # log2(13) / 16 bits leaves x below g.
+        classes = "PPPPFPFFPFFPFFPF"
+        groups = "aaaaaaababbbbbbb"  # a: 6 Pass, 2 Fail; b: 2 Pass, 6 Fail
+        specs = [
+            AttributeSpec.numeric("x"),
+            AttributeSpec.nominal("g", ("a", "b")),
+            AttributeSpec.nominal("Status", STATUS[:2], role="class"),
+        ]
+        rows = [(float(x), "ab".index(g), "PF".index(c))
+                for x, (g, c) in enumerate(zip(groups, classes), start=1)]
+        enc = encode_table(DataTable(specs, rows))
+        idx = list(range(16))
+        parent_h = entropy(class_counts(enc, idx), 16)
+        gain, n_left, lo, _, cuts = _best_cut(enc, idx, 0, parent_h, 2)
+        assert (n_left, lo, cuts) == (4, 4.0, 13)
+        x_split_info = entropy((4, 12), 16)
+        g_ratio = 1 - entropy((6, 2), 8)  # g's split info is 1 bit
+        assert gain / x_split_info > g_ratio
+        assert (gain - math.log2(13) / 16) / x_split_info < g_ratio
+        assert choose_c45_split(enc, idx, [0, 1], parent_h, 2) == pytest.approx(
+            (g_ratio, 1, None)
+        )
+
+    def test_nominal_attribute_without_gain_lowers_the_average(self):
+        # h: gain 0.541, ratio 0.27; k: gain 0.459, ratio 0.50; g: gain 0.
+        # Without g the average gain keeps k out; g's zero brings it in.
+        rows = [  # (h, k, g, class)
+            (0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0), (2, 0, 1, 0), (2, 1, 0, 0), (3, 1, 1, 0),
+            (1, 1, 0, 1), (1, 1, 1, 1), (1, 1, 0, 1), (2, 1, 1, 1), (3, 1, 0, 1), (3, 1, 1, 1),
+        ]
+        specs = [
+            AttributeSpec.nominal("h", ("p", "q", "r", "s")),
+            AttributeSpec.nominal("k", ("u", "v")),
+            AttributeSpec.nominal("g", ("a", "b")),
+            AttributeSpec.nominal("Status", STATUS[:2], role="class"),
+        ]
+        enc = encode_table(DataTable(specs, rows))
+        idx = list(range(12))
+        assert choose_c45_split(enc, idx, [0, 1], 1.0, 2)[1] == 0
+        assert choose_c45_split(enc, idx, [0, 1, 2], 1.0, 2)[1] == 1
+
+    @pytest.mark.parametrize("n_low, splits", [(25, True), (24, False)])
+    def test_minimum_split_is_capped_at_25_rows(self, n_low, splits):
+        # 0.1 * n / 2 is about 30 rows, so only the cap lets a cut with
+        # 25 rows on one side through.
+        specs = [
+            AttributeSpec.numeric("x"),
+            AttributeSpec.nominal("Status", STATUS[:2], role="class"),
+        ]
+        rows = [(0.0, 1)] * n_low + [(1.0, 0)] * 575
+        enc = encode_table(DataTable(specs, rows))
+        idx = list(range(len(rows)))
+        assert 0.1 * len(rows) / 2 > 29
+        parent_h = entropy(class_counts(enc, idx), len(rows))
+        chosen = choose_c45_split(enc, idx, [0], parent_h, 2)
+        assert (chosen and chosen[1:]) == ((0, 0.0) if splits else None)
+
+    @pytest.mark.parametrize("algorithm", ["c45", "part"])
+    def test_every_threshold_is_a_training_value(self, algorithm):
+        table = planted_dataset(n=300, seed=2, noise=0.1, numeric=True)
+        model = train(algorithm, table)
+        thresholds = stored_thresholds(model)
+        assert thresholds
+        training_values = {v for row in table.rows for v in row[:-1]}
+        assert all(t in training_values for t in thresholds)
 
 
 class TestCutBetween:

@@ -31,32 +31,32 @@ TRAIN_SEED = 3
 # (algorithm, approach, variant) -> (sha256 of the JSON text, sha256 of the rendered text)
 DIGESTS = {
     ('c45', 'merge', 'numeric'): (
-        'a6960b13f926cfd6e6f6e7f25c5319c1317eb8e114f50fcd949269d24abc9d21',
-        '148f7d472c68bf93c1b988d0085f329cdabd630ac31be937baf4dcc6194467a4',
+        'c2303400d5053f48441d270799125e384fda5da9040b98fc9502fe53a95fa00b',
+        '14b6de3d661b78641f28f208ee6bdc6fe6f920aed68558c4f0e0581c6466cc6a',
     ),
     ('c45', 'merge', 'discretized'): (
         'e352dafbed6cb374b4713c6021fd5acfcf9911460f7d6f40026326de0b483f5a',
         'c0739245aeb8c8693cbecafcd5e30a5b37a6f697477b91c9efb1353aba9a4a55',
     ),
     ('c45', 'select', 'numeric'): (
-        '4623dac924cc4b534a9d1a37c9138eae65ce18b4812d3881a91a1f5360b07aef',
-        '718270de0d99f069d64681fad7f8cc3c38ede0ff9b52f0989fd6e43dd1d6718d',
+        'd97c3ab6fa87a7b83050c165f2e3824b3fc61bf71116fdde9aeefb1ebc6e0a96',
+        '1033c8a81908935e36abd08ede546970d73227fb01158e1414a99fc034a722d9',
     ),
     ('c45', 'select', 'discretized'): (
         '8e88c19b4ea480f1b77ec45b80db014de56ba5b887d4e4abaab5a2d38bbb25b8',
         '6e779223bc5e2e80098fb2e274910447c36aa16c47ccb1e7640223139c7d7cd7',
     ),
     ('c45', 'ensemble', 'numeric'): (
-        '0a72765915be7936bc2767a31279056d5d7166479a30202782563688961bf61d',
-        '826e1651cce79a67dd272fe9f80c3561456647c8873873989d1ccff4d86d8b76',
+        '645c7195abaed059d142821acce94b8d062702e06d442882d7066b0cb5cc9db6',
+        '66780e7b2bc9a83a3a733a14ba2bb0c5419ead186f1f0db3b4fbb9b510ac8553',
     ),
     ('c45', 'ensemble', 'discretized'): (
         '028643f39c4ab7e18a9c83ba50ceedbc54ed8c62aff768e278c9e6fa14b4b6b6',
         'd2534be52410266c82ccaf8825336951faaf2095aefc77140f8857288507fb1a',
     ),
     ('c45', 'ensemble-select', 'numeric'): (
-        'e34d3ae8e267dc94fc90d387ec8af6e0e13dd3299c50a7b15113083fbbcba189',
-        'be5acaaf51679f6ecf513e2e76351677c6b3cd7ffc5abd98716dbae87682d14f',
+        'a6507697d2d3201c014e530b8ecfafc6472c7a78cf4c99beba4b409f8c6b44a0',
+        '3a608b7316e8ca90ff4834de3126b58a91ddc0921b8006458dde1bc6afe801e0',
     ),
     ('c45', 'ensemble-select', 'discretized'): (
         '1f8de77e4ae7a6dd9281a06e564030bf01f75e893fc09b03a5b149554d5b760c',
@@ -159,32 +159,32 @@ DIGESTS = {
         'af9243992e16127ba8216006126b7d9d3661e0f9296e762984ecca7e7cd4a1a7',
     ),
     ('part', 'merge', 'numeric'): (
-        '83f62bc4c0955280bdb46532390709d297d3f970d2c4609f67d5d434d7b9f44f',
-        '2e3cd6c551ae3ce21de7640d67a3a1e6fe94b67d1d0717b35785b97e8ce24da8',
+        'ffff4972838c6d21904f7cab3f05275cc5bf368c5057e1f06bedf96faa2fb864',
+        '281582cbd787e5624d0f0e8a79b971731d8e3c8818ab81304a86257f9eae6514',
     ),
     ('part', 'merge', 'discretized'): (
         '991edb14990251718a3c7cdaf1bd6022531c352040b751284cf7d4fafb700db2',
         '04d90d04cb75077029c88fc9bbdcdf0a3c8f9eb622c3b5fd7b69d1950e35fe8d',
     ),
     ('part', 'select', 'numeric'): (
-        '123da65a2b6885e2317691f9ef1277e4c3bff3c5b64c551e9b31541f663cc42c',
-        'b2952bcb8413212568e0a7867cb3682191465d99d7b5c9c05c4add080c3b41c8',
+        '539f6d0bb1b20e6d05a2ffa668839b3d55d7cbb0b220905f835ad3a439b0c055',
+        '4a044d2f756c9dad9ac1048914bfa5c31939dc2a1709ca19581a26fec4d651cf',
     ),
     ('part', 'select', 'discretized'): (
         '101d297b152d07b7d92b1a1a3ca31ae34201e51242db27f6ca356d1b7cbd3483',
         'e7d02229df156c5a678b75b218dda0f9bd724b3b03a18c4216ca9225cc454d4f',
     ),
     ('part', 'ensemble', 'numeric'): (
-        '59a9eff9f92ddc1dd35515336a3aff2d997c07329b9af92bcb2e5ba78b7d777b',
-        '64a70fab272aae45816d39b4d7caaadd8b2163f8ecda43364a334bbaf14953cc',
+        '4cc86c8d49267aaca757090fd1358cd438567ed3076e6cfbb45fbac322e7b60a',
+        '32c6d7d8b2843a17df7b8999c48f9b856925f8f63559671a51a5e0cd1d21dbed',
     ),
     ('part', 'ensemble', 'discretized'): (
         'faa2066a1353445d2345c8a96fb458cf36af1ef90372c35717c5ec1a5468c631',
         'a413fb5ea2ac3982b8231e1889cc25b9384733cf4e73f2b31c006ca0145e8b52',
     ),
     ('part', 'ensemble-select', 'numeric'): (
-        'a4bd0dcaa7645e3fe80d4355b3becffc5904f0e721464ceea8c8b7f13d94f39a',
-        '8ed1f19846c73ca5c3572185a1dac08d5d10ce1d825ebfa7b34eae1b9f7bbf3d',
+        '4b28a3bf4d010216a9ac6ed2141e7f94d467e53b7a03dc9b2ea93b0a489a3c71',
+        '531db3752c6d8d51141af1718eaa97dd3187149129518859255585fb1a5ccaec',
     ),
     ('part', 'ensemble-select', 'discretized'): (
         '2fc22ab01eb89b97a1ab56445c08224e0a80535cc2a66fa76a2bdf5f09b87635',

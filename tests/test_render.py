@@ -91,6 +91,18 @@ class TestParse:
         model = parse_rules(text, MIXED_SPECS)
         assert render_rules(model) == text + "Number of Rules : 3\n"
 
+    def test_question_mark_is_only_the_missing_slot_without_schema(self):
+        model = parse_rules("IF a = ? THEN x\nELSE y\n")
+        assert model.specs[0].labels == ()
+        assert predict_label(model, (None, None)) == "x"
+        model = parse_rules("IF a = ? THEN x\nIF a = u THEN z\nELSE y\n")
+        assert model.specs[0].labels == ("u",)
+        assert [predict_label(model, (v, None)) for v in (None, 0)] == ["x", "z"]
+
+    def test_question_mark_class_rejected_without_schema(self):
+        with pytest.raises(RuleSyntaxError, match="label '\\?'"):
+            parse_rules("IF a = x THEN ?\nELSE y\n")
+
     def test_parse_without_schema_infers_one(self):
         model = parse_rules(PLANTED_LIST_TEXT)
         assert model.class_labels == ("Pass", "Fail", "Dropout")

@@ -57,6 +57,18 @@ class TestSpecs:
         with pytest.raises(SchemaMismatchError, match="empty label"):
             schema_from_json('[{"name": "x", "kind": "nominal", "labels": ["", "a"]}]')
 
+    def test_question_mark_label_rejected(self):
+        """Rules name the missing value "?", so a "?" label could not be told from it."""
+        with pytest.raises(SchemaMismatchError, match="label '\\?'"):
+            AttributeSpec.nominal("x", ["a", "?"])
+        with pytest.raises(SchemaMismatchError, match="label '\\?'"):
+            schema_from_json('[{"name": "x", "kind": "nominal", "labels": ["?"]}]')
+
+    def test_only_an_input_may_have_no_labels(self):
+        assert AttributeSpec.nominal("x", []).labels == ()
+        with pytest.raises(SchemaMismatchError, match="needs labels"):
+            AttributeSpec.nominal("Status", [], role="class")
+
 
 class TestDataTable:
     def test_row_width_checked(self):

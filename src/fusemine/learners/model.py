@@ -253,7 +253,7 @@ def _distance_plan(specs, input_indices, ranges, enc_values) -> list[tuple]:
 
     Each term is ``(index, encoded value, range span)``; the span is
     ``None`` for a nominal input.  Training and prediction both score
-    exemplars through this plan and ``_planned_distance``.
+    exemplars through this plan and ``_planned_sum``.
     """
     plan = []
     for i in input_indices:
@@ -265,12 +265,23 @@ def _distance_plan(specs, input_indices, ranges, enc_values) -> list[tuple]:
     return plan
 
 
-def _planned_distance(ex: Exemplar, plan) -> float:
+def _planned_sum(ex: Exemplar, plan, bound=None) -> float | None:
+    """The exemplar's sum of squared per-input distances, or ``None`` as
+    soon as the running sum reaches ``bound``.
+
+    The bound is exact: every term is non-negative and the terms are added
+    in plan order, so the running sum never decreases, and a sum stopped
+    at the bound would have ended at or above it.  Callers compare sums,
+    or take ``** 0.5`` of them, which is non-decreasing; ``math.sqrt``
+    rounds differently on some inputs and would change the distances.
+    """
     lo, hi, label_sets = ex.lo, ex.hi, ex.label_sets
     total = 0.0
     for i, v, span in plan:
         if span is None:
-            d = 0.0 if v in label_sets.get(i, ()) else 1.0
+            if v in label_sets.get(i, ()):
+                continue
+            d = 1.0
         else:
             ex_lo = lo.get(i, 0.0)
             ex_hi = hi.get(i, 0.0)
@@ -279,9 +290,17 @@ def _planned_distance(ex: Exemplar, plan) -> float:
             elif v > ex_hi:
                 d = (v - ex_hi) / span if span > 0 else 1.0
             else:
-                d = 0.0
+                continue
+        # Adding a zero term leaves the sum as it is, so only a nonzero
+        # term is added and checked.
         total += d * d
-    return total ** 0.5
+        if bound is not None and total >= bound:
+            return None
+    return None if bound is not None and total >= bound else total
+
+
+def _planned_distance(ex: Exemplar, plan) -> float:
+    return _planned_sum(ex, plan) ** 0.5
 
 
 def _exemplar_distribution(model: Model, structure: ExemplarSet, enc_values) -> tuple[float, ...]:
@@ -289,13 +308,20 @@ def _exemplar_distribution(model: Model, structure: ExemplarSet, enc_values) -> 
     if not structure.exemplars:
         return tuple(1.0 / k for _ in range(k))
     plan = _distance_plan(model.specs, model.input_indices, structure.ranges, enc_values)
+    # Each class's least sum; an exemplar is summed only while it can
+    # still undercut it, and not at all once a class has one at 0.
     best = [None] * k
     for ex in structure.exemplars:
-        d = _planned_distance(ex, plan)
-        if best[ex.cls] is None or d < best[ex.cls]:
-            best[ex.cls] = d
+        least = best[ex.cls]
+        if least == 0.0:
+            continue
+        s = _planned_sum(ex, plan, least)
+        # A NaN least sum (an overflowed span) bounds nothing; the
+        # comparison then keeps it, as a comparison of distances does.
+        if s is not None and (least is None or s < least):
+            best[ex.cls] = s
     eps = 1e-9
-    weights = [0.0 if d is None else 1.0 / (d + eps) for d in best]
+    weights = [0.0 if s is None else 1.0 / (s ** 0.5 + eps) for s in best]
     total = sum(weights)
     if total == 0.0:
         return tuple(1.0 / k for _ in range(k))

@@ -10,7 +10,7 @@ when the merge would swallow an instance of another class.
 from __future__ import annotations
 
 from .encode import Encoded
-from .model import Exemplar, ExemplarSet, _distance_plan, _planned_distance
+from .model import Exemplar, ExemplarSet, _distance_plan, _planned_sum
 
 
 def _box_from_members(cls, members, numeric_attrs, nominal_attrs):
@@ -36,13 +36,25 @@ def _covers(box: Exemplar, vals, numeric_attrs, nominal_attrs) -> bool:
     return True
 
 
+def _meets(other: Exemplar, box: Exemplar, numeric_attrs, nominal_attrs) -> bool:
+    """Whether the two boxes overlap on every input; a box is tight around
+    its members, so ``box`` can cover one of ``other``'s only then."""
+    for a in numeric_attrs:
+        if other.hi[a] < box.lo[a] or other.lo[a] > box.hi[a]:
+            return False
+    for a in nominal_attrs:
+        if other.label_sets[a].isdisjoint(box.label_sets[a]):
+            return False
+    return True
+
+
 def _swallows(box: Exemplar, boxes, numeric_attrs, nominal_attrs) -> bool:
     """Whether ``box`` covers an instance already seen of another class.
 
     Every instance seen so far is a member of exactly one of ``boxes``.
     """
     for other, members in boxes:
-        if other.cls != box.cls:
+        if other.cls != box.cls and _meets(other, box, numeric_attrs, nominal_attrs):
             for m in members:
                 if _covers(box, m, numeric_attrs, nominal_attrs):
                     return True
@@ -123,13 +135,18 @@ def build_nnge(enc: Encoded, idx):
                     _box_from_members(ex.cls, g, numeric_attrs, nominal_attrs) for g in groups
                 ]
         plan = _distance_plan(enc.specs, enc.input_idx, ranges, vals)
+        # (distance, position, sum); a box whose sum reaches the nearest
+        # box's sum is at least as far, so it is not summed to the end.
         nearest = None
         for j, (ex, _) in enumerate(boxes):
             if ex.cls != cls:
                 continue
-            d = _planned_distance(ex, plan)
+            s = _planned_sum(ex, plan, None if nearest is None else nearest[2])
+            if s is None:
+                continue
+            d = s ** 0.5
             if nearest is None or d < nearest[0] - 1e-12:
-                nearest = (d, j)
+                nearest = (d, j, s)
         grown = None
         if nearest is not None:
             ex, members = boxes[nearest[1]]

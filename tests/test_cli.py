@@ -14,10 +14,12 @@ from fusemine import cli
 from fusemine.cli import CliError, load_model, main
 from fusemine.ensemble import VoteModel, vote_predict
 from fusemine.evaluation import VARIANTS
-from fusemine.learners import ALGORITHMS, Model, RuleList, fired_rule_index, predict
+from fusemine.learners import (
+    ALGORITHMS, Model, RuleList, fired_rule_index, predict, train,
+)
 from fusemine.tabular import AttributeSpec, DataTable, SourceBundle
 
-from helpers import json_values
+from helpers import json_values, planted_dataset
 
 COHORT = ["synth", "--n", "57", "--seed", "5", "--out"]
 
@@ -760,13 +762,19 @@ def stored_models(workspace, numeric_merge_models):
 
 
 def model_row(data, model: Model) -> tuple:
-    """A row in ``model``'s schema: a finite number, a label or a gap per input."""
+    """A row in ``model``'s schema: a finite number, a label or a gap per input.
+
+    A nominal input with no labels has only the gap.
+    """
+    def cell(spec):
+        if spec.is_numeric:
+            return st.none() | st.floats(allow_nan=False, allow_infinity=False)
+        if not spec.labels:
+            return st.none()
+        return st.none() | st.integers(0, len(spec.labels) - 1)
+
     return tuple(
-        data.draw(st.none() | (
-            st.floats(allow_nan=False, allow_infinity=False) if spec.is_numeric
-            else st.integers(0, len(spec.labels) - 1)
-        )) if spec.role == "input" else None
-        for spec in model.specs
+        data.draw(cell(spec)) if spec.role == "input" else None for spec in model.specs
     )
 
 
@@ -801,6 +809,24 @@ class TestLoadModelFuzz:
                     fired_rule_index(base, rows[name])
             if isinstance(model, VoteModel):
                 vote_predict(model, rows)
+
+
+class TestLabelLessInput:
+    @pytest.mark.parametrize("algorithm", ["c45", "reptree", "randomtree", "ripper", "part"])
+    def test_untested_input_loads_renders_and_predicts(self, algorithm, tmp_path):
+        """An input with no labels has every cell missing, so no condition tests it;
+        a model trained beside it loads, renders and predicts a row that lacks it."""
+        planted = planted_dataset(n=60, seed=3)
+        specs = [*planted.specs[:-1], AttributeSpec.nominal("Blank", ()), planted.specs[-1]]
+        table = DataTable(specs, [(*row[:-1], None, row[-1]) for row in planted.rows])
+        model = train(algorithm, table)
+        file = tmp_path / "model.json"
+        cli.save_model(model, file)
+        loaded = load_model(file)
+        assert loaded.specs[-2].labels == ()
+        assert "Blank" not in cli.render_model(loaded)
+        for row in table.rows[:10]:
+            assert predict(loaded, row) == predict(model, row)
 
 
 #: A minimal command line for each subcommand that takes a run config.

@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 from fusemine.learners import (
     ExemplarSet, Model, model_to_json, predict, predict_label, render_rules, train,
 )
+from fusemine.learners import model as model_module
 from fusemine.learners.encode import Encoded, encode_row, encode_table
-from fusemine.learners.model import Exemplar, _distance_plan, _planned_distance
+from fusemine.learners.model import (
+    Exemplar, _distance_plan, _planned_distance, _planned_sum,
+)
 from fusemine.tabular import AttributeSpec, DataTable
 
 from helpers import GRADE, STATUS, planted_dataset
@@ -387,3 +390,124 @@ def test_training_matches_the_per_box_distance(table):
         ref_build_nnge(enc, list(range(enc.n_rows))), model.metadata,
     )
     assert model_to_json(model) == model_to_json(reference)
+
+
+# --- the pruned vote against a full scan --------------------------------
+
+#: Few distinct cells, so rows sit inside several boxes of several classes
+#: and per-class distances tie at 0.
+FEW_CELLS = (0.0, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def few_cell_models(draw):
+    """An exemplar set over numeric-only, nominal-only or mixed inputs whose
+    bounds and labels come from a handful of cells, plus rows to score."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", "nominal"]), min_size=1, max_size=4))
+    specs = tuple(
+        AttributeSpec.numeric(f"x{a}") if kind == "numeric"
+        else AttributeSpec.nominal(f"x{a}", GRADE)
+        for a, kind in enumerate(kinds)
+    ) + (AttributeSpec.nominal("Status", STATUS, role="class"),)
+    inputs = range(len(kinds))
+    numeric = [a for a in inputs if specs[a].is_numeric]
+    nominal = [a for a in inputs if specs[a].is_nominal]
+    exemplars = []
+    for _ in range(draw(st.integers(1, 12))):
+        bounds = {a: sorted(draw(st.lists(st.sampled_from(FEW_CELLS), min_size=2, max_size=2)))
+                  for a in numeric}
+        exemplars.append(Exemplar(
+            draw(st.integers(0, 2)),
+            {a: lo for a, (lo, _) in bounds.items()},
+            {a: hi for a, (_, hi) in bounds.items()},
+            {a: frozenset(draw(st.sets(st.integers(0, 3), min_size=1, max_size=2)))
+             for a in nominal},
+        ))
+    ranges = {a: (0.0, draw(st.sampled_from([0.0, 1.0, 2.0]))) for a in numeric}
+    model = Model("nnge", specs, STATUS, ExemplarSet(exemplars, ranges),
+                  {"numeric_fill": {specs[a].name: 0.5 for a in numeric}})
+    cell = {a: st.sampled_from(FEW_CELLS) if a in numeric else st.integers(0, 2) for a in inputs}
+    rows = draw(st.lists(
+        st.tuples(*(st.none() | cell[a] for a in inputs), st.none()), min_size=1, max_size=5,
+    ))
+    return model, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=few_cell_models(), extra_bounds=st.lists(st.sampled_from((0.0, 0.0625, 1.0, 3.0))))
+def test_pruned_vote_equals_the_full_scan(case, extra_bounds):
+    model, rows = case
+    structure = model.structure
+    for row in rows:
+        enc = encode_row(model.specs, model.input_indices, model.metadata["numeric_fill"], row)
+        plan = _distance_plan(model.specs, model.input_indices, structure.ranges, enc)
+        best = [None] * 3
+        for ex in structure.exemplars:
+            d = _planned_distance(ex, plan)
+            if best[ex.cls] is None or d < best[ex.cls]:
+                best[ex.cls] = d
+        weights = [0.0 if d is None else 1.0 / (d + 1e-9) for d in best]
+        assert predict(model, row) == tuple(w / sum(weights) for w in weights)
+
+        sums = [_planned_sum(ex, plan) for ex in structure.exemplars]
+        for ex, full in zip(structure.exemplars, sums):
+            assert full ** 0.5 == _planned_distance(ex, plan)
+            for bound in sums + extra_bounds:
+                bounded = _planned_sum(ex, plan, bound)
+                assert bounded == (None if full >= bound else full)
+
+
+def test_an_overflowed_span_votes_as_the_full_scan():
+    """Finite training values 1e308 apart overflow the span, so a distance
+    can be NaN; a NaN least sum stays its class's least, as in a full scan."""
+    specs = (AttributeSpec.numeric("a"), AttributeSpec.nominal("Status", STATUS, role="class"))
+    exemplars = [Exemplar(0, {0: 1e308}, {0: 1e308}), Exemplar(0, {0: -1e308}, {0: -1e308}),
+                 Exemplar(1, {0: 0.0}, {0: 1.0})]
+    model = Model("nnge", specs, STATUS, ExemplarSet(exemplars, {0: (-1e308, 1e308)}))
+    row = (-1e308, None)
+    plan = _distance_plan(model.specs, model.input_indices, model.structure.ranges, {0: -1e308})
+    best = [None] * 3
+    for ex in exemplars:
+        d = _planned_distance(ex, plan)
+        if best[ex.cls] is None or d < best[ex.cls]:
+            best[ex.cls] = d
+    assert math.isnan(best[0])
+    weights = [0.0 if d is None else 1.0 / (d + 1e-9) for d in best]
+    assert repr(predict(model, row)) == repr(tuple(w / sum(weights) for w in weights))
+
+
+class ReadLabels(dict):
+    """Label sets that record whether a distance read them."""
+
+    read = False
+
+    def get(self, *args):
+        self.read = True
+        return super().get(*args)
+
+
+def test_a_covered_class_sums_no_further_exemplar(monkeypatch):
+    """Once a class has an exemplar at distance 0 the vote skips the rest
+    of that class; once a running sum reaches its class's least sum, the
+    exemplar's remaining terms are not read."""
+    specs = (
+        AttributeSpec.numeric("a"), AttributeSpec.nominal("b", GRADE),
+        AttributeSpec.nominal("Status", STATUS, role="class"),
+    )
+    covering = Exemplar(0, {0: 0.0}, {0: 1.0}, {1: frozenset({0})})
+    near = Exemplar(1, {0: 0.5}, {0: 0.5}, {1: frozenset({1})})
+    # Its first term alone, 1.0, equals near's whole sum.
+    far = Exemplar(1, {0: 1.5}, {0: 1.5}, ReadLabels({1: frozenset({0})}))
+    exemplars = [covering, near] + [covering, far] * 5
+    model = Model("nnge", specs, STATUS, ExemplarSet(exemplars, {0: (0.0, 1.0)}))
+    calls = []
+
+    def counted(ex, plan, bound=None):
+        s = _planned_sum(ex, plan, bound)
+        calls.append((ex, s is not None))
+        return s
+
+    monkeypatch.setattr(model_module, "_planned_sum", counted)
+    predict(model, (0.5, 0, None))
+    assert calls == [(covering, True), (near, True)] + [(far, False)] * 5
+    assert not far.label_sets.read

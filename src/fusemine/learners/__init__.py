@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..errors import InvalidParamsError
 from ..tabular import DataTable
-from .encode import Encoded, encode_table
+from .encode import encode_table
 from .model import (
     Condition,
     DecisionTree,
@@ -65,13 +65,11 @@ def train(algorithm: str, dataset: DataTable, seed: int = 0) -> Model:
     if algorithm == "nnge":
         metadata["order_sensitive"] = True
 
-    present = sum(1 for c in counts if c > 0)
-    if present <= 1:
-        cls = majority(counts)
+    # Every builder makes a single-class dataset a model of that class
+    # alone; the flag tells prediction and rendering so.
+    if sum(1 for c in counts if c > 0) <= 1:
         metadata["degenerate"] = True
-        metadata["constant_class"] = enc.class_labels[cls]
-        structure = _degenerate_structure(algorithm, enc, idx, counts, cls)
-        return Model(algorithm, enc.specs, enc.class_labels, structure, metadata)
+        metadata["constant_class"] = enc.class_labels[majority(counts)]
 
     if algorithm == "c45":
         structure = DecisionTree(build_c45(enc, idx, **params))
@@ -88,14 +86,6 @@ def train(algorithm: str, dataset: DataTable, seed: int = 0) -> Model:
     else:
         structure = build_nnge(enc, idx)
     return Model(algorithm, enc.specs, enc.class_labels, structure, metadata)
-
-
-def _degenerate_structure(algorithm: str, enc: Encoded, idx, counts, cls):
-    if algorithm in ("c45", "reptree", "randomtree"):
-        return DecisionTree(Leaf(tuple(counts), cls))
-    if algorithm in ("ripper", "part"):
-        return RuleList((Rule((), enc.class_labels[cls], tuple(counts)),))
-    return build_nnge(enc, idx)
 
 
 __all__ = [

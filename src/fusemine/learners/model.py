@@ -81,18 +81,10 @@ class DecisionTree:
     root: Union[Leaf, Split]
 
     def n_leaves(self) -> int:
-        return sum(1 for _ in iter_leaves(self.root))
+        return len(encoded_paths(self.root))
 
     def size(self) -> int:
         return _count_nodes(self.root)
-
-
-def iter_leaves(node):
-    if isinstance(node, Leaf):
-        yield node
-    else:
-        for child in node.children:
-            yield from iter_leaves(child)
 
 
 def _count_nodes(node) -> int:
@@ -248,18 +240,31 @@ def _rules_distribution(model: Model, rules: RuleList, enc_values) -> tuple[floa
     return _laplace(counts, k)
 
 
+def _range_span(lo: float, hi: float) -> float:
+    """``hi - lo``, or, where that overflows, minus the span of the halved
+    ends (halving is exact for normal floats); ``_unit_gap`` reads it."""
+    span = hi - lo
+    return span if span != math.inf else lo / 2 - hi / 2
+
+
+def _unit_gap(a: float, b: float, span: float) -> float:
+    """``(a - b) / span`` for ``a >= b`` and a ``_range_span`` that is not
+    positive: 1.0 for an empty range, the halved values for an overflowed
+    one.  A positive span divides in the caller, which saves this call."""
+    return (a / 2 - b / 2) / -span if span < 0 else 1.0
+
+
 def _distance_plan(specs, input_indices, ranges, enc_values) -> list[tuple]:
     """Per-row terms of the exemplar distance, one per input in index order.
 
-    Each term is ``(index, encoded value, range span)``; the span is
-    ``None`` for a nominal input.  Training and prediction both score
-    exemplars through this plan and ``_planned_sum``.
+    Each term is ``(index, encoded value, range span)``; the span is a
+    ``_range_span``, or ``None`` for a nominal input.  Training and
+    prediction both score exemplars through this plan and ``_planned_sum``.
     """
     plan = []
     for i in input_indices:
         if specs[i].is_numeric:
-            r_lo, r_hi = ranges.get(i, (0.0, 1.0))
-            plan.append((i, enc_values[i], r_hi - r_lo))
+            plan.append((i, enc_values[i], _range_span(*ranges.get(i, (0.0, 1.0)))))
         else:
             plan.append((i, enc_values[i], None))
     return plan
@@ -286,9 +291,9 @@ def _planned_sum(ex: Exemplar, plan, bound=None) -> float | None:
             ex_lo = lo.get(i, 0.0)
             ex_hi = hi.get(i, 0.0)
             if v < ex_lo:
-                d = (ex_lo - v) / span if span > 0 else 1.0
+                d = (ex_lo - v) / span if span > 0 else _unit_gap(ex_lo, v, span)
             elif v > ex_hi:
-                d = (v - ex_hi) / span if span > 0 else 1.0
+                d = (v - ex_hi) / span if span > 0 else _unit_gap(v, ex_hi, span)
             else:
                 continue
         # Adding a zero term leaves the sum as it is, so only a nonzero
@@ -316,8 +321,6 @@ def _exemplar_distribution(model: Model, structure: ExemplarSet, enc_values) -> 
         if least == 0.0:
             continue
         s = _planned_sum(ex, plan, least)
-        # A NaN least sum (an overflowed span) bounds nothing; the
-        # comparison then keeps it, as a comparison of distances does.
         if s is not None and (least is None or s < least):
             best[ex.cls] = s
     eps = 1e-9

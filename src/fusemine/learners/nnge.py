@@ -10,7 +10,7 @@ when the merge would swallow an instance of another class.
 from __future__ import annotations
 
 from .encode import Encoded
-from .model import Exemplar, ExemplarSet, _distance_plan, _planned_sum
+from .model import Exemplar, ExemplarSet, _distance_plan, _planned_sum, _range_span, _unit_gap
 
 
 def _box_from_members(cls, members, numeric_attrs, nominal_attrs):
@@ -77,8 +77,11 @@ def _exclude_members(members, vals, numeric_attrs, nominal_attrs, spans):
         apart = [m[a] for m in members if m[a] != v]
         if not apart:
             continue
-        gap = min(abs(mv - v) for mv in apart)
-        margin = gap / spans[a] if spans[a] > 0 else 1.0
+        span = spans[a]
+        if span > 0:
+            margin = min(abs(mv - v) for mv in apart) / span
+        else:
+            margin = min(_unit_gap(max(mv, v), min(mv, v), span) for mv in apart)
         key = (len(apart), margin)
         if best is None or key > best[:2]:
             best = (len(apart), margin, a, True)
@@ -113,7 +116,7 @@ def build_nnge(enc: Encoded, idx):
         values = [enc.cols[a][i] for i in idx]
         lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
         ranges[a] = (lo, hi)
-        spans[a] = hi - lo
+        spans[a] = _range_span(lo, hi)
 
     boxes: list[tuple[Exemplar, list[dict]]] = []
     for i in idx:

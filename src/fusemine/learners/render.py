@@ -82,12 +82,15 @@ def _render_exemplars(model: Model, structure: ExemplarSet) -> str:
                     parts.append(f"{spec.name} in [{number_text(lo)}, {number_text(hi)}]")
             else:
                 values = ex.label_sets.get(i)
-                if values is None or len(values) >= len(spec.labels) + 1:
+                n_labels = len(spec.labels)
+                # A set of every label fits any row; the slot past the
+                # labels, named ``?``, holds the missing value.
+                if values is None or len(values - {n_labels}) == n_labels:
                     continue
                 names = [slot_name(spec, v) for v in sorted(values)]
                 if len(names) == 1:
                     parts.append(f"{spec.name} = {names[0]}")
-                elif len(values) < len(spec.labels):
+                else:
                     parts.append(f"{spec.name} in {{{', '.join(names)}}}")
         condition = " AND ".join(parts) if parts else "TRUE"
         lines.append(f"IF {condition} THEN {model.class_labels[ex.cls]}")

@@ -347,6 +347,9 @@ def holdout_split(enc: Encoded, idx, seed: int, folds: int):
 
 
 def build_reptree(enc: Encoded, idx, min_leaf: int, seed: int, holdout_folds: int):
+    # Rows of one class grow a lone leaf, which no holdout could prune.
+    if len({enc.y[i] for i in idx}) <= 1:
+        return grow_tree(enc, list(idx), min_leaf, choose_split)
     grow, prune = holdout_split(enc, idx, seed, holdout_folds)
     tree = grow_tree(enc, grow, min_leaf, choose_split)
     if prune:

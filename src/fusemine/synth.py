@@ -19,7 +19,8 @@ from itertools import product
 from typing import Mapping
 
 from .errors import FusemineError, InfeasibleRulesetError, SchemaMismatchError
-from .learners import Rule, RuleList
+from .learners import Condition, Model, Rule, RuleList
+from .learners.model import _check_model, _fired
 from .preprocess import (
     DEFAULT_BIN_LABELS,
     DEFAULT_CLASS_LABELS,
@@ -59,7 +60,6 @@ ATTR_SOURCE = {entry[0]: entry[1] for entry in ATTRIBUTES}
 
 def default_ruleset() -> RuleList:
     """The planted five-rule ground truth over the discretized schema."""
-    from .learners import Condition
 
     def eq(attr, label):
         return Condition(attr, "=", label)
@@ -104,36 +104,28 @@ class CohortSpec:
             raise SchemaMismatchError("noise rate must lie in [0, 1]")
 
 
-def _fires(ruleset: RuleList, values: Mapping[str, str]) -> tuple[int, str]:
-    for r, rule in enumerate(ruleset.rules):
-        if all(values.get(c.attr) == c.value for c in rule.conditions):
-            return r, rule.cls
-    raise SchemaMismatchError("rule list failed to cover a value combination")
-
-
-def _validate_ruleset(ruleset: RuleList) -> list[str]:
-    constrained: list[str] = []
-    for rule in ruleset.rules:
-        if rule.cls not in STATUS:
-            raise SchemaMismatchError(f"rule class {rule.cls!r} is not a status label")
-        for cond in rule.conditions:
-            if cond.op != "=" or cond.value not in GRADE:
-                raise SchemaMismatchError(
-                    "planted rules must test grade equality on fused attributes"
-                )
-            if cond.attr not in ATTR_NAMES:
-                raise SchemaMismatchError(f"unknown planted attribute {cond.attr!r}")
-            if cond.attr not in constrained:
-                constrained.append(cond.attr)
-    return sorted(constrained, key=ATTR_NAMES.index)
-
-
-def _cells_by_class(ruleset: RuleList, constrained: list[str]):
-    cells: dict[str, list[tuple[int, tuple[int, ...]]]] = {label: [] for label in STATUS}
+def _fired_rules(ruleset: RuleList, constrained: list[str]) -> dict[tuple[int, ...], int]:
+    """The rule the planted list fires on each combination of grades of the
+    constrained attributes, the only ones it tests.  The list is checked
+    as a stored model is, so one that does not fit the discretized schema
+    is a schema mismatch."""
+    specs = fused_input_specs() + (AttributeSpec.nominal("Status", STATUS, role="class"),)
+    model = Model("planted", specs, STATUS, ruleset)
+    _check_model(model)
+    at = [model.attr_index(attr) for attr in constrained]
+    values = [0] * len(specs)
+    fired = {}
     for combo in product(range(len(GRADE)), repeat=len(constrained)):
-        values = {attr: GRADE[v] for attr, v in zip(constrained, combo)}
-        rule_idx, cls = _fires(ruleset, values)
-        cells[cls].append((rule_idx, combo))
+        for i, v in zip(at, combo):
+            values[i] = v
+        fired[combo] = _fired(model, ruleset, values)
+    return fired
+
+
+def _cells_by_class(ruleset: RuleList, fired):
+    cells: dict[str, list[tuple[int, tuple[int, ...]]]] = {label: [] for label in STATUS}
+    for combo, rule_idx in fired.items():
+        cells[ruleset.rules[rule_idx].cls].append((rule_idx, combo))
     return cells
 
 
@@ -266,8 +258,10 @@ def _expand_sessions(rng: random.Random, value: float, lo: float, hi: float, s: 
 def generate(spec: CohortSpec) -> tuple[SourceBundle, DataTable]:
     """Draw a raw bundle plus the planted (pre-noise) labels per student."""
     rng = random.Random(spec.seed)
-    constrained = _validate_ruleset(spec.ruleset)
-    cells = _cells_by_class(spec.ruleset, constrained)
+    named = {c.attr for rule in spec.ruleset.rules for c in rule.conditions}
+    constrained = [attr for attr in ATTR_NAMES if attr in named]
+    fired = _fired_rules(spec.ruleset, constrained)
+    cells = _cells_by_class(spec.ruleset, fired)
     allocation = _allocate_cells(spec, cells, constrained)
     _repair_occupancy(allocation, constrained)
 
@@ -373,11 +367,11 @@ def generate(spec: CohortSpec) -> tuple[SourceBundle, DataTable]:
         [id_spec, AttributeSpec.nominal("Status", STATUS, role="class")],
         [(ids[student], planted[student]) for student in range(n)],
     )
-    _verify_construction(spec, bundle, truth, constrained, target_bins)
+    _verify_construction(spec, bundle, truth, constrained, target_bins, fired)
     return bundle, truth
 
 
-def _verify_construction(spec, bundle, truth, constrained, target_bins):
+def _verify_construction(spec, bundle, truth, constrained, target_bins, fired):
     """Run the real fuse-and-bin pipeline and check the planted contract."""
     recovered: dict[str, list[int]] = {}
     for source in ("theory", "practice", "online"):
@@ -391,9 +385,8 @@ def _verify_construction(spec, bundle, truth, constrained, target_bins):
             recovered[attr] = [params.bin_of(v) for v in column]
     labels = [row[1] for row in truth.sorted_by_id().rows]
     for student, cls in enumerate(labels):
-        values = {attr: GRADE[recovered[attr][student]] for attr in constrained}
-        _rule, fired = _fires(spec.ruleset, values)
-        if fired != STATUS[cls]:
+        combo = tuple(recovered[attr][student] for attr in constrained)
+        if spec.ruleset.rules[fired[combo]].cls != STATUS[cls]:
             raise FusemineError(
                 "internal generation error: pipeline bins contradict the planted class"
             )

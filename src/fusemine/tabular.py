@@ -139,10 +139,12 @@ def _is_clean(spec: AttributeSpec, column: tuple) -> bool:
     return kinds <= {int, type(None)} and set(column) - {None} <= set(range(len(spec.labels)))
 
 
-def _id_sort_key(spec: AttributeSpec, value) -> str:
-    # Zero-padding makes lexicographic order match numeric order for ids.
-    text = value_to_text(spec, value)
-    return text.rjust(24, "0")
+def _id_sort_key(spec: AttributeSpec, value):
+    """Numeric ids sort by value, nominal ids by their label text padded
+    with leading zeros; a missing id sorts first."""
+    if spec.is_numeric:
+        return -math.inf if value is None else value
+    return value_to_text(spec, value).rjust(24, "0")
 
 
 @dataclass(frozen=True)

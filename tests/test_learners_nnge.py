@@ -85,6 +85,62 @@ class TestNnge:
         assert text.strip().splitlines()[-1].startswith("Number of Exemplars : ")
         assert text.startswith("IF ")
 
+    def test_render_names_the_missing_slot(self):
+        # The first box holds Low, Medium and a missing g, but not High.
+        specs = [AttributeSpec.nominal("g", GRADE), AttributeSpec.nominal("Status", STATUS, role="class")]
+        table = DataTable(specs, [(0, 0), (1, 0), (None, 0), (2, 1)])
+        assert render_rules(train("nnge", table)) == (
+            "IF g in {Low, Medium, ?} THEN Pass\n"
+            "IF g = High THEN Fail\n"
+            "Number of Exemplars : 2\n"
+        )
+
+    def test_render_leaves_out_a_set_of_every_label(self):
+        specs = [AttributeSpec.nominal("g", GRADE), AttributeSpec.numeric("x"),
+                 AttributeSpec.nominal("Status", STATUS, role="class")]
+        rows = [(0, 0.0, 0), (1, 0.0, 0), (2, 0.0, 0), (None, 0.5, 0), (0, 1.0, 1)]
+        assert render_rules(train("nnge", DataTable(specs, rows[:3] + rows[4:]))) == (
+            "IF x = 0 THEN Pass\nIF g = Low AND x = 1 THEN Fail\nNumber of Exemplars : 2\n"
+        )
+        assert render_rules(train("nnge", DataTable(specs, rows))) == (
+            "IF x in [0, 0.5] THEN Pass\nIF g = Low AND x = 1 THEN Fail\nNumber of Exemplars : 2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "xs, classes",
+        [((-1e308, 0.0, 5e307, 1e308), (0, 0, 1, 1)), ((-1e308, 1e308), (0, 1))],
+        ids=["four-rows", "two-rows"],
+    )
+    def test_wide_numeric_range_predicts_each_training_row(self, xs, classes):
+        # The range 1e308 - (-1e308) overflows; distances halve the value
+        # and both ends instead.
+        specs = [AttributeSpec.numeric("x"), AttributeSpec.nominal("Status", STATUS, role="class")]
+        table = DataTable(specs, list(zip(xs, classes)))
+        model = train("nnge", table)
+        for row in table.rows:
+            dist = predict(model, row)
+            assert all(math.isfinite(p) for p in dist)
+            assert sum(dist) == pytest.approx(1.0, abs=1e-9)
+            assert predict_label(model, row) == STATUS[row[1]]
+
+    def test_wide_numeric_range_splits_on_the_widest_margin(self):
+        # The Fail row lands in the Pass box.  Both inputs part all three
+        # members from it; x does so by a quarter of its range (5e307 of
+        # 2e308, an overflowed span), y by a fifth of its own (0.1 of 0.5).
+        specs = [AttributeSpec.numeric("x"), AttributeSpec.numeric("y"),
+                 AttributeSpec.nominal("Status", STATUS, role="class")]
+        rows = [(-1e308, 0.0, 0), (1e308, 0.3, 0), (-5e307, 0.5, 0), (0.0, 0.2, 1)]
+        model = train("nnge", DataTable(specs, rows))
+        assert render_rules(model) == (
+            "IF x in [-1e+308, -5e+307] AND y in [0, 0.5] THEN Pass\n"
+            "IF x = 1e+308 AND y = 0.3 THEN Pass\n"
+            "IF x = 0 AND y = 0.2 THEN Fail\n"
+            "Number of Exemplars : 3\n"
+        )
+        for row in rows:
+            assert all(math.isfinite(p) for p in predict(model, row))
+            assert predict_label(model, row) == STATUS[row[2]]
+
 
 def reference_distance(model, ex, ranges, enc_values):
     """Per-exemplar distance loop, kept as the reference for the row plan."""
@@ -458,8 +514,8 @@ def test_pruned_vote_equals_the_full_scan(case, extra_bounds):
 
 
 def test_an_overflowed_span_votes_as_the_full_scan():
-    """Finite training values 1e308 apart overflow the span, so a distance
-    can be NaN; a NaN least sum stays its class's least, as in a full scan."""
+    """Finite training values 2e308 apart overflow the span; the distance
+    then halves the value and both ends, and the vote is a full scan's."""
     specs = (AttributeSpec.numeric("a"), AttributeSpec.nominal("Status", STATUS, role="class"))
     exemplars = [Exemplar(0, {0: 1e308}, {0: 1e308}), Exemplar(0, {0: -1e308}, {0: -1e308}),
                  Exemplar(1, {0: 0.0}, {0: 1.0})]
@@ -471,7 +527,7 @@ def test_an_overflowed_span_votes_as_the_full_scan():
         d = _planned_distance(ex, plan)
         if best[ex.cls] is None or d < best[ex.cls]:
             best[ex.cls] = d
-    assert math.isnan(best[0])
+    assert best == [0.0, 0.5, None]
     weights = [0.0 if d is None else 1.0 / (d + 1e-9) for d in best]
     assert repr(predict(model, row)) == repr(tuple(w / sum(weights) for w in weights))
 

@@ -3,7 +3,7 @@ import pytest
 from fusemine.ensemble import FusionConfig
 from fusemine.errors import InfeasibleRulesetError, SchemaMismatchError
 from fusemine.evaluation import cross_validate
-from fusemine.learners import Rule, RuleList, render_rules, predict_label
+from fusemine.learners import Condition, Rule, RuleList, render_rules, predict_label
 from fusemine.preprocess import fuse_sessions, preprocess_bundle
 from fusemine.synth import ATTR_NAMES, CohortSpec, default_ruleset, generate
 from fusemine.tabular import join_on_id
@@ -132,6 +132,44 @@ class TestGenerate:
     def test_negative_class_count_rejected(self):
         with pytest.raises(SchemaMismatchError, match="must not be negative"):
             CohortSpec(n_students=10, class_counts=(20, -5, -5))
+
+    @pytest.mark.parametrize(
+        "condition, cls",
+        [
+            (Condition("Moodle.Grade", "=", "Low"), "Fail"),
+            (Condition("Moodle.Quiz", "=", "Poor"), "Fail"),
+            (Condition("Moodle.Quiz", "<=", 0.5), "Fail"),
+            (Condition("Moodle.Quiz", "=", "Low"), "Expelled"),
+        ],
+        ids=["unknown-attribute", "unknown-label", "threshold", "unknown-class"],
+    )
+    def test_planted_rule_outside_the_schema_rejected(self, condition, cls):
+        rules = RuleList((Rule((condition,), cls), Rule((), "Pass")))
+        with pytest.raises(SchemaMismatchError):
+            generate(CohortSpec(ruleset=rules))
+
+    def test_missing_grade_rule_never_fires(self):
+        # No drawn student has a missing grade, so a "= ?" rule on an
+        # attribute the other rules test leaves the cohort as it was.
+        missing = Rule((Condition("Moodle.Quiz", "=", "?"),), "Dropout")
+        rules = default_ruleset().rules
+        with_missing = RuleList((rules[0], missing) + rules[1:])
+        mix = {"Pass": {0: 1.0, 5: 1.0}, "Dropout": {4: 1.0}}
+        shifted = {"Pass": {0: 1.0, 4: 1.0}, "Dropout": {3: 1.0}}
+        assert generate(CohortSpec(seed=4, ruleset=with_missing, rule_mix=mix)) == generate(
+            CohortSpec(seed=4, rule_mix=shifted)
+        )
+        assert generate(CohortSpec(seed=4, ruleset=with_missing)) == generate(CohortSpec(seed=4))
+
+    def test_class_only_a_missing_grade_rule_yields_is_infeasible(self):
+        rules = RuleList((
+            Rule((Condition("Moodle.Quiz", "=", "?"),), "Dropout"),
+            Rule((Condition("Moodle.Quiz", "=", "Low"),), "Fail"),
+            Rule((), "Pass"),
+        ))
+        with pytest.raises(InfeasibleRulesetError, match="no value combination yields class 'Dropout'"):
+            generate(CohortSpec(ruleset=rules))
+        generate(CohortSpec(n_students=36, class_counts=(19, 17, 0), ruleset=rules))
 
     def test_rule_mix_shifts_usage(self):
         mix = {"Pass": {0: 1.0}}  # every Pass student satisfies rule 1 (Quiz=High)

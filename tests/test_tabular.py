@@ -122,6 +122,16 @@ class TestDataTable:
         table = simple_table([10, 2, 33], [1.0, 2.0, 3.0])
         assert table.sorted_by_id().id_values() == [2.0, 10.0, 33.0]
 
+    def test_numeric_ids_sort_by_value(self):
+        ids = [100000.0, -3.0, None, 99999.5, 1e20, -5.0, 2.5]
+        table = DataTable([id_spec(), AttributeSpec.numeric("score")], [(i, 0.0) for i in ids])
+        assert table.sorted_by_id().id_values() == [None, -5.0, -3.0, 2.5, 99999.5, 100000.0, 1e20]
+
+    def test_nominal_ids_sort_by_padded_label(self):
+        spec = AttributeSpec.nominal("id", ["b", "10", "a", "9"], role="id")
+        table = DataTable([spec, AttributeSpec.numeric("score")], [(i, 0.0) for i in (0, 1, None, 2, 3)])
+        assert table.sorted_by_id().id_values() == [None, 3, 2, 0, 1]
+
 
 class TestCsvRoundTrip:
     def test_three_row_identity(self, tmp_path):
@@ -355,6 +365,18 @@ class TestJoin:
             }
         )
         assert join_on_id(shuffled, drop_id=False) == join_on_id(bundle, drop_id=False)
+
+    def test_rows_sorted_by_numeric_id_value(self):
+        ids = [-5.0, 100000.0, 2.5, -3.0, 99999.5]
+        bundle = SourceBundle({
+            name: DataTable(
+                [id_spec(), AttributeSpec.numeric(f"{name}.A")], [(i, i) for i in ids]
+            )
+            for name in ("theory", "online")
+        })
+        joined = join_on_id(bundle, drop_id=False)
+        assert joined.id_values() == sorted(ids)
+        assert joined.column("online.A") == sorted(ids)
 
     def test_single_source_identity(self):
         exam = make_bundle()["exam"]

@@ -84,15 +84,37 @@ class VoteModel:
         return next(iter(self.models.values())).class_labels
 
 
-@lru_cache(maxsize=1024)
-def _decimal(x: float) -> tuple[int, int]:
-    """``(m, e)`` with ``m * 10**e`` the decimal that ``repr(x)`` denotes.
+#: The exponent that ``_weighted_decimals`` brings every part down to at
+#: least, so that the parts of one vote mostly share it and add without
+#: rescaling.  A weight with one decimal place times a probability of at
+#: least 1e-12 lies above it.
+_LOW = -30
 
-    Callers pass floats.  The cache is bounded: tree and rule leaves
-    repeat their distributions, but exemplar sets rarely do."""
+
+def _decimal(x: float) -> tuple[int, int]:
+    """``(m, e)`` with ``m * 10**e`` the decimal that ``repr(x)`` denotes."""
     digits, _, exponent = repr(x).partition("e")
     whole, _, fraction = digits.partition(".")
     return int(whole + fraction), int(exponent or 0) - len(fraction)
+
+
+@lru_cache(maxsize=512)
+def _weighted_decimals(weight: float, dist: tuple) -> tuple[int, tuple[int, ...], int]:
+    """``(w, ms, e)`` with ``w * 10**e`` the decimal of ``repr(weight)``
+    and ``ms[i] * 10**e`` that decimal times the decimal of
+    ``repr(float(dist[i]))``, at one exponent ``e`` no higher than ``_LOW``.
+
+    Each distinct (weight, distribution) pair is parsed once while it
+    stays cached.  The cache is bounded: tree and rule leaves repeat
+    their distributions, but exemplar sets rarely do."""
+    w_m, w_e = _decimal(weight)
+    parts = [_decimal(float(p)) for p in dist]
+    low = min(_LOW, w_e, *(w_e + e for _, e in parts))
+    return (
+        w_m * 10 ** (w_e - low),
+        tuple(w_m * m * 10 ** (w_e + e - low) for m, e in parts),
+        low,
+    )
 
 
 def combine_votes(
@@ -105,25 +127,29 @@ def combine_votes(
     textbook example lands on its decimal answer and scaling all weights
     by a representable constant leaves the output bit-for-bit unchanged.
 
-    Each decimal is held as an integer mantissa and a power-of-ten
-    exponent.  Every weighted sum, and the total weight, is brought to
-    the smallest exponent among its terms and summed as a plain integer;
+    ``_weighted_decimals`` gives each source's weight and weighted
+    probabilities as integer mantissas at one power-of-ten exponent.  The
+    sources are brought to the smallest exponent among them, and each
+    weighted sum, and the total weight, is summed as a plain integer;
     each output is then one ``int / int`` true division.  CPython rounds
     that division correctly, so it returns the float nearest the exact
     rational mean: the same float an exact ``Fraction`` average would.
     """
-    names = sorted(dists_by_source)
-    weight_terms = []
-    prob_terms = [[] for _ in dists_by_source[names[0]]]
-    for name in names:
-        w_m, w_e = _decimal(float(weights[name]))
-        weight_terms.append((w_m, w_e))
-        for terms, p in zip(prob_terms, dists_by_source[name]):
-            p_m, p_e = _decimal(float(p))
-            terms.append((w_m * p_m, w_e + p_e))
-    low = min(e for terms in (weight_terms, *prob_terms) for _, e in terms)
-    total = sum(m * 10 ** (e - low) for m, e in weight_terms)
-    return tuple(sum(m * 10 ** (e - low) for m, e in terms) / total for terms in prob_terms)
+    parts = [
+        _weighted_decimals(float(weights[name]), tuple(dists_by_source[name]))
+        for name in sorted(dists_by_source)
+    ]
+    low = min(e for _, _, e in parts)
+    total = 0
+    sums = None
+    for w, ms, e in parts:
+        if e != low:
+            scale = 10 ** (e - low)
+            w *= scale
+            ms = [m * scale for m in ms]
+        total += w
+        sums = ms if sums is None else [s + m for s, m in zip(sums, ms)]
+    return tuple(s / total for s in sums)
 
 
 def vote_predict(vote_model: VoteModel, rows_by_source: Mapping[str, Sequence]) -> tuple[float, ...]:

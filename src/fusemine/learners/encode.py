@@ -1,9 +1,11 @@
 """Internal columnar encoding shared by the learners.
 
-Training operates on plain lists indexed by row position so that
-cross-validation folds are just index lists over one shared encoding.
-Missing numeric values are replaced by the training median; missing
-nominal values become an extra category one past the label range.
+Training operates on plain column lists indexed by row position; each
+table a model trains on, a cross-validation fold's included, is encoded
+on its own.  Missing numeric values are replaced by the training median;
+missing nominal values become an extra category one past the label
+range.  A trained model encodes each row it scores by the same rule,
+through its ``encoding_plan``.
 """
 
 from __future__ import annotations
@@ -100,14 +102,23 @@ def encode_table(table: DataTable) -> Encoded:
     )
 
 
-def encode_row(specs, input_idx, numeric_fill, row):
-    """Encode one instance row with the model's stored substitutions."""
+def encoding_plan(specs, input_idx, numeric_fill) -> tuple[tuple[int, bool, object], ...]:
+    """Per input, ``(index, is_numeric, substitute for a missing cell)``:
+    the stored fill of a numeric input (0.0 when none is stored), the
+    slot past the labels of a nominal one."""
+    return tuple(
+        (i, True, numeric_fill.get(specs[i].name, 0.0))
+        if specs[i].is_numeric
+        else (i, False, len(specs[i].labels))
+        for i in input_idx
+    )
+
+
+def encode_row(plan, row) -> dict:
+    """Encode one instance row by an ``encoding_plan``: numeric cells as
+    floats, nominal cells as their slot, a missing cell as its substitute."""
     out = {}
-    for i in input_idx:
-        spec = specs[i]
+    for i, numeric, missing in plan:
         v = row[i]
-        if spec.is_numeric:
-            out[i] = numeric_fill.get(spec.name, 0.0) if v is None else float(v)
-        else:
-            out[i] = len(spec.labels) if v is None else v
+        out[i] = missing if v is None else float(v) if numeric else v
     return out

@@ -5,6 +5,10 @@ class cells included, both ignored) can be scored.  All structures emit
 Laplace-smoothed class probability distributions; a model trained on a
 single-class dataset is flagged degenerate and predicts that class with
 probability one.
+
+What prediction reads of a model, its row encoding, a degenerate model's
+distribution, a rule list's encoded conditions and distributions and an
+exemplar set's distance terms, is built once per model, on first use.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Sequence, Union
 
 from ..errors import SchemaMismatchError
 from ..tabular import AttributeSpec, number_text, schema_from_json, schema_to_json
-from .encode import encode_row
+from .encode import encode_row, encoding_plan
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,34 @@ class Model:
         except KeyError:
             raise SchemaMismatchError(f"model schema has no attribute {name!r}") from None
 
+    # Prediction state, built on first use; a model is not changed once built.
+
+    @cached_property
+    def _encoding_plan(self) -> tuple[tuple[int, bool, object], ...]:
+        return encoding_plan(self.specs, self.input_indices, self.metadata.get("numeric_fill", {}))
+
+    @cached_property
+    def _constant(self) -> tuple[float, ...] | None:
+        """A degenerate model's distribution; ``None`` for any other model."""
+        if not self.metadata.get("degenerate"):
+            return None
+        target = self.metadata["constant_class"]
+        return tuple(1.0 if label == target else 0.0 for label in self.class_labels)
+
+    @cached_property
+    def _leaf_distributions(self) -> dict[tuple[float, ...], tuple[float, ...]]:
+        """The distribution of a tree node's counts, filled as rows reach
+        the nodes where they stop."""
+        return {}
+
+    @cached_property
+    def _encoded_rules(self) -> tuple[tuple[tuple, tuple[float, ...]], ...]:
+        return _encode_rules(self)
+
+    @cached_property
+    def _distance_terms(self) -> tuple[tuple[int, float | None], ...]:
+        return _distance_terms(self.specs, self.input_indices, self.structure.ranges)
+
 
 def majority(counts) -> int:
     """Index of the largest value; a tie goes to the smallest index."""
@@ -210,34 +242,54 @@ def _tree_walk(node, enc_values) -> tuple[list[tuple[Split, int]], Union[Leaf, S
     return taken, node
 
 
-def condition_matches(model: Model, cond: Condition, enc_values) -> bool:
+def _encode_condition(model: Model, cond: Condition) -> tuple:
+    """The encoded ``(attr, op, value)`` form of a named condition, as
+    ``branches`` gives a tree's: a nominal value is its slot, ``?`` the
+    slot past the labels."""
     idx = model.attr_index(cond.attr)
     spec = model.specs[idx]
-    v = enc_values[idx]
-    if cond.op == "=":
-        if not spec.is_nominal:
-            raise SchemaMismatchError(f"equality test on numeric attribute {cond.attr!r}")
-        return slot_name(spec, v) == cond.value
-    if cond.op == "<=":
-        return v <= float(cond.value)
-    return v > float(cond.value)
+    if cond.op != "=":
+        return idx, cond.op, float(cond.value)
+    if not spec.is_nominal:
+        raise SchemaMismatchError(f"equality test on numeric attribute {cond.attr!r}")
+    labels = spec.labels
+    if cond.value == "?":
+        return idx, "=", len(labels)
+    # A label the attribute lacks matches no slot.
+    return idx, "=", labels.index(cond.value) if cond.value in labels else None
 
 
-def _fired(model: Model, rules: RuleList, enc_values) -> int:
-    """Index of the first rule whose conditions all hold."""
-    for i, rule in enumerate(rules.rules):
-        if all(condition_matches(model, c, enc_values) for c in rule.conditions):
-            return i
-    raise SchemaMismatchError("rule list failed to cover an instance")
-
-
-def _rules_distribution(model: Model, rules: RuleList, enc_values) -> tuple[float, ...]:
+def _encode_rules(model: Model) -> tuple[tuple[tuple, tuple[float, ...]], ...]:
+    """Each rule's encoded conditions and its Laplace distribution; a rule
+    without counts for every class counts one instance of its own."""
     k = len(model.class_labels)
-    rule = rules.rules[_fired(model, rules, enc_values)]
-    counts = rule.counts
-    if not counts or len(counts) != k:
-        counts = tuple(1.0 if label == rule.cls else 0.0 for label in model.class_labels)
-    return _laplace(counts, k)
+    encoded = []
+    for rule in model.structure.rules:
+        counts = rule.counts
+        if not counts or len(counts) != k:
+            counts = tuple(1.0 if label == rule.cls else 0.0 for label in model.class_labels)
+        conditions = tuple(_encode_condition(model, c) for c in rule.conditions)
+        encoded.append((conditions, _laplace(counts, k)))
+    return tuple(encoded)
+
+
+def _fired(model: Model, enc_values) -> int:
+    """Index of the first rule of a rule-list model whose conditions all
+    hold; every reading of a rule list fires rules through this."""
+    for no, (conditions, _) in enumerate(model._encoded_rules):
+        for i, op, value in conditions:
+            v = enc_values[i]
+            if op == "=":
+                if v != value:
+                    break
+            elif op == "<=":
+                if not v <= value:
+                    break
+            elif not v > value:
+                break
+        else:
+            return no
+    raise SchemaMismatchError("rule list failed to cover an instance")
 
 
 def _range_span(lo: float, hi: float) -> float:
@@ -248,26 +300,31 @@ def _range_span(lo: float, hi: float) -> float:
 
 
 def _unit_gap(a: float, b: float, span: float) -> float:
-    """``(a - b) / span`` for ``a >= b`` and a ``_range_span`` that is not
-    positive: 1.0 for an empty range, the halved values for an overflowed
-    one.  A positive span divides in the caller, which saves this call."""
+    """``(a - b) / span`` for ``a >= b`` and a ``_range_span``, where the
+    plain division cannot serve: 1.0 for an empty range, and the halved
+    values over the halved span where the span or ``a - b`` overflows.
+    A finite gap over a positive span divides in the caller, which saves
+    this call."""
+    if span > 0:
+        return (a / 2 - b / 2) / (span / 2)
     return (a / 2 - b / 2) / -span if span < 0 else 1.0
 
 
-def _distance_plan(specs, input_indices, ranges, enc_values) -> list[tuple]:
-    """Per-row terms of the exemplar distance, one per input in index order.
+def _distance_terms(specs, input_indices, ranges) -> tuple[tuple[int, float | None], ...]:
+    """The exemplar distance's terms, one per input in index order: each
+    is ``(index, range span)``, the span a ``_range_span``, or ``None``
+    for a nominal input.  A model or an NNGE build makes them once."""
+    return tuple(
+        (i, _range_span(*ranges.get(i, (0.0, 1.0))) if specs[i].is_numeric else None)
+        for i in input_indices
+    )
 
-    Each term is ``(index, encoded value, range span)``; the span is a
-    ``_range_span``, or ``None`` for a nominal input.  Training and
-    prediction both score exemplars through this plan and ``_planned_sum``.
-    """
-    plan = []
-    for i in input_indices:
-        if specs[i].is_numeric:
-            plan.append((i, enc_values[i], _range_span(*ranges.get(i, (0.0, 1.0)))))
-        else:
-            plan.append((i, enc_values[i], None))
-    return plan
+
+def _distance_plan(terms, enc_values) -> list[tuple]:
+    """One row's ``(index, encoded value, range span)`` distance terms.
+    Training and prediction both score exemplars through this plan and
+    ``_planned_sum``."""
+    return [(i, enc_values[i], span) for i, span in terms]
 
 
 def _planned_sum(ex: Exemplar, plan, bound=None) -> float | None:
@@ -281,6 +338,7 @@ def _planned_sum(ex: Exemplar, plan, bound=None) -> float | None:
     rounds differently on some inputs and would change the distances.
     """
     lo, hi, label_sets = ex.lo, ex.hi, ex.label_sets
+    inf = math.inf
     total = 0.0
     for i, v, span in plan:
         if span is None:
@@ -291,9 +349,11 @@ def _planned_sum(ex: Exemplar, plan, bound=None) -> float | None:
             ex_lo = lo.get(i, 0.0)
             ex_hi = hi.get(i, 0.0)
             if v < ex_lo:
-                d = (ex_lo - v) / span if span > 0 else _unit_gap(ex_lo, v, span)
+                d = ex_lo - v
+                d = d / span if span > 0 and d < inf else _unit_gap(ex_lo, v, span)
             elif v > ex_hi:
-                d = (v - ex_hi) / span if span > 0 else _unit_gap(v, ex_hi, span)
+                d = v - ex_hi
+                d = d / span if span > 0 and d < inf else _unit_gap(v, ex_hi, span)
             else:
                 continue
         # Adding a zero term leaves the sum as it is, so only a nonzero
@@ -312,7 +372,7 @@ def _exemplar_distribution(model: Model, structure: ExemplarSet, enc_values) -> 
     k = len(model.class_labels)
     if not structure.exemplars:
         return tuple(1.0 / k for _ in range(k))
-    plan = _distance_plan(model.specs, model.input_indices, structure.ranges, enc_values)
+    plan = _distance_plan(model._distance_terms, enc_values)
     # Each class's least sum; an exemplar is summed only while it can
     # still undercut it, and not at all once a class has one at 0.
     best = [None] * k
@@ -338,23 +398,25 @@ def _encoded(model: Model, row: Sequence) -> dict:
         raise SchemaMismatchError(
             f"instance has {len(row)} values, schema expects {len(model.specs)}"
         )
-    return encode_row(
-        model.specs, model.input_indices, model.metadata.get("numeric_fill", {}), row
-    )
+    return encode_row(model._encoding_plan, row)
 
 
 def predict(model: Model, row: Sequence) -> tuple[float, ...]:
     """Class probability distribution for one in-schema row."""
     enc_values = _encoded(model, row)
-    if model.metadata.get("degenerate"):
-        target = model.metadata["constant_class"]
-        return tuple(1.0 if label == target else 0.0 for label in model.class_labels)
+    constant = model._constant
+    if constant is not None:
+        return constant
     structure = model.structure
     if isinstance(structure, DecisionTree):
         _, node = _tree_walk(structure.root, enc_values)
-        return _laplace(node.counts, len(model.class_labels))
+        dists = model._leaf_distributions
+        dist = dists.get(node.counts)
+        if dist is None:
+            dist = dists[node.counts] = _laplace(node.counts, len(model.class_labels))
+        return dist
     if isinstance(structure, RuleList):
-        return _rules_distribution(model, structure, enc_values)
+        return model._encoded_rules[_fired(model, enc_values)][1]
     return _exemplar_distribution(model, structure, enc_values)
 
 
@@ -367,7 +429,7 @@ def fired_rule_index(model: Model, row: Sequence) -> int:
     structure = model.structure
     if not isinstance(structure, RuleList):
         raise SchemaMismatchError("model is not a rule list")
-    return _fired(model, structure, _encoded(model, row))
+    return _fired(model, _encoded(model, row))
 
 
 def _tree_of(model: Model) -> DecisionTree:

@@ -10,7 +10,7 @@ when the merge would swallow an instance of another class.
 from __future__ import annotations
 
 from .encode import Encoded
-from .model import Exemplar, ExemplarSet, _distance_plan, _planned_sum, _range_span, _unit_gap
+from .model import Exemplar, ExemplarSet, _distance_plan, _distance_terms, _planned_sum, _unit_gap
 
 
 def _box_from_members(cls, members, numeric_attrs, nominal_attrs):
@@ -111,12 +111,11 @@ def build_nnge(enc: Encoded, idx):
     numeric_attrs = [a for a in enc.input_idx if enc.specs[a].is_numeric]
     nominal_attrs = [a for a in enc.input_idx if enc.specs[a].is_nominal]
     ranges = {}
-    spans = {}
     for a in numeric_attrs:
         values = [enc.cols[a][i] for i in idx]
-        lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
-        ranges[a] = (lo, hi)
-        spans[a] = _range_span(lo, hi)
+        ranges[a] = (min(values), max(values)) if values else (0.0, 1.0)
+    terms = _distance_terms(enc.specs, enc.input_idx, ranges)
+    spans = {a: span for a, span in terms if span is not None}
 
     boxes: list[tuple[Exemplar, list[dict]]] = []
     for i in idx:
@@ -137,7 +136,7 @@ def build_nnge(enc: Encoded, idx):
                 boxes[j : j + 1] = [
                     _box_from_members(ex.cls, g, numeric_attrs, nominal_attrs) for g in groups
                 ]
-        plan = _distance_plan(enc.specs, enc.input_idx, ranges, vals)
+        plan = _distance_plan(terms, vals)
         # (distance, position, sum); a box whose sum reaches the nearest
         # box's sum is at least as far, so it is not summed to the end.
         nearest = None

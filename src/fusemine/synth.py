@@ -118,7 +118,7 @@ def _fired_rules(ruleset: RuleList, constrained: list[str]) -> dict[tuple[int, .
     for combo in product(range(len(GRADE)), repeat=len(constrained)):
         for i, v in zip(at, combo):
             values[i] = v
-        fired[combo] = _fired(model, ruleset, values)
+        fired[combo] = _fired(model, values)
     return fired
 
 

@@ -4,6 +4,8 @@ import random
 
 from hypothesis import strategies as st
 
+from fusemine.errors import SchemaMismatchError
+from fusemine.learners.model import slot_name
 from fusemine.tabular import AttributeSpec, DataTable
 
 GRADE = ("Low", "Medium", "High")
@@ -76,3 +78,35 @@ def json_values(keys=st.text(max_size=6)):
         | st.dictionaries(keys, children, max_size=4),
         max_leaves=12,
     )
+
+
+# --- by-name oracles of a model's prepared prediction state --------------
+
+
+def encode_row(specs, input_idx, numeric_fill, row):
+    """Encode one instance row, reading each input's kind and substitute
+    from the schema and the stored fills on every call."""
+    out = {}
+    for i in input_idx:
+        spec = specs[i]
+        v = row[i]
+        if spec.is_numeric:
+            out[i] = numeric_fill.get(spec.name, 0.0) if v is None else float(v)
+        else:
+            out[i] = len(spec.labels) if v is None else v
+    return out
+
+
+def condition_matches(model, cond, enc_values) -> bool:
+    """Whether a named condition holds for an encoded row, resolving the
+    attribute by name and the label by its text."""
+    idx = model.attr_index(cond.attr)
+    spec = model.specs[idx]
+    v = enc_values[idx]
+    if cond.op == "=":
+        if not spec.is_nominal:
+            raise SchemaMismatchError(f"equality test on numeric attribute {cond.attr!r}")
+        return slot_name(spec, v) == cond.value
+    if cond.op == "<=":
+        return v <= float(cond.value)
+    return v > float(cond.value)

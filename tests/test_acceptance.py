@@ -31,8 +31,7 @@ from fusemine.learners import (
     train,
     tree_paths,
 )
-from fusemine.learners.encode import encode_row
-from fusemine.learners.model import DecisionTree, Leaf, RuleList, condition_matches
+from fusemine.learners.model import DecisionTree, Leaf, RuleList
 from fusemine.preprocess import (
     ClassRule,
     equal_width_discretize,
@@ -44,6 +43,8 @@ from fusemine.preprocess import (
 from fusemine.selection import SuTable, select_best_attributes
 from fusemine.synth import CohortSpec, generate
 from fusemine.tabular import AttributeSpec, DataTable, SourceBundle, join_on_id
+
+from helpers import condition_matches, encode_row
 
 CRITERIA = {
     1: "preprocessing exactness (min-max, bin grid, class labeling)",

@@ -9,13 +9,19 @@ from fusemine.learners import (
     ExemplarSet, Model, model_to_json, predict, predict_label, render_rules, train,
 )
 from fusemine.learners import model as model_module
-from fusemine.learners.encode import Encoded, encode_row, encode_table
+from fusemine.learners.encode import Encoded, encode_table
 from fusemine.learners.model import (
-    Exemplar, _distance_plan, _planned_distance, _planned_sum,
+    Exemplar, _distance_plan, _distance_terms, _planned_distance, _planned_sum,
 )
 from fusemine.tabular import AttributeSpec, DataTable
 
-from helpers import GRADE, STATUS, planted_dataset
+from helpers import GRADE, STATUS, encode_row, planted_dataset
+
+
+def plan_of(model, enc):
+    """An encoded row's distance plan under the model's ranges."""
+    terms = _distance_terms(model.specs, model.input_indices, model.structure.ranges)
+    return _distance_plan(terms, enc)
 
 
 def training_accuracy(model, table):
@@ -63,7 +69,7 @@ class TestNnge:
                 model.specs, model.input_indices,
                 model.metadata.get("numeric_fill", {}), row,
             )
-            plan = _distance_plan(model.specs, model.input_indices, structure.ranges, enc)
+            plan = plan_of(model, enc)
             for ex in structure.exemplars:
                 if ex.cls != label:
                     d = _planned_distance(ex, plan)
@@ -141,6 +147,21 @@ class TestNnge:
             assert all(math.isfinite(p) for p in predict(model, row))
             assert predict_label(model, row) == STATUS[row[2]]
 
+    @pytest.mark.parametrize("x", [-1e308, -1.7e308])
+    def test_a_row_far_outside_a_finite_range_keeps_every_weight(self, x):
+        # The range [5e307, 1e308] is finite, but the row's gap to 1e308
+        # (and at -1.7e308 also to 5e307) overflows; the distance then
+        # halves the row value and the box end.  Halving every value is
+        # exact and leaves each distance as it is, so the half-scale
+        # model, whose gaps are finite, predicts the same distribution.
+        specs = [AttributeSpec.numeric("x"), AttributeSpec.nominal("Status", STATUS, role="class")]
+        model = train("nnge", DataTable(specs, [(5e307, 0), (1e308, 1)]))
+        half = train("nnge", DataTable(specs, [(5e307 / 2, 0), (1e308 / 2, 1)]))
+        dist = predict(model, (x, None))
+        assert dist[0] > dist[1] > 0.0 and dist[2] == 0.0
+        assert predict_label(model, (x, None)) == "Pass"
+        assert repr(dist) == repr(predict(half, (x / 2, None)))
+
 
 def reference_distance(model, ex, ranges, enc_values):
     """Per-exemplar distance loop, kept as the reference for the row plan."""
@@ -212,7 +233,7 @@ def test_predict_matches_brute_force_on_mixed_inputs():
             model.specs, model.input_indices, model.metadata["numeric_fill"], row,
         )
         best = [None] * 3
-        plan = _distance_plan(model.specs, model.input_indices, structure.ranges, enc)
+        plan = plan_of(model, enc)
         for ex in structure.exemplars:
             d = reference_distance(model, ex, structure.ranges, enc)
             assert _planned_distance(ex, plan) == d
@@ -496,7 +517,7 @@ def test_pruned_vote_equals_the_full_scan(case, extra_bounds):
     structure = model.structure
     for row in rows:
         enc = encode_row(model.specs, model.input_indices, model.metadata["numeric_fill"], row)
-        plan = _distance_plan(model.specs, model.input_indices, structure.ranges, enc)
+        plan = plan_of(model, enc)
         best = [None] * 3
         for ex in structure.exemplars:
             d = _planned_distance(ex, plan)
@@ -521,7 +542,7 @@ def test_an_overflowed_span_votes_as_the_full_scan():
                  Exemplar(1, {0: 0.0}, {0: 1.0})]
     model = Model("nnge", specs, STATUS, ExemplarSet(exemplars, {0: (-1e308, 1e308)}))
     row = (-1e308, None)
-    plan = _distance_plan(model.specs, model.input_indices, model.structure.ranges, {0: -1e308})
+    plan = plan_of(model, {0: -1e308})
     best = [None] * 3
     for ex in exemplars:
         d = _planned_distance(ex, plan)

@@ -29,7 +29,7 @@ from fusemine.learners.model import decode_condition, encoded_paths
 from fusemine.learners.trees import Leaf, build_c45, class_counts, holdout_split, majority
 from fusemine.tabular import AttributeSpec, DataTable
 
-from helpers import GRADE, STATUS, planted_dataset
+from helpers import GRADE, STATUS, condition_matches, encode_row, planted_dataset
 
 
 def training_accuracy(model, table):
@@ -159,9 +159,6 @@ class TestRuleSemantics:
         fired = fired_rule_index(model, table.rows[0])
         for earlier in range(fired):
             conds = rules[earlier].conditions
-            from fusemine.learners.model import condition_matches
-            from fusemine.learners.encode import encode_row
-
             enc = encode_row(
                 model.specs, model.input_indices,
                 model.metadata.get("numeric_fill", {}), table.rows[0],

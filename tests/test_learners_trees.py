@@ -21,8 +21,8 @@ from fusemine.learners import (
     train,
     tree_paths,
 )
-from fusemine.learners.encode import encode_row, encode_table
-from fusemine.learners.model import condition_matches, encoded_paths
+from fusemine.learners.encode import encode_table
+from fusemine.learners.model import encoded_paths
 from fusemine.learners.trees import (
     _EPS,
     _numeric_split,
@@ -36,7 +36,9 @@ from fusemine.learners.trees import (
 )
 from fusemine.tabular import AttributeSpec, DataTable
 
-from helpers import GRADE, STATUS, missing_slot_table, planted_dataset
+from helpers import (
+    GRADE, STATUS, condition_matches, encode_row, missing_slot_table, planted_dataset,
+)
 
 
 def training_accuracy(model, table):

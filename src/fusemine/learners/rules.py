@@ -10,11 +10,12 @@ next rule.  Both emit an ordered rule list ending in a default rule.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from operator import itemgetter
 
 from .encode import Encoded
 from .model import Rule, RuleList, decode_condition, encoded_paths, majority
-from .trees import Leaf, build_c45, class_counts, cut_between, holdout_split
+from .trees import Leaf, build_c45, class_counts, cut_between, stratified_deal
 
 _EPS = 1e-12
 
@@ -39,6 +40,7 @@ class _RowSets:
         self._conds: dict = {}
         self._rules: dict = {}
         self._sorted: dict = {}
+        self.dl_memo: dict = {}
 
     def of(self, idx) -> int:
         mask = 0
@@ -74,6 +76,14 @@ class _RowSets:
                 mask &= self.cond(cond)
             self._rules[conds] = mask
         return mask
+
+    @cached_property
+    def class_orders(self) -> list[list[int]]:
+        """Each class's row bits in canonical order, ties by row number."""
+        orders: list[list[int]] = [[] for _ in self.by_class]
+        for i in self.enc.canonical_order(range(len(self.bits))):
+            orders[self.enc.y[i]].append(self.bits[i])
+        return orders
 
     def sorted_by(self, attr: int) -> list[tuple]:
         """``(value, bit, class)`` of every row by ascending value of a
@@ -155,7 +165,21 @@ def build_part_rules(enc: Encoded, idx, confidence: float, min_leaf: int):
 
 def _grow_rule(rs: _RowSets, grow: int, cls, existing=()):
     """Add conditions greedily by FOIL's information gain about the class
-    until the rule covers no negatives (or nothing helps)."""
+    until the rule covers no negatives (or nothing helps).
+
+    A candidate wins with a gain above the best so far plus ``_EPS``.  Its
+    gain ``p * (log2(p / (p + n)) - base)`` is at most ``p * -base``, and
+    rounding is monotone, so a numeric cut whose bound does not pass is
+    not scored.  Along a column's scan the ``">"`` cuts only lose
+    positives, so once one's bound fails, every later one's does.  A later
+    ``"<="`` cut has between ``p_left`` and ``p0`` positives and at least
+    ``n_left`` negatives.  Its gain is convex in its positives, so it is
+    at most the larger of the gains at the two ends: the cut just scored,
+    which cannot win again, and ``p0`` positives with ``n_left``
+    negatives.  When the ``">"`` bound fails and that second gain falls
+    short of winning by ``1e-9`` (a margin for ``log2``, which need not
+    round monotonically), the scan of that column stops.
+    """
     enc = rs.enc
     positives = rs.by_class[cls]
     log2 = math.log2
@@ -169,7 +193,9 @@ def _grow_rule(rs: _RowSets, grow: int, cls, existing=()):
         # FOIL gain of a candidate covering p1 positives and n1 negatives is
         # p1 * (log2(p1 / (p1 + n1)) - base); it is -inf when p1 is 0.
         base = log2(p0 / (p0 + n0))
-        best = None  # (gain, cond)
+        bound = -base  # the most one positive can add to a gain
+        best = None  # the winning condition so far
+        floor = _EPS  # a candidate wins only with a gain above this
         used_nominal = {attr for attr, op, _ in conds if op == "="}
         for attr in enc.input_idx:
             if enc.specs[attr].is_nominal:
@@ -183,8 +209,9 @@ def _grow_rule(rs: _RowSets, grow: int, cls, existing=()):
                         continue
                     n1 = covered.bit_count() - p1
                     gain = p1 * (log2(p1 / (p1 + n1)) - base)
-                    if gain > _EPS and (best is None or gain > best[0] + _EPS):
-                        best = (gain, cond)
+                    if gain > floor:
+                        best = cond
+                        floor = gain + _EPS
             else:
                 # Rows in ascending value; a cut is scored between the last
                 # row of a run of equal values and the first row after it.
@@ -195,16 +222,20 @@ def _grow_rule(rs: _RowSets, grow: int, cls, existing=()):
                     if not current & bit:
                         continue
                     if prev is not None and value != prev:
-                        if p_left:
+                        if p_left * bound > floor:
                             gain = p_left * (log2(p_left / (p_left + n_left)) - base)
-                            if gain > _EPS and (best is None or gain > best[0] + _EPS):
-                                best = (gain, (attr, "<=", cut_between(prev, value)))
+                            if gain > floor:
+                                best = (attr, "<=", cut_between(prev, value))
+                                floor = gain + _EPS
                         p1 = p0 - p_left
-                        if p1:
+                        if p1 * bound > floor:
                             n1 = n0 - n_left
                             gain = p1 * (log2(p1 / (p1 + n1)) - base)
-                            if gain > _EPS and (best is None or gain > best[0] + _EPS):
-                                best = (gain, (attr, ">", cut_between(prev, value)))
+                            if gain > floor:
+                                best = (attr, ">", cut_between(prev, value))
+                                floor = gain + _EPS
+                        elif p0 * (log2(p0 / (p0 + n_left)) - base) <= floor - 1e-9:
+                            break
                     if row_cls == cls:
                         p_left += 1
                     else:
@@ -212,8 +243,8 @@ def _grow_rule(rs: _RowSets, grow: int, cls, existing=()):
                     prev = value
         if best is None:
             break
-        conds.append(best[1])
-        current &= rs.cond(best[1])
+        conds.append(best)
+        current &= rs.cond(best)
     return tuple(conds)
 
 
@@ -286,9 +317,11 @@ def _count_possible_conditions(enc: Encoded, idx) -> int:
     return max(total, 1)
 
 
-def _ruleset_dl(
-    rs: _RowSets, rule_conds_list, universe: int, cls, n_possible, exp_rate=0.5
-) -> float:
+def _ruleset_dl(rs: _RowSets, rule_conds_list, universe: int, cls, n_possible) -> float:
+    """Description length of a class's ruleset over ``universe``.  Its
+    data part depends on four counts and each rule's theory part on two,
+    so each is computed once per build and kept in ``rs.dl_memo`` under
+    those counts."""
     covered = 0
     for conds in rule_conds_list:
         covered |= rs.rule(conds)
@@ -297,16 +330,25 @@ def _ruleset_dl(
     n_covered = covered.bit_count()
     fp = (covered & ~positives).bit_count()
     fn = (universe & ~covered & positives).bit_count()
-    dl = _data_dl(exp_rate, n_covered, universe.bit_count() - n_covered, fp, fn)
+    memo = rs.dl_memo
+    key = (n_covered, universe.bit_count() - n_covered, fp, fn)
+    dl = memo.get(key)
+    if dl is None:
+        dl = memo[key] = _data_dl(0.5, *key)
     for conds in rule_conds_list:
-        dl += _theory_dl(len(conds), n_possible)
+        key = (len(conds), n_possible)
+        theory = memo.get(key)
+        if theory is None:
+            theory = memo[key] = _theory_dl(*key)
+        dl += theory
     return dl
 
 
 def _holdout(rs: _RowSets, rows: int, seed: int, folds: int) -> tuple[int, int]:
     """``holdout_split`` of the rows of a mask, as a (grow, prune) mask pair."""
-    grow, prune = holdout_split(rs.enc, rs.rows(rows), seed, folds)
-    return rs.of(grow), rs.of(prune)
+    groups = [[bit for bit in order if rows & bit] for order in rs.class_orders]
+    grow, prune = stratified_deal(groups, seed, folds)
+    return sum(grow), sum(prune)
 
 
 def _cover(

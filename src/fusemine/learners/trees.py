@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
 from statistics import NormalDist
 
 from .encode import Encoded
@@ -240,6 +241,12 @@ def grow_tree(enc, idx, min_leaf, choose, used_nominal=frozenset()):
 # --- error-based (pessimistic) pruning -------------------------------------
 
 
+@lru_cache(maxsize=4)
+def _z(cf: float) -> float:
+    """The normal deviate of a pruning confidence, found once per value."""
+    return NormalDist().inv_cdf(1.0 - cf)
+
+
 def add_errs(n: float, e: float, cf: float) -> float:
     """Pessimistic extra errors for ``e`` observed errors in ``n`` cases."""
     if n == 0:
@@ -251,7 +258,7 @@ def add_errs(n: float, e: float, cf: float) -> float:
         return base + e * (add_errs(n, 1.0, cf) - base)
     if e + 0.5 >= n:
         return max(n - e, 0.0)
-    z = NormalDist().inv_cdf(1.0 - cf)
+    z = _z(cf)
     f = (e + 0.5) / n
     r = (
         f
@@ -328,22 +335,32 @@ def build_c45(enc: Encoded, idx, confidence: float, min_leaf: int):
     return pruned
 
 
-def holdout_split(enc: Encoded, idx, seed: int, folds: int):
-    """Stratified grow/prune partition over a canonicalized index list."""
+def stratified_deal(groups, seed: int, folds: int):
+    """Grow/prune partition of per-class member lists in canonical order.
+
+    One generator seeded by ``seed`` shuffles each group in turn, and
+    every ``folds``-th member of a shuffled group goes to the prune part.
+    Only a list's length steers its shuffle, so members may be row indices
+    or row bits, and an empty group draws nothing.  When nothing is left
+    to grow on, the prune part grows.
+    """
     rng = random.Random(seed)
-    ordered = enc.canonical_order(list(idx))
-    by_class: dict[int, list[int]] = {}
-    for i in ordered:
-        by_class.setdefault(enc.y[i], []).append(i)
     grow, prune = [], []
-    for cls in sorted(by_class):
-        members = by_class[cls]
+    for members in groups:
         rng.shuffle(members)
-        for pos, i in enumerate(members):
-            (prune if pos % folds == folds - 1 else grow).append(i)
+        for pos, member in enumerate(members):
+            (prune if pos % folds == folds - 1 else grow).append(member)
     if not grow:
         grow, prune = prune, []
     return grow, prune
+
+
+def holdout_split(enc: Encoded, idx, seed: int, folds: int):
+    """Stratified grow/prune partition over a canonicalized index list."""
+    groups: list[list[int]] = [[] for _ in range(enc.n_classes)]
+    for i in enc.canonical_order(list(idx)):
+        groups[enc.y[i]].append(i)
+    return stratified_deal(groups, seed, folds)
 
 
 def build_reptree(enc: Encoded, idx, min_leaf: int, seed: int, holdout_folds: int):

@@ -20,13 +20,23 @@ from fusemine.learners import (
 from fusemine.learners.encode import Encoded, encode_table
 from fusemine.learners.rules import (
     _EPS,
+    _RowSets,
     _data_dl,
+    _grow_rule,
+    _holdout,
     _theory_dl,
     build_part_rules,
     build_ripper_rules,
 )
 from fusemine.learners.model import decode_condition, encoded_paths
-from fusemine.learners.trees import Leaf, build_c45, class_counts, holdout_split, majority
+from fusemine.learners.trees import (
+    Leaf,
+    build_c45,
+    class_counts,
+    cut_between,
+    holdout_split,
+    majority,
+)
 from fusemine.tabular import AttributeSpec, DataTable
 
 from helpers import GRADE, STATUS, condition_matches, encode_row, planted_dataset
@@ -554,27 +564,36 @@ def ref_build_ripper_rules(enc: Encoded, idx, seed: int, holdout_folds: int, dl_
 
 
 SIGNED_TIES = st.sampled_from([-0.0, 0.0, 0.5, 1.0, -1.0, 1.0 / 3.0])
+TIED = SIGNED_TIES | st.floats(-3, 3, allow_nan=False)
+SPREAD = st.integers(-400, 400).map(lambda k: k / 8.0)  # many distinct values
+ADJACENT = st.sampled_from([5e-324, 1e-323, 1.0, math.nextafter(1.0, 2.0), 0.0, -0.0])
 
 
 @st.composite
-def rule_encodings(draw):
-    """An encoding with tied and signed-zero numeric columns, nominal
-    columns whose missing slot is in use, 2-3 classes and 4-40 rows."""
+def rule_encodings(draw, columns=(TIED, SPREAD), max_rows=40):
+    """An encoding with numeric columns drawn from ``columns`` (tied and
+    signed-zero values, or many distinct ones), nominal columns whose
+    missing slot is in use, 2-3 classes, even or skewed 1:6 against
+    class 0, and 4 to ``max_rows`` rows."""
     n_classes = draw(st.integers(2, 3))
-    n = draw(st.integers(4, 40))
+    n = draw(st.integers(4, max_rows))
     n_numeric = draw(st.integers(0, 2))
     n_nominal = draw(st.integers(0 if n_numeric else 1, 2))
     specs = [AttributeSpec.numeric(f"x{a}") for a in range(n_numeric)]
     specs += [AttributeSpec.nominal(f"g{a}", GRADE) for a in range(n_nominal)]
     specs.append(AttributeSpec.nominal("Status", STATUS[:n_classes], role="class"))
-    numeric = SIGNED_TIES | st.floats(-3, 3, allow_nan=False)
+    numeric = [draw(st.sampled_from(columns)) for _ in range(n_numeric)]
     nominal = st.none() | st.integers(0, len(GRADE) - 1)
+    if draw(st.booleans()):
+        classes = st.integers(0, n_classes - 1)
+    else:
+        classes = st.sampled_from([0] + [c for c in range(1, n_classes) for _ in range(6)])
     rows = []
     for _ in range(n):
         rows.append(
-            tuple(draw(numeric) for _ in range(n_numeric))
+            tuple(draw(column) for column in numeric)
             + tuple(draw(nominal) for _ in range(n_nominal))
-            + (draw(st.integers(0, n_classes - 1)),)
+            + (draw(classes),)
         )
     return encode_table(DataTable(specs, rows))
 
@@ -646,6 +665,14 @@ class TestCanonicalOrder:
             for seed in (0, 11):
                 assert holdout_split(enc, idx, seed, 3) == ref_holdout_split(enc, idx, seed, 3)
 
+    def test_mask_holdout_matches_holdout_split_on_every_mask(self):
+        enc = self.encoding()
+        rs = _RowSets(enc)
+        for mask in range(1, 1 << enc.n_rows):
+            for seed in (0, 11):
+                grow, prune = holdout_split(enc, rs.rows(mask), seed, 3)
+                assert _holdout(rs, mask, seed, 3) == (rs.of(grow), rs.of(prune))
+
 
 class TestAdjacentFloats:
     def test_ripper_cuts_between_adjacent_floats(self):
@@ -663,3 +690,118 @@ class TestAdjacentFloats:
         first = model.structure.rules[0]
         assert [(c.attr, c.op, c.value) for c in first.conditions] == [("x", "<=", low)]
         assert first.cls == "Fail"
+
+
+# --- the FOIL scan's gain bound --------------------------------------------
+
+
+def unbounded_grow_rule(rs: _RowSets, grow: int, cls, existing=()):
+    """``_grow_rule`` as it was before its numeric scan skipped and stopped
+    on the gain bound, verbatim: it scores every cut."""
+    enc = rs.enc
+    positives = rs.by_class[cls]
+    log2 = math.log2
+    conds = list(existing)
+    current = grow & rs.rule(tuple(conds))
+    while True:
+        p0 = (current & positives).bit_count()
+        n0 = current.bit_count() - p0
+        if p0 == 0 or n0 == 0:
+            break
+        # FOIL gain of a candidate covering p1 positives and n1 negatives is
+        # p1 * (log2(p1 / (p1 + n1)) - base); it is -inf when p1 is 0.
+        base = log2(p0 / (p0 + n0))
+        best = None  # (gain, cond)
+        used_nominal = {attr for attr, op, _ in conds if op == "="}
+        for attr in enc.input_idx:
+            if enc.specs[attr].is_nominal:
+                if attr in used_nominal:
+                    continue
+                for v in range(enc.n_slots(attr)):
+                    cond = (attr, "=", v)
+                    covered = current & rs.cond(cond)
+                    p1 = (covered & positives).bit_count()
+                    if not p1:
+                        continue
+                    n1 = covered.bit_count() - p1
+                    gain = p1 * (log2(p1 / (p1 + n1)) - base)
+                    if gain > _EPS and (best is None or gain > best[0] + _EPS):
+                        best = (gain, cond)
+            else:
+                # Rows in ascending value; a cut is scored between the last
+                # row of a run of equal values and the first row after it.
+                p_left = 0
+                n_left = 0
+                prev = None
+                for value, bit, row_cls in rs.sorted_by(attr):
+                    if not current & bit:
+                        continue
+                    if prev is not None and value != prev:
+                        if p_left:
+                            gain = p_left * (log2(p_left / (p_left + n_left)) - base)
+                            if gain > _EPS and (best is None or gain > best[0] + _EPS):
+                                best = (gain, (attr, "<=", cut_between(prev, value)))
+                        p1 = p0 - p_left
+                        if p1:
+                            n1 = n0 - n_left
+                            gain = p1 * (log2(p1 / (p1 + n1)) - base)
+                            if gain > _EPS and (best is None or gain > best[0] + _EPS):
+                                best = (gain, (attr, ">", cut_between(prev, value)))
+                    if row_cls == cls:
+                        p_left += 1
+                    else:
+                        n_left += 1
+                    prev = value
+        if best is None:
+            break
+        conds.append(best[1])
+        current &= rs.cond(best[1])
+    return tuple(conds)
+
+
+@st.composite
+def encoded_conditions(draw, enc):
+    """An encoded condition on one of ``enc``'s inputs."""
+    attr = draw(st.sampled_from(enc.input_idx))
+    if enc.specs[attr].is_nominal:
+        return (attr, "=", draw(st.integers(0, enc.n_slots(attr) - 1)))
+    op = draw(st.sampled_from(["<=", ">"]))
+    return (attr, op, draw(st.sampled_from(enc.cols[attr])))
+
+
+class TestGrowRuleBound:
+    @settings(max_examples=200, deadline=None)
+    @given(enc=rule_encodings(columns=(TIED, SPREAD, ADJACENT), max_rows=60), data=st.data())
+    def test_matches_a_scan_of_every_cut(self, enc, data):
+        rs = _RowSets(enc)
+        grow = data.draw(st.integers(0, (1 << enc.n_rows) - 1))
+        cls = data.draw(st.integers(0, enc.n_classes - 1))
+        existing = tuple(data.draw(st.lists(encoded_conditions(enc), max_size=2)))
+        assert repr(_grow_rule(rs, grow, cls, existing)) == repr(
+            unbounded_grow_rule(rs, grow, cls, existing)
+        )
+
+    def test_skewed_scan_stops_early(self, monkeypatch):
+        # One minority row in seven, at the low end of a column of distinct
+        # values: after the first few cuts no later cut can win, so the
+        # bounded scan takes far fewer logarithms for the same rule.
+        specs = [
+            AttributeSpec.numeric("x"),
+            AttributeSpec.nominal("Status", STATUS[:2], role="class"),
+        ]
+        rows = [(float(i), 0 if i % 7 == 0 and i < 21 else 1) for i in range(70)]
+        enc = encode_table(DataTable(specs, rows))
+        log2 = math.log2
+        calls = []
+
+        def counting_log2(x):
+            calls.append(x)
+            return log2(x)
+
+        monkeypatch.setattr(math, "log2", counting_log2)
+        grow = (1 << enc.n_rows) - 1
+        bounded = _grow_rule(_RowSets(enc), grow, 0)
+        n_bounded = len(calls)
+        calls.clear()
+        assert bounded == unbounded_grow_rule(_RowSets(enc), grow, 0)
+        assert n_bounded * 2 < len(calls)

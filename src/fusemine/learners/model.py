@@ -7,14 +7,17 @@ single-class dataset is flagged degenerate and predicts that class with
 probability one.
 
 What prediction reads of a model, its row encoding, a degenerate model's
-distribution, a rule list's encoded conditions and distributions and an
-exemplar set's distance terms, is built once per model, on first use.
+distribution, a rule list's encoded conditions and distributions, and an
+exemplar set's distance terms and per-class exemplar index, is built once
+per model, on first use.  The index finds each class's least distance sum
+without summing the exemplars that cannot reach it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence, Union
@@ -164,6 +167,12 @@ class Model:
     @cached_property
     def _distance_terms(self) -> tuple[tuple[int, float | None], ...]:
         return _distance_terms(self.specs, self.input_indices, self.structure.ranges)
+
+    @cached_property
+    def _exemplar_index(self) -> _CoverIndex | _PivotIndex:
+        return _index_exemplars(
+            self.structure.exemplars, self._distance_terms, len(self.class_labels)
+        )
 
 
 def majority(counts) -> int:
@@ -364,25 +373,175 @@ def _planned_sum(ex: Exemplar, plan, bound=None) -> float | None:
     return None if bound is not None and total >= bound else total
 
 
-def _planned_distance(ex: Exemplar, plan) -> float:
-    return _planned_sum(ex, plan) ** 0.5
+def _least_of(exemplars, plan, least=None):
+    """The least ``_planned_sum`` of ``exemplars`` and ``least``; an
+    exemplar is summed only while it can still undercut it, and the scan
+    stops at 0."""
+    for ex in exemplars:
+        s = _planned_sum(ex, plan, least)
+        if s is not None and (least is None or s < least):
+            least = s
+            if s == 0.0:
+                break
+    return least
+
+
+def _pivot_term(a: float, b: float, span: float) -> float:
+    """The squared term ``_planned_sum`` adds for a gap ``a - b > 0`` on
+    an input of positive span, by its own expression."""
+    d = a - b
+    d = d / span if d < math.inf else _unit_gap(a, b, span)
+    return d * d
+
+
+class _CoverIndex:
+    """An all-nominal exemplar set as bits, one per exemplar, grouped by
+    class: for each input, the exemplars whose label set holds each slot.
+
+    Each nominal term is 0 or 1.0, so an exemplar's ``_planned_sum`` is
+    the float of its mismatch count.  The AND of a row's masks marks the
+    exemplars at 0; otherwise a bit-sliced count of the masks gives each
+    class its most matches, and so its least sum.
+    """
+
+    def __init__(self, groups, terms):
+        tables = {i: {} for i, _ in terms}
+        self.class_masks = []
+        bit = 0
+        for group in groups:
+            first = bit
+            for ex in group:
+                flag = 1 << bit
+                for i, table in tables.items():
+                    for slot in ex.label_sets.get(i, ()):
+                        table[slot] = table.get(slot, 0) | flag
+                bit += 1
+            self.class_masks.append((1 << bit) - (1 << first))
+        self.tables = tuple(tables.items())
+        self.every = (1 << bit) - 1
+
+    def least_sums(self, enc_values) -> list:
+        matches = [table.get(enc_values[i], 0) for i, table in self.tables]
+        cover = self.every
+        for m in matches:
+            cover &= m
+        best = []
+        planes = None
+        for mask in self.class_masks:
+            if not mask or cover & mask:
+                best.append(0.0 if mask else None)
+                continue
+            if planes is None:
+                # planes[j] holds bit j of each exemplar's match count.
+                planes = []
+                for carry in matches:
+                    j = 0
+                    while carry:
+                        if j == len(planes):
+                            planes.append(carry)
+                            break
+                        planes[j], carry = planes[j] ^ carry, planes[j] & carry
+                        j += 1
+            # The class's most matches, read from the top bit down.
+            top = 0
+            for j in range(len(planes) - 1, -1, -1):
+                hit = mask & planes[j]
+                if hit:
+                    mask = hit
+                    top |= 1 << j
+            best.append(float(len(matches) - top))
+        return best
+
+
+class _PivotIndex:
+    """Each class's exemplars sorted by ``lo`` and by ``hi`` on a pivot:
+    of the numeric inputs of positive span, the one over whose span the
+    class's boxes start furthest apart.  A class of one exemplar, or of a
+    set without such an input, is scanned in full.
+
+    A row's least sum starts from the boxes that hold its pivot value,
+    then walks outward, nearer side first.  The pivot term alone is a
+    lower bound of an exemplar's sum (the terms are non-negative and
+    rounding is monotone), and it does not fall as a side walks away from
+    the row (every step of the gap rounds monotonically), so the walk
+    stops once that term reaches the least sum so far.
+    """
+
+    def __init__(self, groups, terms):
+        self.terms = terms
+        pivots = [(i, span) for i, span in terms if span is not None and span > 0]
+        self.classes = [
+            (group, None) if not pivots or len(group) < 2 else self._order(group, pivots)
+            for group in groups
+        ]
+
+    @staticmethod
+    def _order(group, pivots):
+        def spread(pivot):
+            i, span = pivot
+            los = [ex.lo.get(i, 0.0) for ex in group]
+            return (max(los) - min(los)) / span
+
+        i, span = max(pivots, key=spread)
+        by_lo = sorted(group, key=lambda ex: ex.lo.get(i, 0.0))
+        by_hi = sorted(group, key=lambda ex: ex.hi.get(i, 0.0))
+        return group, (
+            i, span, [ex.lo.get(i, 0.0) for ex in by_lo], [(ex.hi.get(i, 0.0), ex) for ex in by_lo],
+            [ex.hi.get(i, 0.0) for ex in by_hi], by_hi,
+        )
+
+    def least_sums(self, enc_values) -> list:
+        plan = _distance_plan(self.terms, enc_values)
+        best = []
+        for group, order in self.classes:
+            v = enc_values[order[0]] if order else math.nan
+            # A class without a pivot is scanned in full, and so is a NaN
+            # row value, which compares with no bound: every box holds it.
+            if v != v:
+                best.append(_least_of(group, plan))
+                continue
+            _, span, los, his_by_lo, his, by_hi = order
+            right = bisect_right(los, v)
+            least = _least_of([ex for hi, ex in his_by_lo[:right] if hi >= v], plan)
+            left = bisect_left(his, v) - 1
+            n = len(los)
+            up = _pivot_term(los[right], v, span) if right < n else None
+            down = _pivot_term(v, his[left], span) if left >= 0 else None
+            while least != 0.0 and (up is not None or down is not None):
+                if down is None or (up is not None and up <= down):
+                    term, ex = up, his_by_lo[right][1]
+                    right += 1
+                    up = _pivot_term(los[right], v, span) if right < n else None
+                else:
+                    term, ex = down, by_hi[left]
+                    left -= 1
+                    down = _pivot_term(v, his[left], span) if left >= 0 else None
+                if least is not None and term >= least:
+                    break
+                s = _planned_sum(ex, plan, least)
+                if s is not None and (least is None or s < least):
+                    least = s
+            best.append(least)
+        return best
+
+
+def _index_exemplars(exemplars, terms, k):
+    """Each class's exemplars, indexed for ``least_sums``: by label bits
+    when every input is nominal, else by a numeric pivot."""
+    groups = [[] for _ in range(k)]
+    for ex in exemplars:
+        groups[ex.cls].append(ex)
+    if all(span is None for _, span in terms):
+        return _CoverIndex(groups, terms)
+    return _PivotIndex(groups, terms)
 
 
 def _exemplar_distribution(model: Model, structure: ExemplarSet, enc_values) -> tuple[float, ...]:
     k = len(model.class_labels)
     if not structure.exemplars:
         return tuple(1.0 / k for _ in range(k))
-    plan = _distance_plan(model._distance_terms, enc_values)
-    # Each class's least sum; an exemplar is summed only while it can
-    # still undercut it, and not at all once a class has one at 0.
-    best = [None] * k
-    for ex in structure.exemplars:
-        least = best[ex.cls]
-        if least == 0.0:
-            continue
-        s = _planned_sum(ex, plan, least)
-        if s is not None and (least is None or s < least):
-            best[ex.cls] = s
+    # Each class's least sum, or None for a class without exemplars.
+    best = model._exemplar_index.least_sums(enc_values)
     eps = 1e-9
     weights = [0.0 if s is None else 1.0 / (s ** 0.5 + eps) for s in best]
     total = sum(weights)

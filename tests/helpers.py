@@ -5,7 +5,7 @@ import random
 from hypothesis import strategies as st
 
 from fusemine.errors import SchemaMismatchError
-from fusemine.learners.model import slot_name
+from fusemine.learners.model import _distance_plan, _distance_terms, _planned_sum, slot_name
 from fusemine.tabular import AttributeSpec, DataTable
 
 GRADE = ("Low", "Medium", "High")
@@ -110,3 +110,31 @@ def condition_matches(model, cond, enc_values) -> bool:
     if cond.op == "<=":
         return v <= float(cond.value)
     return v > float(cond.value)
+
+
+# --- brute-force oracles of the nearest-exemplar vote ---------------------
+
+
+def planned_distance(ex, plan) -> float:
+    """An exemplar's distance to a row: the root of its unbounded
+    ``_planned_sum``."""
+    return _planned_sum(ex, plan) ** 0.5
+
+
+def full_scan_distribution(model, row) -> tuple[float, ...]:
+    """An exemplar model's distribution from every exemplar's full
+    distance: each class weighs ``1 / (d + 1e-9)`` for its least ``d``."""
+    k = len(model.class_labels)
+    enc = encode_row(model.specs, model.input_indices, model.metadata.get("numeric_fill", {}), row)
+    terms = _distance_terms(model.specs, model.input_indices, model.structure.ranges)
+    plan = _distance_plan(terms, enc)
+    best = [None] * k
+    for ex in model.structure.exemplars:
+        d = planned_distance(ex, plan)
+        if best[ex.cls] is None or d < best[ex.cls]:
+            best[ex.cls] = d
+    weights = [0.0 if d is None else 1.0 / (d + 1e-9) for d in best]
+    total = sum(weights)
+    if total == 0.0:
+        return tuple(1.0 / k for _ in range(k))
+    return tuple(w / total for w in weights)

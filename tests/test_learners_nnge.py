@@ -10,12 +10,12 @@ from fusemine.learners import (
 )
 from fusemine.learners import model as model_module
 from fusemine.learners.encode import Encoded, encode_table
-from fusemine.learners.model import (
-    Exemplar, _distance_plan, _distance_terms, _planned_distance, _planned_sum,
-)
+from fusemine.learners.model import Exemplar, _distance_plan, _distance_terms, _planned_sum
 from fusemine.tabular import AttributeSpec, DataTable
 
-from helpers import GRADE, STATUS, encode_row, planted_dataset
+from helpers import (
+    GRADE, STATUS, encode_row, full_scan_distribution, planned_distance, planted_dataset,
+)
 
 
 def plan_of(model, enc):
@@ -72,7 +72,7 @@ class TestNnge:
             plan = plan_of(model, enc)
             for ex in structure.exemplars:
                 if ex.cls != label:
-                    d = _planned_distance(ex, plan)
+                    d = planned_distance(ex, plan)
                     assert d > 0.0
 
     def test_distributions_valid(self):
@@ -236,7 +236,7 @@ def test_predict_matches_brute_force_on_mixed_inputs():
         plan = plan_of(model, enc)
         for ex in structure.exemplars:
             d = reference_distance(model, ex, structure.ranges, enc)
-            assert _planned_distance(ex, plan) == d
+            assert planned_distance(ex, plan) == d
             if best[ex.cls] is None or d < best[ex.cls]:
                 best[ex.cls] = d
         weights = [0.0 if d is None else 1.0 / (d + 1e-9) for d in best]
@@ -516,22 +516,77 @@ def test_pruned_vote_equals_the_full_scan(case, extra_bounds):
     model, rows = case
     structure = model.structure
     for row in rows:
+        assert predict(model, row) == full_scan_distribution(model, row)
         enc = encode_row(model.specs, model.input_indices, model.metadata["numeric_fill"], row)
         plan = plan_of(model, enc)
-        best = [None] * 3
-        for ex in structure.exemplars:
-            d = _planned_distance(ex, plan)
-            if best[ex.cls] is None or d < best[ex.cls]:
-                best[ex.cls] = d
-        weights = [0.0 if d is None else 1.0 / (d + 1e-9) for d in best]
-        assert predict(model, row) == tuple(w / sum(weights) for w in weights)
-
         sums = [_planned_sum(ex, plan) for ex in structure.exemplars]
         for ex, full in zip(structure.exemplars, sums):
-            assert full ** 0.5 == _planned_distance(ex, plan)
             for bound in sums + extra_bounds:
                 bounded = _planned_sum(ex, plan, bound)
                 assert bounded == (None if full >= bound else full)
+
+
+#: Box ends and fills: the few cells, values past every range (wide
+#: boxes), a signed zero and ends whose gaps overflow.
+INDEX_CELLS = FEW_CELLS + (-0.0, -2.0, 0.375, 3.0, -1e308, 1e308)
+#: Numeric ranges: plain spans, a zero one, one that overflows, and one
+#: so wide that a gap between the far ends overflows but its term does not.
+INDEX_RANGES = ((0.0, 1.0), (-1.0, 2.0), (0.5, 0.5), (-1e308, 1e308), (0.0, 1e308))
+
+
+@st.composite
+def indexed_models(draw):
+    """An all-nominal, all-numeric or mixed exemplar set of up to 40
+    exemplars, some repeated within or across classes, plus rows whose
+    numeric cells sit on box ends, are missing or are NaN."""
+    shape = draw(st.sampled_from(["nominal", "numeric", "mixed"]))
+    if shape == "mixed":
+        kinds = draw(st.permutations(["numeric", "nominal"] + draw(
+            st.lists(st.sampled_from(["numeric", "nominal"]), max_size=2))))
+    else:
+        kinds = [shape] * draw(st.integers(1, 4))
+    specs = tuple(
+        AttributeSpec.numeric(f"x{a}") if kind == "numeric"
+        else AttributeSpec.nominal(f"x{a}", GRADE)
+        for a, kind in enumerate(kinds)
+    ) + (AttributeSpec.nominal("Status", STATUS, role="class"),)
+    numeric = [a for a, kind in enumerate(kinds) if kind == "numeric"]
+    nominal = [a for a, kind in enumerate(kinds) if kind == "nominal"]
+    end = st.sampled_from(INDEX_CELLS) | st.floats(-2.0, 3.0)
+    exemplars = []
+    for _ in range(draw(st.integers(1, 32))):
+        bounds = {a: sorted([draw(end), draw(end)]) for a in numeric}
+        exemplars.append(Exemplar(
+            draw(st.integers(0, 2)),
+            {a: lo for a, (lo, _) in bounds.items()},
+            {a: hi for a, (_, hi) in bounds.items()},
+            {a: frozenset(draw(st.sets(st.integers(0, 3), min_size=1, max_size=3)))
+             for a in nominal},
+        ))
+    for at in draw(st.lists(st.integers(0, len(exemplars) - 1), max_size=8)):
+        ex = exemplars[at]
+        exemplars.append(Exemplar(draw(st.integers(0, 2)), ex.lo, ex.hi, ex.label_sets))
+    exemplars = draw(st.permutations(exemplars))
+    ranges = {a: draw(st.sampled_from(INDEX_RANGES)) for a in numeric}
+    ends = sorted({v for ex in exemplars for a in numeric for v in (ex.lo[a], ex.hi[a])})
+    fill = {specs[a].name: draw(st.sampled_from(ends)) for a in numeric}
+    # A NaN cell compares with no box end.
+    cell = {a: st.sampled_from(ends + [math.nan]) if a in numeric else st.integers(0, 2)
+            for a in range(len(kinds))}
+    model = Model("nnge", specs, STATUS, ExemplarSet(exemplars, ranges), {"numeric_fill": fill})
+    rows = draw(st.lists(
+        st.tuples(*(st.none() | cell[a] for a in range(len(kinds))), st.none()),
+        min_size=1, max_size=4,
+    ))
+    return model, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=indexed_models())
+def test_the_exemplar_index_votes_as_the_full_scan(case):
+    model, rows = case
+    for row in rows:
+        assert repr(predict(model, row)) == repr(full_scan_distribution(model, row))
 
 
 def test_an_overflowed_span_votes_as_the_full_scan():
@@ -545,12 +600,31 @@ def test_an_overflowed_span_votes_as_the_full_scan():
     plan = plan_of(model, {0: -1e308})
     best = [None] * 3
     for ex in exemplars:
-        d = _planned_distance(ex, plan)
+        d = planned_distance(ex, plan)
         if best[ex.cls] is None or d < best[ex.cls]:
             best[ex.cls] = d
     assert best == [0.0, 0.5, None]
     weights = [0.0 if d is None else 1.0 / (d + 1e-9) for d in best]
     assert repr(predict(model, row)) == repr(tuple(w / sum(weights) for w in weights))
+
+
+def test_an_overflowed_pivot_gap_bounds_by_the_halved_term():
+    """The pivot bound takes a gap that overflows as ``_planned_sum`` does,
+    on the halved values.  Here the far box's gap to the row overflows,
+    yet its term, 2.52, is below the near box's sum, 4.0028; read as
+    infinite, it would stop the walk before the nearest exemplar."""
+    specs = (AttributeSpec.numeric("x"), AttributeSpec.numeric("y"),
+             AttributeSpec.nominal("Status", STATUS, role="class"))
+    far = Exemplar(0, {0: -1e308, 1: 0.0}, {0: -1e308, 1: 0.0})
+    near = Exemplar(0, {0: 1.79e308, 1: 1.0}, {0: 1.79e308, 1: 1.0})
+    other = Exemplar(1, {0: 0.0, 1: 0.0}, {0: 0.0, 1: 0.0})
+    model = Model("nnge", specs, STATUS,
+                  ExemplarSet([far, near, other], {0: (0.0, 1.7e308), 1: (0.0, 0.5)}))
+    row = (1.7e308, 0.0, None)
+    plan = plan_of(model, {0: 1.7e308, 1: 0.0})
+    assert _planned_sum(far, plan) < _planned_sum(near, plan)
+    assert model._exemplar_index.least_sums({0: 1.7e308, 1: 0.0})[0] == _planned_sum(far, plan)
+    assert repr(predict(model, row)) == repr(full_scan_distribution(model, row))
 
 
 class ReadLabels(dict):
@@ -563,10 +637,22 @@ class ReadLabels(dict):
         return super().get(*args)
 
 
+def _count_sums(monkeypatch):
+    calls = []
+
+    def counted(ex, plan, bound=None):
+        s = _planned_sum(ex, plan, bound)
+        calls.append((ex, s is not None))
+        return s
+
+    monkeypatch.setattr(model_module, "_planned_sum", counted)
+    return calls
+
+
 def test_a_covered_class_sums_no_further_exemplar(monkeypatch):
-    """Once a class has an exemplar at distance 0 the vote skips the rest
-    of that class; once a running sum reaches its class's least sum, the
-    exemplar's remaining terms are not read."""
+    """Once a class has an exemplar at distance 0 the vote sums no more of
+    that class; an exemplar whose pivot term alone reaches its class's
+    least sum is not summed, and its other terms are not read."""
     specs = (
         AttributeSpec.numeric("a"), AttributeSpec.nominal("b", GRADE),
         AttributeSpec.nominal("Status", STATUS, role="class"),
@@ -577,14 +663,28 @@ def test_a_covered_class_sums_no_further_exemplar(monkeypatch):
     far = Exemplar(1, {0: 1.5}, {0: 1.5}, ReadLabels({1: frozenset({0})}))
     exemplars = [covering, near] + [covering, far] * 5
     model = Model("nnge", specs, STATUS, ExemplarSet(exemplars, {0: (0.0, 1.0)}))
-    calls = []
-
-    def counted(ex, plan, bound=None):
-        s = _planned_sum(ex, plan, bound)
-        calls.append((ex, s is not None))
-        return s
-
-    monkeypatch.setattr(model_module, "_planned_sum", counted)
+    calls = _count_sums(monkeypatch)
     predict(model, (0.5, 0, None))
-    assert calls == [(covering, True), (near, True)] + [(far, False)] * 5
+    assert calls == [(covering, True), (near, True)]
     assert not far.label_sets.read
+
+
+def test_an_all_nominal_set_votes_by_label_bits(monkeypatch):
+    """An all-nominal set's least sums are mismatch counts, read off the
+    label bits without summing an exemplar."""
+    specs = tuple(AttributeSpec.nominal(f"g{a}", GRADE) for a in range(3)) + (
+        AttributeSpec.nominal("Status", STATUS, role="class"),)
+    exemplars = [
+        Exemplar(0, label_sets={0: frozenset({0}), 1: frozenset({0, 1}), 2: frozenset({2})}),
+        Exemplar(1, label_sets={0: frozenset({1}), 1: frozenset({1}), 2: frozenset({2})}),
+        Exemplar(1, label_sets={0: frozenset({2}), 1: frozenset({2}), 2: frozenset({3})}),
+    ]
+    model = Model("nnge", specs, STATUS, ExemplarSet(exemplars))
+    calls = _count_sums(monkeypatch)
+    # Class 0's exemplar holds the row on every input; class 1's miss it on
+    # one input and on all three; class 2 has no exemplar.
+    row = (0, 1, 2, None)
+    dist = predict(model, row)
+    assert calls == []
+    assert model._exemplar_index.least_sums({0: 0, 1: 1, 2: 2}) == [0.0, 1.0, None]
+    assert repr(dist) == repr(full_scan_distribution(model, row))

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusemine import ensemble
-from fusemine.learners import ALGORITHMS, Condition, Model, Rule, RuleList, predict, train
+from fusemine.learners import (
+    ALGORITHMS, Condition, Model, Rule, RuleList, model_from_json, model_to_json, predict, train,
+)
 from fusemine.learners import model as model_module
 from fusemine.learners.model import _encoded, fired_rule_index
 from fusemine.tabular import AttributeSpec, DataTable
@@ -116,22 +118,33 @@ def test_a_model_builds_its_prediction_state_once(monkeypatch, algorithm, numeri
     plans = _counted(monkeypatch, "encoding_plan")
     rules = _counted(monkeypatch, "_encode_rules")
     terms = _counted(monkeypatch, "_distance_terms")
+    indexes = _counted(monkeypatch, "_index_exemplars")
     smoothed = _counted(monkeypatch, "_laplace")
     for row in table.rows:
         predict(model, row)
-    built = (len(plans), len(rules), len(terms), len(smoothed))
+    built = (len(plans), len(rules), len(terms), len(indexes), len(smoothed))
     for row in table.rows:
         predict(model, row)
-    assert (len(plans), len(rules), len(terms), len(smoothed)) == built
+    assert (len(plans), len(rules), len(terms), len(indexes), len(smoothed)) == built
     assert len(plans) == 1
     assert len(rules) == (1 if isinstance(model.structure, RuleList) else 0)
-    assert len(terms) == (1 if algorithm == "nnge" else 0)
+    assert len(terms) == len(indexes) == (1 if algorithm == "nnge" else 0)
     # A tree smooths a node the first time a row stops there; a rule list
     # smooths its rules as it encodes them.
     if algorithm in ("c45", "reptree", "randomtree"):
         assert 0 < len(smoothed) <= model.structure.size()
     elif algorithm != "nnge":
         assert len(smoothed) == len(model.structure.rules)
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["nominal", "numeric"])
+def test_an_exemplar_model_predicts_the_same_after_a_json_round_trip(numeric):
+    table = planted_dataset(n=100, seed=6, noise=0.1, numeric=numeric)
+    model = train("nnge", table, seed=1)
+    loaded = model_from_json(model_to_json(model))
+    rows = table.rows + tuple(row[:1] + (None,) + row[2:] for row in table.rows[:20])
+    for row in rows:
+        assert repr(predict(loaded, row)) == repr(predict(model, row))
 
 
 def test_a_degenerate_model_builds_its_state_once(monkeypatch):

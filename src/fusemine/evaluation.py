@@ -27,7 +27,7 @@ from .errors import (
     TooFewRowsError,
 )
 from .learners import majority, predict
-from .tabular import DataTable, SourceBundle
+from .tabular import DataTable, SourceBundle, left_sum
 
 #: Row order used by the report tables.
 DEFAULT_ALGORITHM_ORDER = ("ripper", "nnge", "part", "c45", "reptree", "randomtree")
@@ -293,8 +293,8 @@ class EvaluationReport:
     seed: int
 
     def averages(self) -> tuple[float, float]:
-        acc = sum(r.accuracy_pct for r in self.rows) / len(self.rows)
-        auc = sum(r.auc for r in self.rows) / len(self.rows)
+        acc = left_sum(r.accuracy_pct for r in self.rows) / len(self.rows)
+        auc = left_sum(r.auc for r in self.rows) / len(self.rows)
         return acc, auc
 
 

@@ -9,8 +9,9 @@ probability one.
 What prediction reads of a model, its row encoding, a degenerate model's
 distribution, a rule list's encoded conditions and distributions, and an
 exemplar set's distance terms and per-class exemplar index, is built once
-per model, on first use.  The index finds each class's least distance sum
-without summing the exemplars that cannot reach it.
+per model, on first use; the index waits until the model has scored a few
+rows by plain scans.  It finds each class's least distance sum without
+summing the exemplars that cannot reach it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from ..errors import SchemaMismatchError
-from ..tabular import AttributeSpec, number_text, schema_from_json, schema_to_json
+from ..tabular import AttributeSpec, left_sum, number_text, schema_from_json, schema_to_json
 from .encode import encode_row, encoding_plan
 
 
@@ -169,10 +170,8 @@ class Model:
         return _distance_terms(self.specs, self.input_indices, self.structure.ranges)
 
     @cached_property
-    def _exemplar_index(self) -> _CoverIndex | _PivotIndex:
-        return _index_exemplars(
-            self.structure.exemplars, self._distance_terms, len(self.class_labels)
-        )
+    def _exemplar_index(self) -> _DeferredIndex:
+        return _DeferredIndex(self.structure.exemplars, self._distance_terms, len(self.class_labels))
 
 
 def majority(counts) -> int:
@@ -525,15 +524,43 @@ class _PivotIndex:
         return best
 
 
-def _index_exemplars(exemplars, terms, k):
+def _index_exemplars(groups, terms):
     """Each class's exemplars, indexed for ``least_sums``: by label bits
     when every input is nominal, else by a numeric pivot."""
-    groups = [[] for _ in range(k)]
-    for ex in exemplars:
-        groups[ex.cls].append(ex)
     if all(span is None for _, span in terms):
         return _CoverIndex(groups, terms)
     return _PivotIndex(groups, terms)
+
+
+#: Rows a model scores by plain scans before it builds its index.  A
+#: build costs about as much as three plain scans of a row, and a model
+#: of a 10-fold grid cell scores about 6 rows.
+_PLAIN_ROWS = 8
+
+
+class _DeferredIndex:
+    """Each class's least sum of a row: a bounded scan of the class's
+    exemplars for a model's first ``_PLAIN_ROWS`` rows, then the index of
+    ``_index_exemplars``, built once the model has scored more rows than
+    the build would have cost."""
+
+    def __init__(self, exemplars, terms, k):
+        self.groups = [[] for _ in range(k)]
+        for ex in exemplars:
+            self.groups[ex.cls].append(ex)
+        self.terms = terms
+        self.plain_rows = _PLAIN_ROWS
+
+    @cached_property
+    def index(self) -> _CoverIndex | _PivotIndex:
+        return _index_exemplars(self.groups, self.terms)
+
+    def least_sums(self, enc_values) -> list:
+        if self.plain_rows:
+            self.plain_rows -= 1
+            plan = _distance_plan(self.terms, enc_values)
+            return [_least_of(group, plan) for group in self.groups]
+        return self.index.least_sums(enc_values)
 
 
 def _exemplar_distribution(model: Model, structure: ExemplarSet, enc_values) -> tuple[float, ...]:
@@ -544,7 +571,7 @@ def _exemplar_distribution(model: Model, structure: ExemplarSet, enc_values) -> 
     best = model._exemplar_index.least_sums(enc_values)
     eps = 1e-9
     weights = [0.0 if s is None else 1.0 / (s ** 0.5 + eps) for s in best]
-    total = sum(weights)
+    total = left_sum(weights)
     if total == 0.0:
         return tuple(1.0 / k for _ in range(k))
     return tuple(w / total for w in weights)

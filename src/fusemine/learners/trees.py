@@ -6,15 +6,28 @@ Split scoring is order-insensitive (counts only), so permuting training
 rows never changes the resulting model; internal holdouts shuffle a
 canonically sorted index list with a seeded generator for the same
 reason.
+
+The split search counts classes in ints and reads each entropy term
+``(c / m) * log2(c / m)`` of ``c`` rows among ``m`` from one term table,
+row ``m`` and entry ``c``, filled by ``_term`` as rows are first needed.
+An entry is the float that ``entropy`` computes for that term, and entry
+0 is ``0.0``, which subtracted leaves a sum as ``entropy``'s skip of a
+zero count does; so every gain, and every tree, is the one ``entropy``
+gives, to the bit.  The table stops at ``_CAP`` rows, and a larger side
+computes its terms by ``_term`` as it reads them; its rows up to
+``_LIST_ROWS`` are lists, the larger ones arrays of doubles.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
+from array import array
 from functools import lru_cache
 from statistics import NormalDist
 
+from ..tabular import left_sum
 from .encode import Encoded
 from .model import Leaf, Split, child_index, majority
 
@@ -40,6 +53,56 @@ def entropy(counts, total) -> float:
     return h
 
 
+def _term(c: int, m: int) -> float:
+    """``p * log2(p)`` for ``p = c / m``, as ``entropy`` computes it; 0.0
+    for ``c = 0``, the count ``entropy`` skips."""
+    if not c:
+        return 0.0
+    p = c / m
+    return p * math.log2(p)
+
+
+#: The largest side whose terms the table keeps; it covers a 10-fold
+#: training part of the paper-sized 570-student cohort, and bounds the
+#: table at about 4.3 MB.
+_CAP = 1024
+#: Rows up to this side are lists, which hand out the floats they hold;
+#: an ``array`` row takes 8 bytes an entry, a quarter of a list's, but
+#: makes a new float on every read.  The list rows take about 70 KB.
+_LIST_ROWS = 64
+#: The term table: ``_ROWS[m][c] == _term(c, m)`` for ``m <= _CAP``.
+_ROWS: list = []
+#: Held while the table grows, so that two threads cannot both append the
+#: row of one side size.
+_GROWING = threading.Lock()
+
+
+class _ComputedRow:
+    """Row ``m`` of the term table past its cap: each entry computed by
+    ``_term`` as it is read."""
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def __getitem__(self, c: int) -> float:
+        return _term(c, self.m)
+
+
+def _term_rows(n: int):
+    """Term rows indexed by every side size 0..``n``: the table, grown to
+    row ``n`` or to the cap, then computed rows."""
+    if n < len(_ROWS):
+        return _ROWS
+    with _GROWING:
+        while len(_ROWS) <= min(n, _CAP):
+            m = len(_ROWS)
+            row = [_term(c, m) for c in range(m + 1)]
+            _ROWS.append(row if m <= _LIST_ROWS else array("d", row))
+    if n <= _CAP:
+        return _ROWS
+    return _ROWS + [_ComputedRow(m) for m in range(_CAP + 1, n + 1)]
+
+
 def cut_between(lo: float, hi: float) -> float:
     """Threshold between two neighbouring column values: their midpoint,
     or ``lo`` where the midpoint rounds onto ``hi`` or overflows, so that
@@ -54,24 +117,32 @@ def _nominal_split(enc, idx, attr, parent_h, min_leaf):
     col = enc.cols[attr]
     y = enc.y
     slots = enc.n_slots(attr)
-    counts = [[0.0] * enc.n_classes for _ in range(slots)]
-    totals = [0.0] * slots
+    counts = [[0] * enc.n_classes for _ in range(slots)]
     for i in idx:
-        v = col[i]
-        counts[v][y[i]] += 1.0
-        totals[v] += 1.0
-    populated = sum(1 for t in totals if t >= min_leaf)
+        counts[col[i]][y[i]] += 1
+    totals = [0] * slots
+    populated = 0
+    for v, branch in enumerate(counts):
+        for c in branch:
+            totals[v] += c
+        if totals[v] >= min_leaf:
+            populated += 1
     if populated < 2:
         return None
     n = len(idx)
+    rows = _term_rows(n)
+    whole = rows[n]
     weighted = 0.0
     split_info = 0.0
     for v in range(slots):
         t = totals[v]
         if t:
-            weighted += t / n * entropy(counts[v], t)
-            p = t / n
-            split_info -= p * math.log2(p)
+            row = rows[t]
+            h = 0.0
+            for c in counts[v]:
+                h -= row[c]
+            weighted += t / n * h
+            split_info -= whole[t]
     return parent_h - weighted, split_info
 
 
@@ -83,6 +154,10 @@ def _best_cut(enc, idx, attr, parent_h, min_size):
     neighbouring values ``lo < hi``, ``n_left`` rows go to the ``lo``
     side, and ``cuts`` counts every cut that met the minimum.  Returns
     None when no such cut gains; ties go to the smaller threshold.
+
+    Each side's entropy is ``entropy(counts, size)`` with its terms read
+    from the term table's row for that size: the same floats, subtracted
+    in the same order, so the gains are ``entropy``'s to the bit.
     """
     col = enc.cols[attr]
     y = enc.y
@@ -90,20 +165,23 @@ def _best_cut(enc, idx, attr, parent_h, min_size):
     if n < 2 * min_size:
         return None
     order = sorted(idx, key=col.__getitem__)
-    left = [0.0] * enc.n_classes
-    right = class_counts(enc, order)
-    log2 = math.log2
+    values = [col[i] for i in order]
+    classes = [y[i] for i in order]
+    left = [0] * enc.n_classes
+    right = [0] * enc.n_classes
+    for cls in classes:
+        right[cls] += 1
+    rows = _term_rows(n)
     best = None
     best_gain = 0.0
+    bar = best_gain + _EPS
     cuts = 0
     n_left = 0
-    value = col[order[0]]
-    for pos in range(n - 1):
-        cls = y[order[pos]]
-        left[cls] += 1.0
-        right[cls] -= 1.0
+    value = values[0]
+    for cls, next_value in zip(classes, values[1:]):
+        left[cls] += 1
+        right[cls] -= 1
         n_left += 1
-        next_value = col[order[pos + 1]]
         if value == next_value:
             continue
         here, value = value, next_value
@@ -111,22 +189,18 @@ def _best_cut(enc, idx, attr, parent_h, min_size):
         if n_left < min_size or n_right < min_size:
             continue
         cuts += 1
-        # entropy(left, n_left) and entropy(right, n_right), inlined: the
-        # same float operations in the same order, without the calls.
+        row = rows[n_left]
         h_left = 0.0
         for c in left:
-            if c:
-                p = c / n_left
-                h_left -= p * log2(p)
+            h_left -= row[c]
+        row = rows[n_right]
         h_right = 0.0
         for c in right:
-            if c:
-                p = c / n_right
-                h_right -= p * log2(p)
-        weighted = n_left / n * h_left + n_right / n * h_right
-        gain = parent_h - weighted
-        if gain > best_gain + _EPS:
+            h_right -= row[c]
+        gain = parent_h - (n_left / n * h_left + n_right / n * h_right)
+        if gain > bar:
             best_gain = gain
+            bar = gain + _EPS
             best = (n_left, here, next_value)
     return None if best is None else (best_gain, *best, cuts)
 
@@ -194,7 +268,7 @@ def choose_c45_split(enc, idx, attrs, parent_h, min_leaf):
         candidates.append((gain, gain / split_info, attr, threshold))
     if not candidates:
         return None
-    floor = sum(c[0] for c in candidates) / len(candidates) - 1e-3
+    floor = left_sum(c[0] for c in candidates) / len(candidates) - 1e-3
     best = None
     for gain, ratio, attr, threshold in candidates:
         if gain >= floor and ratio > (0.0 if best is None else best[0]) + _EPS:
@@ -205,16 +279,23 @@ def choose_c45_split(enc, idx, attrs, parent_h, min_leaf):
 def grow_tree(enc, idx, min_leaf, choose, used_nominal=frozenset()):
     """Grow a full tree; ``choose(enc, idx, attrs, parent_h, min_leaf)``
     picks each node's ``(score, attr, threshold)``, or None for a leaf."""
-    counts = class_counts(enc, idx)
+    counts = [0] * enc.n_classes
+    y = enc.y
+    for i in idx:
+        counts[y[i]] += 1
     total = len(idx)
     node_cls = majority(counts)
-    parent_h = entropy(counts, total)
+    row = _term_rows(total)[total]
+    parent_h = 0.0
+    for c in counts:
+        parent_h -= row[c]
+    counts = tuple(map(float, counts))
     if parent_h <= _EPS or total < 2 * min_leaf:
-        return Leaf(tuple(counts), node_cls)
+        return Leaf(counts, node_cls)
     attrs = [a for a in enc.input_idx if enc.specs[a].is_numeric or a not in used_nominal]
     chosen = choose(enc, idx, attrs, parent_h, min_leaf)
     if chosen is None:
-        return Leaf(tuple(counts), node_cls)
+        return Leaf(counts, node_cls)
     _, attr, threshold = chosen
     if threshold is None:
         slots = enc.n_slots(attr)
@@ -229,13 +310,14 @@ def grow_tree(enc, idx, min_leaf, choose, used_nominal=frozenset()):
                 children.append(grow_tree(enc, group, min_leaf, choose, child_used))
             else:
                 children.append(Leaf((0.0,) * enc.n_classes, node_cls))
-        return Split(attr, None, tuple(children), tuple(counts), node_cls)
+        return Split(attr, None, tuple(children), counts, node_cls)
     col = enc.cols[attr]
-    left_idx = [i for i in idx if col[i] <= threshold]
-    right_idx = [i for i in idx if col[i] > threshold]
+    left_idx, right_idx = [], []
+    for i in idx:
+        (left_idx if col[i] <= threshold else right_idx).append(i)
     left = grow_tree(enc, left_idx, min_leaf, choose, used_nominal)
     right = grow_tree(enc, right_idx, min_leaf, choose, used_nominal)
-    return Split(attr, threshold, (left, right), tuple(counts), node_cls)
+    return Split(attr, threshold, (left, right), counts, node_cls)
 
 
 # --- error-based (pessimistic) pruning -------------------------------------

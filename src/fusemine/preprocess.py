@@ -33,6 +33,7 @@ from .tabular import (
     AttributeSpec,
     DataTable,
     SourceBundle,
+    left_sum,
 )
 
 DEFAULT_BIN_LABELS = ("Low", "Medium", "High")
@@ -259,12 +260,12 @@ def _mean_of(members: list[int]):
         values = [row[i] for i in members if row[i] is not None]
         if not values:
             return None
-        total = sum(values)
+        total = left_sum(values)
         if math.isfinite(total):
             return total / len(values)
         # Finite values whose sum overflows: average their shares, and keep
         # the mean, which rounding may push past either end, in their range.
-        mean = sum(v / len(values) for v in values)
+        mean = left_sum(v / len(values) for v in values)
         return min(max(mean, min(values)), max(values))
     return fuse
 

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .learners.trees import cut_between, entropy
 from .preprocess import equal_width_bin
-from .tabular import ROLE_CLASS, ROLE_ID, DataTable
+from .tabular import ROLE_CLASS, ROLE_ID, DataTable, left_sum
 
 _MERIT_EPS = 1e-12
 STALL_LIMIT = 5
@@ -170,7 +170,7 @@ class SuTable:
         if not subset:
             return 0.0
         k = len(subset)
-        r_cf = sum(self.su_with_class(i) for i in subset) / k
+        r_cf = left_sum(self.su_with_class(i) for i in subset) / k
         if k == 1:
             r_ff = 0.0
         else:

@@ -27,7 +27,7 @@ from .preprocess import (
     BinningParams,
     fuse_sessions,
 )
-from .tabular import AttributeSpec, DataTable, SourceBundle
+from .tabular import AttributeSpec, DataTable, SourceBundle, left_sum
 
 GRADE = DEFAULT_BIN_LABELS
 STATUS = DEFAULT_CLASS_LABELS
@@ -130,7 +130,7 @@ def _cells_by_class(ruleset: RuleList, fired):
 
 
 def _largest_remainder(weights: list[float], total: int) -> list[int]:
-    weight_sum = sum(weights)
+    weight_sum = left_sum(weights)
     quotas = [w / weight_sum * total for w in weights]
     counts = [math.floor(q) for q in quotas]
     shortfall = total - sum(counts)
@@ -184,7 +184,7 @@ def _allocate_cells(spec: CohortSpec, cells, constrained):
                 else float(mix.get(rule_idx, 0.0))
             )
             weights.append(share * scale / rule_bias_sums[rule_idx])
-        if sum(weights) <= 0:
+        if left_sum(weights) <= 0:
             raise InfeasibleRulesetError(f"rule mix gives class {label!r} zero weight")
         counts = _largest_remainder(weights, count)
         allocation[label] = [
@@ -251,7 +251,7 @@ def _expand_sessions(rng: random.Random, value: float, lo: float, hi: float, s: 
     delta = min(value - lo, hi - value, (hi - lo) / 20.0)
     step = delta / (s - 1)
     head = [value + rng.uniform(-step, step) for _ in range(s - 1)]
-    last = value * s - sum(head)
+    last = value * s - left_sum(head)
     return head + [last]
 
 

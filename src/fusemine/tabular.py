@@ -314,6 +314,19 @@ class SourceBundle:
         return name in self.sources
 
 
+def left_sum(values) -> float:
+    """The float sum of ``values``, added left to right from ``0.0``.
+
+    This is the package's one float sum: from Python 3.12 on, the built-in
+    ``sum`` compensates float sums, so its result would depend on the
+    interpreter; this fold is what ``sum`` does up to 3.11.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def number_text(value) -> str:
     """Text of a number as a float: an integer, or the shortest decimal
     text that round-trips it (``repr``)."""

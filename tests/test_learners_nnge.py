@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -581,12 +581,21 @@ def indexed_models(draw):
     return model, rows
 
 
+def indexed(model):
+    """``model``, set to score every row through its exemplar index."""
+    model._exemplar_index.plain_rows = 0
+    return model
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=indexed_models())
 def test_the_exemplar_index_votes_as_the_full_scan(case):
+    """Both ways of finding the least sums, the plain scans of a model's
+    first rows and the index, vote as a full scan does."""
     model, rows = case
-    for row in rows:
-        assert repr(predict(model, row)) == repr(full_scan_distribution(model, row))
+    for scanned in (model, indexed(replace(model))):
+        for row in rows:
+            assert repr(predict(scanned, row)) == repr(full_scan_distribution(model, row))
 
 
 def test_an_overflowed_span_votes_as_the_full_scan():
@@ -623,7 +632,7 @@ def test_an_overflowed_pivot_gap_bounds_by_the_halved_term():
     row = (1.7e308, 0.0, None)
     plan = plan_of(model, {0: 1.7e308, 1: 0.0})
     assert _planned_sum(far, plan) < _planned_sum(near, plan)
-    assert model._exemplar_index.least_sums({0: 1.7e308, 1: 0.0})[0] == _planned_sum(far, plan)
+    assert model._exemplar_index.index.least_sums({0: 1.7e308, 1: 0.0})[0] == _planned_sum(far, plan)
     assert repr(predict(model, row)) == repr(full_scan_distribution(model, row))
 
 
@@ -662,7 +671,7 @@ def test_a_covered_class_sums_no_further_exemplar(monkeypatch):
     # Its first term alone, 1.0, equals near's whole sum.
     far = Exemplar(1, {0: 1.5}, {0: 1.5}, ReadLabels({1: frozenset({0})}))
     exemplars = [covering, near] + [covering, far] * 5
-    model = Model("nnge", specs, STATUS, ExemplarSet(exemplars, {0: (0.0, 1.0)}))
+    model = indexed(Model("nnge", specs, STATUS, ExemplarSet(exemplars, {0: (0.0, 1.0)})))
     calls = _count_sums(monkeypatch)
     predict(model, (0.5, 0, None))
     assert calls == [(covering, True), (near, True)]
@@ -679,12 +688,12 @@ def test_an_all_nominal_set_votes_by_label_bits(monkeypatch):
         Exemplar(1, label_sets={0: frozenset({1}), 1: frozenset({1}), 2: frozenset({2})}),
         Exemplar(1, label_sets={0: frozenset({2}), 1: frozenset({2}), 2: frozenset({3})}),
     ]
-    model = Model("nnge", specs, STATUS, ExemplarSet(exemplars))
+    model = indexed(Model("nnge", specs, STATUS, ExemplarSet(exemplars)))
     calls = _count_sums(monkeypatch)
     # Class 0's exemplar holds the row on every input; class 1's miss it on
     # one input and on all three; class 2 has no exemplar.
     row = (0, 1, 2, None)
     dist = predict(model, row)
     assert calls == []
-    assert model._exemplar_index.least_sums({0: 0, 1: 1, 2: 2}) == [0.0, 1.0, None]
+    assert model._exemplar_index.index.least_sums({0: 0, 1: 1, 2: 2}) == [0.0, 1.0, None]
     assert repr(dist) == repr(full_scan_distribution(model, row))

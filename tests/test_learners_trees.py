@@ -1,7 +1,12 @@
+import ast
 import contextlib
+import inspect
 import math
 import random
 import signal
+import sys
+import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,21 +28,27 @@ from fusemine.learners import (
 )
 from fusemine.learners.encode import encode_table
 from fusemine.learners.model import encoded_paths
+from fusemine.learners import trees
 from fusemine.learners.trees import (
     _EPS,
+    _nominal_split,
     _numeric_split,
     _best_cut,
+    _term,
     add_errs,
     build_c45,
     choose_c45_split,
+    choose_split,
     class_counts,
     cut_between,
     entropy,
+    grow_tree,
 )
 from fusemine.tabular import AttributeSpec, DataTable
 
 from helpers import (
-    GRADE, STATUS, condition_matches, encode_row, missing_slot_table, planted_dataset,
+    GRADE, STATUS, condition_matches, encode_row, log2_best_cut, log2_choose_c45_split,
+    log2_choose_split, log2_grow_tree, log2_nominal_split, missing_slot_table, planted_dataset,
 )
 
 
@@ -341,6 +352,106 @@ class TestNumericSplitScan:
         min_leaf = data.draw(st.integers(1, 3))
         args = (enc, idx, 0, parent_h, min_leaf)
         assert repr(_numeric_split(*args)) == repr(reference_numeric_split(*args))
+
+
+#: Neighbouring floats and signed zeros, and many distinct values.
+ADJACENT_VALUES = st.sampled_from([5e-324, 1e-323, 1.0, math.nextafter(1.0, 2.0), 0.0, -0.0])
+SPREAD_VALUES = st.integers(-400, 400).map(lambda k: k / 8.0)
+
+
+@contextlib.contextmanager
+def term_table_capped_at(cap):
+    """A fresh term table that keeps rows up to ``cap`` only."""
+    with mock.patch.object(trees, "_CAP", cap), mock.patch.object(trees, "_ROWS", []):
+        yield
+
+
+@st.composite
+def split_search_cases(draw):
+    """Two numeric columns of tied, adjacent or spread values and a nominal
+    one with its missing slot in use, over 2-5 classes; a subset of the
+    rows; a minimum side of 1-25 rows, whole or, as J48's minimum split
+    may be, fractional; and a term table cap below or above the sizes."""
+    n_classes = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 80))
+    kinds = [draw(st.sampled_from([TIED_VALUES, ADJACENT_VALUES, SPREAD_VALUES])) for _ in "xz"]
+    kinds.append(st.none() | st.integers(0, 2))
+    columns = [draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]
+    classes = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    specs = [
+        AttributeSpec.numeric("x"),
+        AttributeSpec.numeric("z"),
+        AttributeSpec.nominal("g", GRADE),
+        AttributeSpec.nominal("Status", "ABCDE"[:n_classes], role="class"),
+    ]
+    enc = encode_table(DataTable(specs, list(zip(*columns, classes))))
+    idx = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    min_size = draw(st.integers(1, 25) | st.floats(1.0, 25.0))
+    return enc, idx, min_size, draw(st.integers(0, 90))
+
+
+class TestTermTable:
+    @settings(max_examples=300, deadline=None)
+    @given(case=split_search_cases(), min_leaf=st.integers(1, 25))
+    def test_the_split_search_matches_its_log2_form(self, case, min_leaf):
+        enc, idx, min_size, cap = case
+        parent_h = entropy(class_counts(enc, idx), len(idx))
+        with term_table_capped_at(cap):
+            for attr in (0, 1):
+                assert repr(_best_cut(enc, idx, attr, parent_h, min_size)) == repr(
+                    log2_best_cut(enc, idx, attr, parent_h, min_size)
+                )
+            assert repr(_nominal_split(enc, idx, 2, parent_h, min_leaf)) == repr(
+                log2_nominal_split(enc, idx, 2, parent_h, min_leaf)
+            )
+            for choose, log2_choose in (
+                (choose_split, log2_choose_split),
+                (choose_c45_split, log2_choose_c45_split),
+            ):
+                assert repr(grow_tree(enc, idx, min_leaf, choose)) == repr(
+                    log2_grow_tree(enc, idx, min_leaf, log2_choose)
+                )
+            assert len(trees._ROWS) <= cap + 1
+
+    def test_the_split_search_adds_no_float_with_sum(self):
+        # From Python 3.12 on the built-in sum compensates float sums, so a
+        # sum() here would make the trees depend on the interpreter.  On
+        # 3.11 it adds as the loops do, so the oracle above cannot see one.
+        searched = (_term, trees._term_rows, _nominal_split, _best_cut, choose_split,
+                    choose_c45_split, grow_tree)
+        called = {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for function in searched
+            for node in ast.walk(ast.parse(inspect.getsource(function)))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))
+        }
+        assert not called & {"sum", "fsum"}
+
+    def test_threads_grow_the_table_one_row_per_size(self, monkeypatch):
+        monkeypatch.setattr(trees, "_ROWS", [])
+        sizes = (300, 200, 250, 300, 150, 299)
+        threads = [threading.Thread(target=trees._term_rows, args=(n,)) for n in sizes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [len(row) for row in trees._ROWS] == list(range(1, 302))
+
+    def test_the_table_keeps_no_row_past_its_cap(self, monkeypatch):
+        monkeypatch.setattr(trees, "_ROWS", [])
+        table = planted_dataset(n=trees._CAP + 100, seed=3, noise=0.1, numeric=True)
+        model = train("c45", table)
+        assert model.structure.size() > 1
+        assert len(trees._ROWS) == trees._CAP + 1
+        for m in (0, 1, 54, trees._CAP):
+            assert list(trees._ROWS[m]) == [_term(c, m) for c in range(m + 1)]
 
 
 def first_best(items, score):

@@ -147,6 +147,17 @@ def test_an_exemplar_model_predicts_the_same_after_a_json_round_trip(numeric):
         assert repr(predict(loaded, row)) == repr(predict(model, row))
 
 
+def test_an_exemplar_model_builds_its_index_after_its_plain_rows(monkeypatch):
+    table = planted_dataset(n=100, seed=6, noise=0.1, numeric=True)
+    model = train("nnge", table, seed=1)
+    indexes = _counted(monkeypatch, "_index_exemplars")
+    for row in table.rows[: model_module._PLAIN_ROWS]:
+        predict(model, row)
+    assert indexes == []
+    predict(model, table.rows[model_module._PLAIN_ROWS])
+    assert len(indexes) == 1
+
+
 def test_a_degenerate_model_builds_its_state_once(monkeypatch):
     table = planted_dataset(n=60, seed=2)
     one_class = DataTable(table.specs, [row for row in table.rows if row[-1] == 0])

@@ -19,6 +19,7 @@ from fusemine.tabular import (
     DataTable,
     SourceBundle,
     join_on_id,
+    left_sum,
     load_csv,
     save_csv,
     schema_from_json,
@@ -661,3 +662,12 @@ class TestColumnChecksMatchRowMajor:
         save_csv(table, folder / "new.csv")
         ref_save_csv(table, folder / "ref.csv")
         assert (folder / "new.csv").read_bytes() == (folder / "ref.csv").read_bytes()
+
+
+def test_left_sum_adds_from_the_left_on_every_python():
+    # A compensated sum, as the built-in sum is from Python 3.12 on, gives
+    # 2.0 here; adding left to right loses both 1.0s to 1e100.
+    values = [1.0, 1e100, 1.0, -1e100]
+    assert left_sum(values) == 0.0
+    assert left_sum(iter(values)) == 0.0
+    assert left_sum([]) == 0.0

@@ -184,7 +184,7 @@ def majority(counts) -> int:
 
 
 def _laplace(counts: Sequence[float], k: int) -> tuple[float, ...]:
-    total = sum(counts)
+    total = left_sum(counts)
     return tuple((c + 1.0) / (total + k) for c in counts)
 
 

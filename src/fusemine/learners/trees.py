@@ -9,13 +9,14 @@ reason.
 
 The split search counts classes in ints and reads each entropy term
 ``(c / m) * log2(c / m)`` of ``c`` rows among ``m`` from one term table,
-row ``m`` and entry ``c``, filled by ``_term`` as rows are first needed.
-An entry is the float that ``entropy`` computes for that term, and entry
-0 is ``0.0``, which subtracted leaves a sum as ``entropy``'s skip of a
-zero count does; so every gain, and every tree, is the one ``entropy``
-gives, to the bit.  The table stops at ``_CAP`` rows, and a larger side
-computes its terms by ``_term`` as it reads them; its rows up to
-``_LIST_ROWS`` are lists, the larger ones arrays of doubles.
+row ``m`` and entry ``c``, filled by ``_term`` as rows are first needed;
+entry 0 is ``0.0``, so a zero count adds nothing.  The table is the
+package's one class entropy (``class_entropy`` reads one row of it), and
+``cut_scan`` is its one information-gain cut scan, which CFS's MDL
+discretizer in ``selection`` shares with the trees.  The table stops at
+``_CAP`` rows, and a larger side computes its terms by ``_term`` as it
+reads them; its rows up to ``_LIST_ROWS`` are lists, the larger ones
+arrays of doubles.
 """
 
 from __future__ import annotations
@@ -42,20 +43,16 @@ def class_counts(enc: Encoded, idx) -> list[float]:
     return counts
 
 
-def entropy(counts, total) -> float:
-    if total <= 0:
-        return 0.0
-    h = 0.0
-    for c in counts:
-        if c:
-            p = c / total
-            h -= p * math.log2(p)
-    return h
+def count_classes(classes, n_classes: int) -> list[int]:
+    """Int count of each class index in ``classes``."""
+    counts = [0] * n_classes
+    for c in classes:
+        counts[c] += 1
+    return counts
 
 
 def _term(c: int, m: int) -> float:
-    """``p * log2(p)`` for ``p = c / m``, as ``entropy`` computes it; 0.0
-    for ``c = 0``, the count ``entropy`` skips."""
+    """``p * log2(p)`` for ``p = c / m``; 0.0 for ``c = 0``."""
     if not c:
         return 0.0
     p = c / m
@@ -103,6 +100,16 @@ def _term_rows(n: int):
     return _ROWS + [_ComputedRow(m) for m in range(_CAP + 1, n + 1)]
 
 
+def class_entropy(counts, n: int) -> float:
+    """Entropy in bits of ``n`` rows spread over int ``counts``: the terms
+    of the table's row ``n``, subtracted in the order of ``counts``."""
+    row = _ComputedRow(n) if n > _CAP else _term_rows(n)[n]
+    h = 0.0
+    for c in counts:
+        h -= row[c]
+    return h
+
+
 def cut_between(lo: float, hi: float) -> float:
     """Threshold between two neighbouring column values: their midpoint,
     or ``lo`` where the midpoint rounds onto ``hi`` or overflows, so that
@@ -147,30 +154,32 @@ def _nominal_split(enc, idx, attr, parent_h, min_leaf):
 
 
 def _best_cut(enc, idx, attr, parent_h, min_size):
-    """Binary cut of a numeric attribute with the highest information gain
-    among the cuts that leave at least ``min_size`` rows on each side.
+    """``cut_scan`` of a numeric attribute over the rows ``idx``."""
+    col = enc.cols[attr]
+    y = enc.y
+    order = sorted(idx, key=col.__getitem__)
+    return cut_scan([col[i] for i in order], [y[i] for i in order], enc.n_classes,
+                    parent_h, min_size)
+
+
+def cut_scan(values, classes, n_classes, parent_h, min_size):
+    """Binary cut of ascending ``values`` with the highest information gain
+    among the cuts that leave at least ``min_size`` rows on each side;
+    ``classes`` holds each row's class index and ``parent_h`` their
+    entropy.
 
     Returns ``(gain, n_left, lo, hi, cuts)``: the cut parts the
     neighbouring values ``lo < hi``, ``n_left`` rows go to the ``lo``
     side, and ``cuts`` counts every cut that met the minimum.  Returns
     None when no such cut gains; ties go to the smaller threshold.
 
-    Each side's entropy is ``entropy(counts, size)`` with its terms read
-    from the term table's row for that size: the same floats, subtracted
-    in the same order, so the gains are ``entropy``'s to the bit.
+    Each side's entropy is ``class_entropy`` of its counts, inlined.
     """
-    col = enc.cols[attr]
-    y = enc.y
-    n = len(idx)
+    n = len(values)
     if n < 2 * min_size:
         return None
-    order = sorted(idx, key=col.__getitem__)
-    values = [col[i] for i in order]
-    classes = [y[i] for i in order]
-    left = [0] * enc.n_classes
-    right = [0] * enc.n_classes
-    for cls in classes:
-        right[cls] += 1
+    left = [0] * n_classes
+    right = count_classes(classes, n_classes)
     rows = _term_rows(n)
     best = None
     best_gain = 0.0
@@ -264,7 +273,7 @@ def choose_c45_split(enc, idx, attrs, parent_h, min_leaf):
             gain -= math.log2(cuts) / n
             if gain <= _EPS:
                 continue
-            split_info = entropy((n_left, n - n_left), n)
+            split_info = class_entropy((n_left, n - n_left), n)
         candidates.append((gain, gain / split_info, attr, threshold))
     if not candidates:
         return None
@@ -279,16 +288,10 @@ def choose_c45_split(enc, idx, attrs, parent_h, min_leaf):
 def grow_tree(enc, idx, min_leaf, choose, used_nominal=frozenset()):
     """Grow a full tree; ``choose(enc, idx, attrs, parent_h, min_leaf)``
     picks each node's ``(score, attr, threshold)``, or None for a leaf."""
-    counts = [0] * enc.n_classes
-    y = enc.y
-    for i in idx:
-        counts[y[i]] += 1
+    counts = count_classes(map(enc.y.__getitem__, idx), enc.n_classes)
     total = len(idx)
     node_cls = majority(counts)
-    row = _term_rows(total)[total]
-    parent_h = 0.0
-    for c in counts:
-        parent_h -= row[c]
+    parent_h = class_entropy(counts, total)
     counts = tuple(map(float, counts))
     if parent_h <= _EPS or total < 2 * min_leaf:
         return Leaf(counts, node_cls)

@@ -5,6 +5,10 @@ how little they relate to each other, both measured with symmetrical
 uncertainty over nominal views of the columns.  Numeric columns are given
 a supervised entropy-based binning first (ten equal-width bins when no
 cut is accepted).
+
+Every entropy here is ``learners.trees.class_entropy``, and each MDL cut
+is the trees' highest-gain cut, ``cut_scan``, kept while it passes
+Fayyad & Irani's test (IJCAI 1993).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import (
     SchemaMismatchError,
     UnknownAttributeError,
 )
-from .learners.trees import cut_between, entropy
+from .learners.trees import class_entropy, count_classes, cut_between, cut_scan
 from .preprocess import equal_width_bin
 from .tabular import ROLE_CLASS, ROLE_ID, DataTable, left_sum
 
@@ -38,8 +42,7 @@ class MeritScore:
 
 
 def _column_entropy(values: Sequence) -> float:
-    counts = Counter(values)
-    return entropy(sorted(counts.values()), len(values))
+    return class_entropy(sorted(Counter(values).values()), len(values))
 
 
 def symmetrical_uncertainty(a: Sequence, b: Sequence) -> float:
@@ -55,13 +58,13 @@ def symmetrical_uncertainty(a: Sequence, b: Sequence) -> float:
     if h_a + h_b == 0.0:
         return 0.0
     joint = Counter(zip(a, b))
-    h_ab = entropy([joint[k] for k in sorted(joint, key=repr)], len(a))
+    h_ab = class_entropy([joint[k] for k in sorted(joint, key=repr)], len(a))
     su = 2.0 * (h_a + h_b - h_ab) / (h_a + h_b)
     return max(0.0, min(1.0, su))
 
 
 def mdl_discretize(
-    values: Sequence[float | None], classes: Sequence[int]
+    values: Sequence[float | None], classes: Sequence
 ) -> list[int | None]:
     """Supervised entropy-based binning of a numeric column.
 
@@ -69,7 +72,7 @@ def mdl_discretize(
     only while the information gain passes the minimum-description-length
     test.  When no cut is accepted the column falls back to equal-width
     binning (``FALLBACK_BINS`` bins) so weak dependence is still visible
-    to the selector.
+    to the selector.  A missing class counts as one more class.
     """
     if len(values) != len(classes):
         raise LengthMismatchError("values and classes differ in length")
@@ -77,8 +80,10 @@ def mdl_discretize(
     if not present:
         return [None] * len(values)
     present.sort(key=lambda pair: pair[0])
+    slots: dict = {}
+    ys = [slots.setdefault(c, len(slots)) for _, c in present]
     cuts: list[float] = []
-    _mdl_split(present, cuts)
+    _mdl_split([v for v, _ in present], ys, count_classes(ys, len(slots)), cuts)
     cuts.sort()
     if not cuts:
         lo, hi = present[0][0], present[-1][0]
@@ -86,47 +91,34 @@ def mdl_discretize(
     return [None if v is None else bisect_left(cuts, v) for v in values]
 
 
-def _class_entropy(pairs: Sequence[tuple[float, int]]) -> tuple[float, int]:
-    counts = Counter(c for _, c in pairs)
-    return entropy(list(counts.values()), len(pairs)), len(counts)
-
-
-def _mdl_split(pairs: list[tuple[float, int]], cuts: list[float]) -> None:
-    n = len(pairs)
+def _mdl_split(values: list, classes: list[int], counts: list[int], cuts: list[float]) -> None:
+    """Append to ``cuts`` the accepted cuts of ascending ``values``, whose
+    class indexes ``classes`` number ``counts`` of each class: the trees'
+    highest-gain cut, kept while it passes Fayyad & Irani's MDL test, then
+    the same on each side."""
+    n = len(values)
     if n < 4:
         return
-    parent_h, parent_k = _class_entropy(pairs)
+    parent_h = class_entropy(counts, n)
     if parent_h == 0.0:
         return
-    best = None
-    left_counts: Counter = Counter()
-    total_counts = Counter(c for _, c in pairs)
-    for i in range(n - 1):
-        left_counts[pairs[i][1]] += 1
-        if pairs[i][0] == pairs[i + 1][0]:
-            continue
-        n_left = i + 1
-        n_right = n - n_left
-        right_counts = total_counts - left_counts
-        h_left = entropy(list(left_counts.values()), n_left)
-        h_right = entropy(list(right_counts.values()), n_right)
-        weighted = (n_left * h_left + n_right * h_right) / n
-        if best is None or weighted < best[0] - 1e-12:
-            cut = cut_between(pairs[i][0], pairs[i + 1][0])
-            best = (weighted, cut, n_left, h_left, len(left_counts), h_right, len(right_counts))
+    best = cut_scan(values, classes, len(counts), parent_h, 1)
     if best is None:
         return
-    weighted, cut, n_left, h_left, k_left, h_right, k_right = best
-    gain = parent_h - weighted
-    delta = math.log2(3 ** parent_k - 2) - (
-        parent_k * parent_h - k_left * h_left - k_right * h_right
+    gain, n_left, lo, hi, _ = best
+    left = count_classes(classes[:n_left], len(counts))
+    right = count_classes(classes[n_left:], len(counts))
+    k, k_left, k_right = (len(c) - c.count(0) for c in (counts, left, right))
+    delta = math.log2(3 ** k - 2) - (
+        k * parent_h
+        - k_left * class_entropy(left, n_left)
+        - k_right * class_entropy(right, n - n_left)
     )
-    threshold = (math.log2(n - 1) + delta) / n
-    if gain <= threshold:
+    if gain <= (math.log2(n - 1) + delta) / n:
         return
-    cuts.append(cut)
-    _mdl_split(pairs[:n_left], cuts)
-    _mdl_split(pairs[n_left:], cuts)
+    cuts.append(cut_between(lo, hi))
+    _mdl_split(values[:n_left], classes[:n_left], left, cuts)
+    _mdl_split(values[n_left:], classes[n_left:], right, cuts)
 
 
 class SuTable:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 from hypothesis import strategies as st
 
@@ -9,7 +10,7 @@ from fusemine.errors import SchemaMismatchError
 from fusemine.learners.model import (
     Leaf, Split, _distance_plan, _distance_terms, _planned_sum, majority, slot_name,
 )
-from fusemine.learners.trees import _EPS, class_counts, cut_between, entropy
+from fusemine.learners.trees import _EPS, class_counts, cut_between
 from fusemine.tabular import AttributeSpec, DataTable
 
 GRADE = ("Low", "Medium", "High")
@@ -142,6 +143,68 @@ def full_scan_distribution(model, row) -> tuple[float, ...]:
     if total == 0.0:
         return tuple(1.0 / k for _ in range(k))
     return tuple(w / total for w in weights)
+
+
+# --- the class entropy and the MDL cut search as first written -----------
+#
+# ``entropy`` as ``learners.trees`` had it before the term table became
+# the one class entropy, and ``selection._mdl_split`` (with its
+# ``_class_entropy``) before it took the trees' cut scan, verbatim but for
+# the ``log2`` prefix on the MDL names.
+
+
+def entropy(counts, total) -> float:
+    if total <= 0:
+        return 0.0
+    h = 0.0
+    for c in counts:
+        if c:
+            p = c / total
+            h -= p * math.log2(p)
+    return h
+
+
+def log2_class_entropy(pairs):
+    counts = Counter(c for _, c in pairs)
+    return entropy(list(counts.values()), len(pairs)), len(counts)
+
+
+def log2_mdl_split(pairs, cuts):
+    n = len(pairs)
+    if n < 4:
+        return
+    parent_h, parent_k = log2_class_entropy(pairs)
+    if parent_h == 0.0:
+        return
+    best = None
+    left_counts: Counter = Counter()
+    total_counts = Counter(c for _, c in pairs)
+    for i in range(n - 1):
+        left_counts[pairs[i][1]] += 1
+        if pairs[i][0] == pairs[i + 1][0]:
+            continue
+        n_left = i + 1
+        n_right = n - n_left
+        right_counts = total_counts - left_counts
+        h_left = entropy(list(left_counts.values()), n_left)
+        h_right = entropy(list(right_counts.values()), n_right)
+        weighted = (n_left * h_left + n_right * h_right) / n
+        if best is None or weighted < best[0] - 1e-12:
+            cut = cut_between(pairs[i][0], pairs[i + 1][0])
+            best = (weighted, cut, n_left, h_left, len(left_counts), h_right, len(right_counts))
+    if best is None:
+        return
+    weighted, cut, n_left, h_left, k_left, h_right, k_right = best
+    gain = parent_h - weighted
+    delta = math.log2(3 ** parent_k - 2) - (
+        parent_k * parent_h - k_left * h_left - k_right * h_right
+    )
+    threshold = (math.log2(n - 1) + delta) / n
+    if gain <= threshold:
+        return
+    cuts.append(cut)
+    log2_mdl_split(pairs[:n_left], cuts)
+    log2_mdl_split(pairs[n_left:], cuts)
 
 
 # --- the tree split search with one log2 call per entropy term ------------

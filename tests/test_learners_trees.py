@@ -27,6 +27,7 @@ from fusemine.learners import (
     tree_paths,
 )
 from fusemine.learners.encode import encode_table
+from fusemine.learners import model as learner_model
 from fusemine.learners.model import encoded_paths
 from fusemine.learners import trees
 from fusemine.learners.trees import (
@@ -40,14 +41,16 @@ from fusemine.learners.trees import (
     choose_c45_split,
     choose_split,
     class_counts,
+    class_entropy,
     cut_between,
-    entropy,
+    cut_scan,
     grow_tree,
 )
+from fusemine import selection
 from fusemine.tabular import AttributeSpec, DataTable
 
 from helpers import (
-    GRADE, STATUS, condition_matches, encode_row, log2_best_cut, log2_choose_c45_split,
+    GRADE, STATUS, condition_matches, encode_row, entropy, log2_best_cut, log2_choose_c45_split,
     log2_choose_split, log2_grow_tree, log2_nominal_split, missing_slot_table, planted_dataset,
 )
 
@@ -415,10 +418,12 @@ class TestTermTable:
 
     def test_the_split_search_adds_no_float_with_sum(self):
         # From Python 3.12 on the built-in sum compensates float sums, so a
-        # sum() here would make the trees depend on the interpreter.  On
-        # 3.11 it adds as the loops do, so the oracle above cannot see one.
-        searched = (_term, trees._term_rows, _nominal_split, _best_cut, choose_split,
-                    choose_c45_split, grow_tree)
+        # sum() here would make the trees, the MDL cuts or a smoothed
+        # distribution depend on the interpreter.  On 3.11 it adds as the
+        # loops do, so the oracles cannot see one.
+        searched = (_term, trees._term_rows, class_entropy, _nominal_split, _best_cut,
+                    cut_scan, choose_split, choose_c45_split, grow_tree,
+                    selection._mdl_split, learner_model._laplace)
         called = {
             node.func.id if isinstance(node.func, ast.Name) else node.func.attr
             for function in searched
@@ -427,6 +432,31 @@ class TestTermTable:
             and isinstance(node.func, (ast.Name, ast.Attribute))
         }
         assert not called & {"sum", "fsum"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(0, 40) | st.integers(0, 900), min_size=1, max_size=5))
+    def test_class_entropy_is_entropy_to_the_bit(self, counts):
+        # Sides of 0 rows up to past the cap, so that computed rows are read too.
+        n = 0
+        for c in counts:
+            n += c
+        assert repr(class_entropy(counts, n)) == repr(entropy(counts, n))
+
+    def test_class_entropy_past_the_cap_reads_one_computed_row(self, monkeypatch):
+        built = []
+
+        class CountedRow(trees._ComputedRow):
+            def __init__(self, m):
+                built.append(m)
+                super().__init__(m)
+
+        monkeypatch.setattr(trees, "_ComputedRow", CountedRow)
+        monkeypatch.setattr(trees, "_ROWS", [])
+        n = trees._CAP + 500
+        counts = (n - 900, 0, 900)
+        assert repr(class_entropy(counts, n)) == repr(entropy(counts, n))
+        assert built == [n]
+        assert trees._ROWS == []
 
     def test_threads_grow_the_table_one_row_per_size(self, monkeypatch):
         monkeypatch.setattr(trees, "_ROWS", [])

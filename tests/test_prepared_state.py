@@ -158,6 +158,14 @@ def test_an_exemplar_model_builds_its_index_after_its_plain_rows(monkeypatch):
     assert len(indexes) == 1
 
 
+def test_laplace_smoothing_adds_the_counts_from_the_left():
+    # A compensated sum (the built-in one from Python 3.12 on) makes the
+    # first share 0.21238938053097342.
+    assert [repr(p) for p in model_module._laplace((1.4, 3.8, 3.1), 3)] == [
+        "0.21238938053097348", "0.42477876106194695", "0.36283185840707965",
+    ]
+
+
 def test_a_degenerate_model_builds_its_state_once(monkeypatch):
     table = planted_dataset(n=60, seed=2)
     one_class = DataTable(table.specs, [row for row in table.rows if row[-1] == 0])

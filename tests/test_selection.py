@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fusemine.errors import EmptySubsetError, LengthMismatchError, UnknownAttributeError
+from fusemine.learners import trees
 from fusemine.selection import (
     FALLBACK_BINS,
     SuTable,
@@ -16,6 +17,8 @@ from fusemine.selection import (
     symmetrical_uncertainty,
 )
 from fusemine.tabular import AttributeSpec, DataTable
+
+from helpers import log2_mdl_split
 
 LABELS3 = ("v0", "v1", "v2")
 
@@ -118,7 +121,7 @@ def ref_mdl_discretize(values, classes):
         return [None] * len(values)
     present.sort(key=lambda pair: pair[0])
     cuts: list[float] = []
-    _mdl_split(present, cuts)
+    log2_mdl_split(present, cuts)
     cuts.sort()
     if not cuts:
         lo = present[0][0]
@@ -165,6 +168,62 @@ def test_mdl_matches_reference_on_finite_spans(cells):
     present = [v for v in values if v is not None]
     assume(not present or math.isfinite(max(present) - min(present)))
     assert repr(mdl_discretize(values, classes)) == repr(ref_mdl_discretize(values, classes))
+
+
+def mdl_cuts(values, classes, n_classes):
+    """The cuts ``_mdl_split`` appends for a column sorted by value, and
+    those ``log2_mdl_split`` appends, in the order each appends them."""
+    present = sorted(zip(values, classes), key=lambda pair: pair[0])
+    ordered = [c for _, c in present]
+    counts = [ordered.count(c) for c in range(n_classes)]
+    cuts, log2_cuts = [], []
+    _mdl_split([v for v, _ in present], ordered, counts, cuts)
+    log2_mdl_split(present, log2_cuts)
+    return cuts, log2_cuts
+
+
+#: Few distinct values, so that most neighbours tie.
+TIE_HEAVY = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.5]) | st.integers(0, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mdl_cuts_match_the_log2_form_on_tied_columns(data):
+    n_classes = data.draw(st.integers(2, 3))
+    n = data.draw(st.integers(4, 120))
+    values = data.draw(st.lists(TIE_HEAVY, min_size=n, max_size=n))
+    # A class per unit of value, replaced by a drawn one where noise is
+    # drawn, so that some columns pass the MDL test.
+    rule = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=13, max_size=13))
+    noise = st.none() | st.integers(0, n_classes - 1)
+    noisy = data.draw(st.lists(noise, min_size=n, max_size=n))
+    classes = [rule[int(v)] if c is None else c for v, c in zip(values, noisy)]
+    cuts, log2_cuts = mdl_cuts(values, classes, n_classes)
+    assert repr(cuts) == repr(log2_cuts)
+
+
+def test_mdl_cuts_match_the_log2_form_past_the_term_table_cap():
+    rng = random.Random(24)
+    n = trees._CAP + 476
+    values = [rng.randrange(40) / 4.0 for _ in range(n)]
+    classes = [min(2, int(v / 3.5)) if rng.random() < 0.8 else rng.randrange(3) for v in values]
+    cuts, log2_cuts = mdl_cuts(values, classes, 3)
+    assert len(cuts) >= 2
+    assert repr(cuts) == repr(log2_cuts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.tuples(TIE_HEAVY, st.none() | st.integers(0, 1)), min_size=4, max_size=60))
+def test_mdl_counts_a_missing_class_as_the_log2_form_does(cells):
+    values = [v for v, _ in cells]
+    classes = [c for _, c in cells]
+    assert repr(mdl_discretize(values, classes)) == repr(ref_mdl_discretize(values, classes))
+
+
+def test_a_missing_class_cell_counts_as_one_more_class():
+    specs = [AttributeSpec.numeric("x"), AttributeSpec.nominal("y", ("lo", "hi"), role="class")]
+    rows = [(float(i), None if i % 4 == 0 else int(i > 5)) for i in range(12)]
+    assert select_best_attributes(DataTable(specs, rows)) == ["x"]
 
 
 class TestMerit:

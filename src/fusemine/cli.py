@@ -632,6 +632,11 @@ def _merge_config(parser, args, argv):
 
 
 def main(argv=None) -> int:
+    if sys.version_info < (3, 10):
+        version = ".".join(map(str, sys.version_info[:3]))
+        print(f"error: Python {version} is too old; fusemine needs requires-python >= 3.10",
+              file=sys.stderr)
+        return 2
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -330,8 +330,8 @@ def _distance_terms(specs, input_indices, ranges) -> tuple[tuple[int, float | No
 
 def _distance_plan(terms, enc_values) -> list[tuple]:
     """One row's ``(index, encoded value, range span)`` distance terms.
-    Training and prediction both score exemplars through this plan and
-    ``_planned_sum``."""
+    Prediction scores exemplars through this plan and ``_planned_sum``,
+    and so does training on a set with a numeric input."""
     return [(i, enc_values[i], span) for i, span in terms]
 
 

@@ -5,9 +5,17 @@ deliberately order-sensitive): each new instance first shrinks or splits
 any wrong-class hyperrectangle that covers it, then tries to merge into
 its nearest same-class exemplar, falling back to a fresh point exemplar
 when the merge would swallow an instance of another class.
+
+A box is an ``Exemplar`` of bounds and label sets, or, in an all-nominal
+set, one ``int`` of label bits with a field of slots per input (missing
+included): a row sets one bit per field, a box its members' bits.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from itertools import accumulate
+from operator import or_
 
 from .encode import Encoded
 from .model import Exemplar, ExemplarSet, _distance_plan, _distance_terms, _planned_sum, _unit_gap
@@ -107,9 +115,63 @@ def _exclude_members(members, vals, numeric_attrs, nominal_attrs, spans):
     )
 
 
+def _build_by_bits(enc: Encoded, idx, nominal_attrs) -> list[Exemplar]:
+    """``build_nnge`` of an all-nominal set through label bits.
+
+    A box covers a row when ``row & box == row``.  A row's mismatch count
+    with a box is its ``_planned_sum``, so the nearest same-class box is
+    the first with the most matching bits.  A merge swallows where the
+    grown box covers a distinct row of another class seen so far.
+    """
+    widths = [len(enc.specs[a].labels) + 1 for a in nominal_attrs]
+    fields = list(zip(nominal_attrs, accumulate([0] + widths), widths))
+    # Each class's boxes as (order key, bits, members): a new box's key is its
+    # row's turn and a split's groups extend it, so keys sort boxes into build order.
+    boxes: list[list[tuple[tuple, int, list[dict]]]] = [[] for _ in enc.class_labels]
+    others = [{} for _ in enc.class_labels]  # per class, the other classes' rows so far
+    mask_of = {}  # id(member) -> its row bits; every member lives until the end
+    for turn, i in enumerate(idx):
+        vals = {a: enc.cols[a][i] for a in nominal_attrs}
+        row, cls = sum(1 << (offset + vals[a]) for a, offset, _ in fields), enc.y[i]
+        mask_of[id(vals)] = row
+        for c, theirs in enumerate(boxes):
+            if c == cls:
+                continue
+            others[c][row] = None
+            for j in reversed([j for j, (_, box, _) in enumerate(theirs) if row & box == row]):
+                key, _, members = theirs[j]
+                groups = _exclude_members(members, vals, (), nominal_attrs, {})
+                if len(groups) > 1:
+                    theirs[j : j + 1] = [
+                        (key + (g,), reduce(or_, [mask_of[id(m)] for m in group]), group)
+                        for g, group in enumerate(groups)
+                    ]
+        mine = boxes[cls]
+        hits = [(row & box).bit_count() for _, box, _ in mine]
+        if hits:
+            j = hits.index(max(hits))
+            key, box, members = mine[j]
+            grown = box | row
+            for r in others[cls]:
+                if r & grown == r:
+                    break
+            else:
+                members.append(vals)
+                mine[j] = (key, grown, members)
+                continue
+        mine.append(((turn,), row, [vals]))
+    order = sorted((key, c, box, len(m)) for c, mine in enumerate(boxes) for key, box, m in mine)
+    return [Exemplar(c, label_sets={
+        a: frozenset(s for s in range(width) if box >> (offset + s) & 1)
+        for a, offset, width in fields
+    }, n_members=n) for _, c, box, n in order]
+
+
 def build_nnge(enc: Encoded, idx):
     numeric_attrs = [a for a in enc.input_idx if enc.specs[a].is_numeric]
     nominal_attrs = [a for a in enc.input_idx if enc.specs[a].is_nominal]
+    if not numeric_attrs:
+        return ExemplarSet(_build_by_bits(enc, idx, nominal_attrs))
     ranges = {}
     for a in numeric_attrs:
         values = [enc.cols[a][i] for i in idx]
@@ -160,7 +222,9 @@ def build_nnge(enc: Encoded, idx):
                 len(members) + 1,
             )
         if grown is None or _swallows(grown, boxes, numeric_attrs, nominal_attrs):
-            boxes.append(_box_from_members(cls, [vals], numeric_attrs, nominal_attrs))
+            point = {a: vals[a] for a in numeric_attrs}
+            labels = {a: frozenset((vals[a],)) for a in nominal_attrs}
+            boxes.append((Exemplar(cls, point, dict(point), labels), [vals]))
         else:
             boxes[nearest[1]] = (grown, members + [vals])
     return ExemplarSet([ex for ex, _ in boxes], ranges)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -629,6 +630,18 @@ class TestArgparseErrors:
         assert capsys.readouterr().err == (
             "fusemine eval: error: argument --k: invalid int value: '3.5'\n"
         )
+
+
+def test_an_old_python_is_refused_before_any_work(monkeypatch, tmp_path, capsys):
+    """Python 3.9 lacks ``int.bit_count``; ``main`` names the running
+    version and the requirement in one line, and writes nothing."""
+    monkeypatch.setattr(sys, "version_info", (3, 9, 18, "final", 0))
+    out = tmp_path / "raw"
+    assert exit_code(COHORT + [str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: Python 3.9.18 is too old; fusemine needs requires-python >= 3.10\n"
+    )
+    assert not out.exists()
 
 
 class TestMalformedModelFile:

@@ -9,6 +9,7 @@ from fusemine.learners import (
     ExemplarSet, Model, model_to_json, predict, predict_label, render_rules, train,
 )
 from fusemine.learners import model as model_module
+from fusemine.learners import nnge as nnge_module
 from fusemine.learners.encode import Encoded, encode_table
 from fusemine.learners.model import Exemplar, _distance_plan, _distance_terms, _planned_sum
 from fusemine.tabular import AttributeSpec, DataTable
@@ -430,22 +431,18 @@ NUMERIC_CELLS = st.one_of(
 )
 
 
-@st.composite
-def nnge_tables(draw):
-    """Numeric-only, nominal-only or mixed inputs, with missing cells,
-    repeated rows and at least two classes."""
-    kinds = draw(st.lists(st.sampled_from(["numeric", "nominal"]), min_size=1, max_size=4))
-    specs = [
-        AttributeSpec.numeric(f"x{a}") if kind == "numeric"
-        else AttributeSpec.nominal(f"x{a}", GRADE[: draw(st.integers(1, 3))])
-        for a, kind in enumerate(kinds)
-    ]
-    specs.append(AttributeSpec.nominal("Status", STATUS, role="class"))
+def cells(spec):
+    """A column's cells, a quarter of them missing; a label-less input's
+    cells are all missing."""
+    if spec.is_nominal and not spec.labels:
+        return st.none()
+    present = NUMERIC_CELLS if spec.is_numeric else st.integers(0, len(spec.labels) - 1)
+    return st.one_of(st.none(), present, present, present)
 
-    def cells(spec):
-        present = NUMERIC_CELLS if spec.is_numeric else st.integers(0, len(spec.labels) - 1)
-        return st.one_of(st.none(), present, present, present)
 
+def draw_table(draw, specs):
+    """A table over ``specs`` (the class last) of 2-30 drawn rows and up to
+    10 repeats, some with another class, holding at least two classes."""
     row = st.tuples(*(cells(spec) for spec in specs[:-1]), st.integers(0, 2))
     rows = draw(st.lists(row, min_size=2, max_size=30))
     repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
@@ -457,9 +454,41 @@ def nnge_tables(draw):
     return DataTable(specs, rows)
 
 
-@settings(max_examples=300, deadline=None)
-@given(table=nnge_tables())
-def test_training_matches_the_per_box_distance(table):
+@st.composite
+def nnge_tables(draw):
+    """Numeric-only, nominal-only or mixed inputs, with missing cells,
+    repeated rows and at least two classes."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", "nominal"]), min_size=1, max_size=4))
+    specs = [
+        AttributeSpec.numeric(f"x{a}") if kind == "numeric"
+        else AttributeSpec.nominal(f"x{a}", GRADE[: draw(st.integers(1, 3))])
+        for a, kind in enumerate(kinds)
+    ]
+    specs.append(AttributeSpec.nominal("Status", STATUS, role="class"))
+    return draw_table(draw, specs)
+
+
+#: Labels of the all-nominal inputs, up to five per input.
+LETTERS = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def all_nominal_tables(draw):
+    """Inputs for the label-bit build: 1-12 inputs of 1-5 labels each and
+    one label-less input (every cell missing), with missing cells,
+    repeated rows and duplicates of another class.  Eleven or twelve
+    inputs of five labels hold 67 or 73 slots, past one 64-bit word."""
+    n_labels = draw(st.one_of(
+        st.lists(st.integers(1, 5), min_size=1, max_size=12),
+        st.lists(st.just(5), min_size=11, max_size=12),
+    ))
+    specs = [AttributeSpec.nominal(f"g{a}", LETTERS[:k]) for a, k in enumerate(n_labels)]
+    specs.insert(draw(st.integers(0, len(specs))), AttributeSpec.nominal("blank", ()))
+    specs.append(AttributeSpec.nominal("Status", STATUS, role="class"))
+    return draw_table(draw, specs)
+
+
+def assert_trains_as_the_reference(table):
     model = train("nnge", table)
     enc = encode_table(table)
     reference = Model(
@@ -467,6 +496,37 @@ def test_training_matches_the_per_box_distance(table):
         ref_build_nnge(enc, list(range(enc.n_rows))), model.metadata,
     )
     assert model_to_json(model) == model_to_json(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=nnge_tables())
+def test_training_matches_the_per_box_distance(table):
+    assert_trains_as_the_reference(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=all_nominal_tables())
+def test_label_bit_training_matches_the_per_box_distance(table):
+    assert_trains_as_the_reference(table)
+
+
+def test_an_all_nominal_build_tests_boxes_by_label_bits(monkeypatch):
+    """An all-nominal build covers, measures and vetoes through label
+    bits and calls none of the per-box tests; a set with a numeric input
+    calls all three."""
+    calls = []
+    for name in ("_planned_sum", "_covers", "_swallows"):
+        def counted(*args, test=getattr(nnge_module, name), name=name):
+            calls.append(name)
+            return test(*args)
+
+        monkeypatch.setattr(nnge_module, name, counted)
+    nominal = planted_dataset(n=60, seed=3)
+    train("nnge", nominal)
+    assert calls == []
+    specs = [AttributeSpec.numeric("x"), *nominal.specs]
+    train("nnge", DataTable(specs, [(i / 7 % 1.0, *row) for i, row in enumerate(nominal.rows)]))
+    assert set(calls) == {"_planned_sum", "_covers", "_swallows"}
 
 
 # --- the pruned vote against a full scan --------------------------------

@@ -15,7 +15,8 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import InvalidParamsError, SchemaMismatchError
-from .learners import Model, majority, predict, train
+from .learners import Model, encode_table, majority, predict, train
+from .learners.encode import Encoded
 from .selection import reduce_to, select_best_attributes
 from .tabular import DataTable, SourceBundle, join_on_id
 
@@ -164,12 +165,17 @@ def vote_predict(vote_model: VoteModel, rows_by_source: Mapping[str, Sequence]) 
 
 @dataclass
 class PreparedData:
-    """Datasets an approach trains on, plus what selection kept."""
+    """Datasets an approach trains on, plus what selection kept.
+
+    ``encodings`` keeps the encoding of each (source, training rows) that
+    ``train_prepared`` trained on, so the cells that share this
+    preparation encode each fold once."""
 
     kind: str  # 'merged' | 'per_source'
     merged: DataTable | None = None
     per_source: dict[str, DataTable] = field(default_factory=dict)
     selected: dict[str, list[str]] = field(default_factory=dict)
+    encodings: dict[tuple, Encoded] = field(default_factory=dict, compare=False, repr=False)
 
 
 def _source_with_class(bundle: SourceBundle, name: str) -> DataTable:
@@ -214,17 +220,21 @@ def train_prepared(
     seed: int = 0,
     row_filter: Sequence[int] | None = None,
 ):
-    """Train the approach's model(s); ``row_filter`` selects row positions."""
+    """Train the approach's model(s); ``row_filter`` selects row positions,
+    whose encodings ``prepared`` keeps."""
 
-    def rows_of(table: DataTable) -> DataTable:
+    def data_of(name: str, table: DataTable) -> DataTable | Encoded:
         if row_filter is None:
             return table
-        return table.take(row_filter)
+        key = (name, tuple(row_filter))
+        if key not in prepared.encodings:
+            prepared.encodings[key] = encode_table(table.take(row_filter))
+        return prepared.encodings[key]
 
     if prepared.kind == "merged":
-        return train(algorithm, rows_of(prepared.merged), seed=seed)
+        return train(algorithm, data_of("merged", prepared.merged), seed=seed)
     models = {
-        name: train(algorithm, rows_of(table), seed=seed)
+        name: train(algorithm, data_of(name, table), seed=seed)
         for name, table in prepared.per_source.items()
     }
     return VoteModel(models=models, weights=dict(config.weights))

@@ -253,8 +253,9 @@ def cross_validate(
     approaches choose attributes on each fold's training rows; every fold
     records what it kept.  ``prepared``, when given, must be what
     ``prepare_approach`` returns for this approach and bundle; cells that
-    share them pass it in so the bundle is prepared once.  It is not read
-    with ``fold_local_select``.
+    share it pass it in, so the bundle is prepared once and each fold's
+    training rows are encoded once for them all (``prepared`` keeps the
+    encodings).  It is not read with ``fold_local_select``.
     """
     held_out = held_out_distributions(
         config, algorithm, bundle, k, seed, plan_seed, fold_local_select, prepared
@@ -340,7 +341,8 @@ def run_experiment_grid(
                 if weights else FusionConfig(approach)
             )
             # The algorithms of one (approach, variant) train on the same
-            # data, so it is prepared once and the cells only read it.
+            # data and folds, so it is prepared once, each fold is encoded
+            # once, and the cells only read both.
             prepared = prepare_approach(config, bundle)
             report = EvaluationReport(approach=approach, variant=variant, rows=[], k=k, seed=seed)
             for algorithm in algorithms:

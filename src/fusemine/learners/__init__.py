@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..errors import InvalidParamsError
 from ..tabular import DataTable
-from .encode import encode_table
+from .encode import Encoded, encode_table
 from .model import (
     Condition,
     DecisionTree,
@@ -49,12 +49,17 @@ PARAMS = {
 }
 
 
-def train(algorithm: str, dataset: DataTable, seed: int = 0) -> Model:
-    """Train one model; structure type follows the algorithm tag."""
+def train(algorithm: str, data: DataTable | Encoded, seed: int = 0) -> Model:
+    """Train one model; structure type follows the algorithm tag.
+
+    ``data`` is a table or its ``encode_table`` encoding.  Learners that
+    train on one encoding only read it, so the same model comes back
+    whichever ran first; C4.5 and PART share its pruned tree of all rows.
+    """
     if algorithm not in ALGORITHMS:
         raise InvalidParamsError(f"unknown algorithm {algorithm!r}")
     params = PARAMS[algorithm]
-    enc = encode_table(dataset)
+    enc = data if isinstance(data, Encoded) else encode_table(data)
     idx = list(range(enc.n_rows))
     counts = class_counts(enc, idx)
     metadata = {

@@ -1,8 +1,11 @@
 """Internal columnar encoding shared by the learners.
 
-Training operates on plain column lists indexed by row position; each
-table a model trains on, a cross-validation fold's included, is encoded
-on its own.  Missing numeric values are replaced by the training median;
+Training operates on plain column lists indexed by row position.  A
+cross-validation fold's training rows are encoded once, and the
+learners that train on that fold share the encoding and only read it.
+What it keeps is derived from its own rows: their content ranks, and
+the pruned C4.5 tree of all of them, which C4.5 and PART's first rule
+both take.  Missing numeric values are replaced by the training median;
 missing nominal values become an extra category one past the label
 range.  A trained model encodes each row it scores by the same rule,
 through its ``encoding_plan``.
@@ -27,6 +30,9 @@ class Encoded:
     cols: dict[int, list]
     numeric_fill: dict[str, float] = field(default_factory=dict)
     has_missing: dict[int, bool] = field(default_factory=dict)
+    #: The pruned C4.5 tree of all rows by ``(confidence, min_leaf)``,
+    #: filled by ``trees.build_c45``.
+    c45_trees: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_rows(self) -> int:

@@ -415,8 +415,17 @@ def rep_prune(node, enc, prune_idx):
 
 
 def build_c45(enc: Encoded, idx, confidence: float, min_leaf: int):
+    """The pruned J48 tree of the distinct rows ``idx``.  The tree of all
+    of ``enc``'s rows is grown once and kept on ``enc``; split scoring
+    reads counts only, so the order of ``idx`` does not change it."""
+    whole = len(idx) == enc.n_rows
+    key = (confidence, min_leaf)
+    if whole and key in enc.c45_trees:
+        return enc.c45_trees[key]
     tree = grow_tree(enc, list(idx), min_leaf, choose_c45_split)
     pruned, _ = ebp_prune(tree, confidence)
+    if whole:
+        enc.c45_trees[key] = pruned
     return pruned
 
 

@@ -85,6 +85,50 @@ def json_values(keys=st.text(max_size=6)):
     )
 
 
+#: Few distinct cells, so rows repeat and boxes touch, overlap and tie.
+NUMERIC_CELLS = st.one_of(
+    st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 3.0]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+def cells(spec):
+    """A column's cells, a quarter of them missing; a label-less input's
+    cells are all missing."""
+    if spec.is_nominal and not spec.labels:
+        return st.none()
+    present = NUMERIC_CELLS if spec.is_numeric else st.integers(0, len(spec.labels) - 1)
+    return st.one_of(st.none(), present, present, present)
+
+
+def draw_table(draw, specs):
+    """A table over ``specs`` (the class last) of 2-30 drawn rows and up to
+    10 repeats, some with another class, holding at least two classes."""
+    row = st.tuples(*(cells(spec) for spec in specs[:-1]), st.integers(0, 2))
+    rows = draw(st.lists(row, min_size=2, max_size=30))
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
+    for at in repeats:
+        *inputs, cls = rows[at]
+        rows.append((*inputs, draw(st.sampled_from([cls, (cls + 1) % 3]))))
+    rows = draw(st.permutations(rows))
+    rows[0], rows[1] = (*rows[0][:-1], 0), (*rows[1][:-1], 1)
+    return DataTable(specs, rows)
+
+
+@st.composite
+def mixed_tables(draw):
+    """Numeric-only, nominal-only or mixed inputs, with missing cells,
+    repeated rows and at least two classes."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", "nominal"]), min_size=1, max_size=4))
+    specs = [
+        AttributeSpec.numeric(f"x{a}") if kind == "numeric"
+        else AttributeSpec.nominal(f"x{a}", GRADE[: draw(st.integers(1, 3))])
+        for a, kind in enumerate(kinds)
+    ]
+    specs.append(AttributeSpec.nominal("Status", STATUS, role="class"))
+    return draw_table(draw, specs)
+
+
 # --- by-name oracles of a model's prepared prediction state --------------
 
 

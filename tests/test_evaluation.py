@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusemine import ensemble, evaluation
+from fusemine import ensemble, evaluation, learners
 from fusemine.ensemble import (
     APPROACHES,
     INPUT_SOURCES,
@@ -396,9 +396,10 @@ class TestSharedPreparation:
             monkeypatch.setattr(module, "prepare_approach", counted_prepare)
         return counts
 
-    def test_grid_prepares_once_per_approach_and_variant(self, variants, calls):
-        grid = run_experiment_grid(variants, k=3, seed=2)
-        assert calls == {"cross_validate": 48, "prepare_approach": 8}
+    @staticmethod
+    def cell_by_cell(variants) -> GridResult:
+        """The k=3, seed-2 grid as 48 stand-alone ``cross_validate`` calls,
+        each preparing and encoding on its own."""
         reports = {}
         for approach in APPROACHES:
             for variant, bundle in variants.items():
@@ -411,8 +412,32 @@ class TestSharedPreparation:
                     for algorithm in DEFAULT_ALGORITHM_ORDER
                 ]
                 reports[(approach, variant)] = EvaluationReport(approach, variant, rows, 3, 2)
+        return GridResult(reports, k=3, seed=2)
+
+    def test_grid_prepares_once_per_approach_and_variant(self, variants, calls):
+        grid = run_experiment_grid(variants, k=3, seed=2)
+        assert calls == {"cross_validate": 48, "prepare_approach": 8}
+        alone = self.cell_by_cell(variants)
         assert calls["prepare_approach"] == 8 + 48
-        assert report_csv_rows(GridResult(reports, k=3, seed=2)) == report_csv_rows(grid)
+        assert report_csv_rows(alone) == report_csv_rows(grid)
+
+    def test_grid_encodes_each_fold_once(self, variants, monkeypatch):
+        encoded = []
+        encode = learners.encode_table
+
+        def counted_encode(table):
+            encoded.append(table.n_rows)
+            return encode(table)
+
+        for module in (ensemble, learners):
+            monkeypatch.setattr(module, "encode_table", counted_encode)
+        grid = run_experiment_grid(variants, k=3, seed=2)
+        # 2 variants x (1 merged + 1 selected + 3 sources + 3 selected sources) x 3 folds.
+        assert len(encoded) == 2 * (1 + 1 + 3 + 3) * 3 == 48
+        alone = self.cell_by_cell(variants)
+        # Each stand-alone cell encodes its own folds: six times as many.
+        assert len(encoded) == 48 + 6 * 48
+        assert report_csv_rows(alone) == report_csv_rows(grid)
 
     def test_weight_search_prepares_once(self, variants, calls, monkeypatch):
         trained = []

@@ -15,7 +15,8 @@ from fusemine.learners.model import Exemplar, _distance_plan, _distance_terms, _
 from fusemine.tabular import AttributeSpec, DataTable
 
 from helpers import (
-    GRADE, STATUS, encode_row, full_scan_distribution, planned_distance, planted_dataset,
+    GRADE, STATUS, draw_table, encode_row, full_scan_distribution, mixed_tables,
+    planned_distance, planted_dataset,
 )
 
 
@@ -424,50 +425,6 @@ def ref_build_nnge(enc: Encoded, idx):
     return ExemplarSet(exemplars=exemplars, ranges=ranges)
 
 
-#: Few distinct cells, so rows repeat and boxes touch, overlap and tie.
-NUMERIC_CELLS = st.one_of(
-    st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 3.0]),
-    st.floats(-10.0, 10.0, allow_nan=False),
-)
-
-
-def cells(spec):
-    """A column's cells, a quarter of them missing; a label-less input's
-    cells are all missing."""
-    if spec.is_nominal and not spec.labels:
-        return st.none()
-    present = NUMERIC_CELLS if spec.is_numeric else st.integers(0, len(spec.labels) - 1)
-    return st.one_of(st.none(), present, present, present)
-
-
-def draw_table(draw, specs):
-    """A table over ``specs`` (the class last) of 2-30 drawn rows and up to
-    10 repeats, some with another class, holding at least two classes."""
-    row = st.tuples(*(cells(spec) for spec in specs[:-1]), st.integers(0, 2))
-    rows = draw(st.lists(row, min_size=2, max_size=30))
-    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
-    for at in repeats:
-        *inputs, cls = rows[at]
-        rows.append((*inputs, draw(st.sampled_from([cls, (cls + 1) % 3]))))
-    rows = draw(st.permutations(rows))
-    rows[0], rows[1] = (*rows[0][:-1], 0), (*rows[1][:-1], 1)
-    return DataTable(specs, rows)
-
-
-@st.composite
-def nnge_tables(draw):
-    """Numeric-only, nominal-only or mixed inputs, with missing cells,
-    repeated rows and at least two classes."""
-    kinds = draw(st.lists(st.sampled_from(["numeric", "nominal"]), min_size=1, max_size=4))
-    specs = [
-        AttributeSpec.numeric(f"x{a}") if kind == "numeric"
-        else AttributeSpec.nominal(f"x{a}", GRADE[: draw(st.integers(1, 3))])
-        for a, kind in enumerate(kinds)
-    ]
-    specs.append(AttributeSpec.nominal("Status", STATUS, role="class"))
-    return draw_table(draw, specs)
-
-
 #: Labels of the all-nominal inputs, up to five per input.
 LETTERS = ("a", "b", "c", "d", "e")
 
@@ -499,7 +456,7 @@ def assert_trains_as_the_reference(table):
 
 
 @settings(max_examples=300, deadline=None)
-@given(table=nnge_tables())
+@given(table=mixed_tables())
 def test_training_matches_the_per_box_distance(table):
     assert_trains_as_the_reference(table)
 

@@ -26,16 +26,20 @@ from .ensemble import (
     INPUT_SOURCES,
     FusionConfig,
     VoteModel,
-    _source_with_class,
+    check_sources,
     check_vote_weights,
     combine_votes,
+    prepare_approach,
     run_approach,
+    source_with_class,
     weight_search,
 )
 from .errors import FusemineError, InfeasibleRulesetError
 from .evaluation import (
     DEFAULT_ALGORITHM_ORDER,
     VARIANTS,
+    cell_csv_row,
+    cell_seeds,
     class_vector,
     cross_validate,
     render_report_text,
@@ -43,6 +47,7 @@ from .evaluation import (
     report_csv_rows,
     run_experiment_grid,
     stable_seed,
+    summary_csv_rows,
 )
 from .learners import (
     ALGORITHMS,
@@ -57,9 +62,9 @@ from .learners import (
     predict_label,
     render_rules,
     row_path,
+    rule_head,
 )
 from .preprocess import PreprocessConfig, anonymize, preprocess_bundle
-from .selection import select_best_attributes
 from .synth import CohortSpec, generate
 from .tabular import (
     SOURCE_DISPLAY,
@@ -189,15 +194,25 @@ def _parse_weights(text: str) -> dict[str, float]:
     return weights
 
 
-def _variant_dirs(root: Path, variant: str) -> dict[str, Path]:
-    wanted = VARIANTS if variant == "both" else (variant,)
-    out = {}
-    for name in wanted:
-        directory = root / name
+def _variants(args) -> dict[str, SourceBundle]:
+    """The bundle of each variant that ``--variant`` names, under ``--data``;
+    every directory is checked before any is loaded."""
+    root = Path(args.data)
+    directories = {
+        name: root / name for name in (VARIANTS if args.variant == "both" else (args.variant,))
+    }
+    for directory in directories.values():
         if not directory.is_dir():
             raise CliError(f"preprocessed variant directory {directory} not found", 2)
-        out[name] = directory
-    return out
+    return {name: load_bundle(directory) for name, directory in directories.items()}
+
+
+def _fusion_config(args, bundle: SourceBundle) -> FusionConfig:
+    """The ``FusionConfig`` of ``--approach`` and ``--weights``, once the
+    bundle is known to hold every source the approach trains on."""
+    config = _input(FusionConfig, approach=args.approach, weights=_parse_weights(args.weights))
+    _input(check_sources, config.approach, bundle)
+    return config
 
 
 def _algorithm_list(text: str) -> list[str]:
@@ -320,13 +335,12 @@ def _preprocess_config(args) -> PreprocessConfig:
 
 
 def cmd_select(args) -> int:
-    directory = _variant_dirs(Path(args.data), args.variant)[args.variant]
-    bundle = load_bundle(directory)
+    bundle = _variants(args)[args.variant]
     _input(class_vector, bundle)
-    merged = join_on_id(bundle, drop_id=True)
-    names = select_best_attributes(merged) if args.select == "cfs" else [
-        s.name for s in merged.specs if s.role == "input"
-    ]
+    if args.select == "cfs":
+        names = prepare_approach(FusionConfig("select"), bundle).selected["merged"]
+    else:
+        names = [s.name for s in join_on_id(bundle, drop_id=True).specs if s.role == "input"]
     payload = json.dumps(names, indent=2) + "\n"
     if args.out:
         _atomic_write(Path(args.out), payload)
@@ -335,14 +349,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    directory = _variant_dirs(Path(args.data), args.variant)[args.variant]
-    bundle = load_bundle(directory)
+    bundle = _variants(args)[args.variant]
     _input(class_vector, bundle)
-    config = _input(
-        FusionConfig,
-        approach=args.approach,
-        weights=_parse_weights(args.weights),
-    )
+    config = _fusion_config(args, bundle)
     model, _prepared = run_approach(config, bundle, args.algorithm, seed=args.seed)
     out = Path(args.out)
     save_model(model, out / "model.json")
@@ -352,24 +361,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    directory = _variant_dirs(Path(args.data), args.variant)[args.variant]
-    bundle = load_bundle(directory)
+    bundle = _variants(args)[args.variant]
     check_cohort(args.k, bundle)
-    config = _input(
-        FusionConfig,
-        approach=args.approach,
-        weights=_parse_weights(args.weights),
-    )
+    config = _fusion_config(args, bundle)
     result = cross_validate(
-        config, args.algorithm, bundle, k=args.k,
-        seed=stable_seed(args.seed, config.approach, args.variant, args.algorithm),
-        plan_seed=stable_seed(args.seed, "folds", args.variant),
-        fold_local_select=args.fold_local_select,
+        config, args.algorithm, bundle, k=args.k, fold_local_select=args.fold_local_select,
+        **cell_seeds(args.seed, config.approach, args.variant, args.algorithm),
     )
-    print(
-        f"{config.approach},{args.variant},{args.algorithm},"
-        f"{result.accuracy_pct:.4f},{result.auc:.4f}"
-    )
+    print(cell_csv_row(args.variant, result))
     if args.out:
         payload = {
             "approach": config.approach,
@@ -386,15 +385,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    root = Path(args.data)
-    variants = {
-        name: load_bundle(directory)
-        for name, directory in _variant_dirs(root, args.variant).items()
-    }
+    variants = _variants(args)
+    approaches = list(APPROACHES) if args.approach == "all" else [args.approach]
     for bundle in variants.values():
         check_cohort(args.k, bundle)
+        for approach in approaches:
+            _input(check_sources, approach, bundle)
     algorithms = _algorithm_list(args.algorithm)
-    approaches = list(APPROACHES) if args.approach == "all" else [args.approach]
     weights = _parse_weights(args.weights)
     cell_weights = {(a, v): weights for a in approaches for v in variants}
     searched = ["approach,variant,theory,practice,online"]
@@ -410,27 +407,16 @@ def cmd_experiment(args) -> int:
         searched.append(f"{approach},{variant},{ordered}")
 
     grid = run_experiment_grid(
-        variants,
-        algorithms=algorithms,
-        approaches=approaches,
-        k=args.k,
-        seed=args.seed,
-        weights=cell_weights,
+        variants, algorithms, approaches, k=args.k, seed=args.seed, weights=cell_weights
     )
     out = Path(args.out)
     if args.weight_search:
         _atomic_write(out / "weights.csv", "\n".join(searched) + "\n")
     _atomic_write(out / "report.csv", report_csv_rows(grid))
     for (approach, variant), report in sorted(grid.reports.items()):
-        _atomic_write(
-            out / f"report_{approach}_{variant}.txt", render_report_text(report)
-        )
+        _atomic_write(out / f"report_{approach}_{variant}.txt", render_report_text(report))
     _atomic_write(out / "summary.txt", render_summary_text(grid))
-    summary_lines = ["approach,variant,avg_accuracy_pct,avg_auc"]
-    for (approach, variant) in sorted(grid.reports):
-        acc, auc = grid.reports[(approach, variant)].averages()
-        summary_lines.append(f"{approach},{variant},{acc:.4f},{auc:.4f}")
-    _atomic_write(out / "summary.csv", "\n".join(summary_lines) + "\n")
+    _atomic_write(out / "summary.csv", summary_csv_rows(grid))
     algorithm, approach, variant, acc, auc = grid.best_cell()
     print(
         f"best cell: {algorithm} / {approach} / {variant} "
@@ -446,8 +432,7 @@ def cmd_explain(args) -> int:
         return 0
     if not args.data:
         raise CliError("--student needs --data/--variant to locate the row", 2)
-    directory = _variant_dirs(Path(args.data), args.variant)[args.variant]
-    bundle = load_bundle(directory)
+    bundle = _variants(args)[args.variant]
     if isinstance(model, VoteModel):
         return _explain_vote_student(model, bundle, args.student)
     row = _student_row(model, join_on_id(bundle, drop_id=True), args.student)
@@ -457,12 +442,7 @@ def cmd_explain(args) -> int:
     if isinstance(structure, RuleList):
         fired = fired_rule_index(model, row)
         rule = structure.rules[fired]
-        text = (
-            "ELSE"
-            if rule.is_default
-            else "IF " + " AND ".join(c.render() for c in rule.conditions)
-        )
-        print(f"student {args.student}: rule {fired + 1} fires ({text}) -> {label}")
+        print(f"student {args.student}: rule {fired + 1} fires ({rule_head(rule)}) -> {label}")
         return 0
     print(f"student {args.student}: predicted {label}")
     if isinstance(structure, DecisionTree):
@@ -491,7 +471,7 @@ def _explain_vote_student(model: VoteModel, bundle, student: int) -> int:
     for name, base in model.models.items():
         if name not in bundle or "exam" not in bundle:
             raise CliError(f"the data lacks the {name!r} or 'exam' source", 2)
-        dists[name] = predict(base, _student_row(base, _source_with_class(bundle, name), student))
+        dists[name] = predict(base, _student_row(base, source_with_class(bundle, name), student))
     print()
     labels = model.class_labels
     for name in SOURCE_ORDER:
@@ -537,27 +517,21 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--out")
     select.set_defaults(func=cmd_select)
 
+    # train and eval name one cell of the grid by the same flags.
     train_p = sub.add_parser("train", help="train one approach on the full dataset")
-    train_p.add_argument("--data", required=True)
-    train_p.add_argument("--variant", choices=VARIANTS, default="discretized")
-    train_p.add_argument("--approach", choices=APPROACHES, default="merge")
-    train_p.add_argument("--algorithm", choices=ALGORITHMS, default="part")
-    train_p.add_argument("--weights", default="1,1,1")
-    train_p.add_argument("--seed", type=int, default=0)
-    train_p.add_argument("--config", help="JSON run config; flags override")
+    eval_p = sub.add_parser("eval", help="cross-validate one cell")
+    for cell in (train_p, eval_p):
+        cell.add_argument("--data", required=True)
+        cell.add_argument("--variant", choices=VARIANTS, default="discretized")
+        cell.add_argument("--approach", choices=APPROACHES, default="merge")
+        cell.add_argument("--algorithm", choices=ALGORITHMS, default="part")
+        cell.add_argument("--weights", default="1,1,1")
+        cell.add_argument("--seed", type=int, default=0)
+        cell.add_argument("--config", help="JSON run config; flags override")
     train_p.add_argument("--out", required=True)
     train_p.set_defaults(func=cmd_train)
-
-    eval_p = sub.add_parser("eval", help="cross-validate one cell")
-    eval_p.add_argument("--data", required=True)
-    eval_p.add_argument("--variant", choices=VARIANTS, default="discretized")
-    eval_p.add_argument("--approach", choices=APPROACHES, default="merge")
-    eval_p.add_argument("--algorithm", choices=ALGORITHMS, default="part")
-    eval_p.add_argument("--weights", default="1,1,1")
     eval_p.add_argument("--k", type=int, default=10)
-    eval_p.add_argument("--seed", type=int, default=0)
     eval_p.add_argument("--fold-local-select", action="store_true")
-    eval_p.add_argument("--config", help="JSON run config; flags override")
     eval_p.add_argument("--out")
     eval_p.set_defaults(func=cmd_eval)
 

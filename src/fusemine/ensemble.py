@@ -178,9 +178,19 @@ class PreparedData:
     encodings: dict[tuple, Encoded] = field(default_factory=dict, compare=False, repr=False)
 
 
-def _source_with_class(bundle: SourceBundle, name: str) -> DataTable:
+def source_with_class(bundle: SourceBundle, name: str) -> DataTable:
     pair = SourceBundle({name: bundle[name], "exam": bundle["exam"]})
     return join_on_id(pair, drop_id=False)
+
+
+def check_sources(approach: str, bundle: SourceBundle) -> None:
+    """Raise ``SchemaMismatchError`` unless the bundle holds the exam and,
+    for the ensemble approaches, every input source."""
+    if "exam" not in bundle.sources:
+        raise SchemaMismatchError("bundle lacks the exam (class) source")
+    missing = [name for name in INPUT_SOURCES if name not in bundle.sources]
+    if missing and approach in ("ensemble", "ensemble-select"):
+        raise SchemaMismatchError(f"bundle lacks input source {missing[0]!r}")
 
 
 def prepare_approach(
@@ -191,8 +201,7 @@ def prepare_approach(
     The selection approaches fit CFS on the joined rows at positions
     ``fit_rows`` (every row by default) and keep what it chose on all rows.
     """
-    if "exam" not in bundle.sources:
-        raise SchemaMismatchError("bundle lacks the exam (class) source")
+    check_sources(config.approach, bundle)
     selected: dict[str, list[str]] = {}
 
     def fitted(name: str, table: DataTable) -> DataTable:
@@ -205,11 +214,9 @@ def prepare_approach(
     if config.approach in ("merge", "select"):
         merged = fitted("merged", join_on_id(bundle, drop_id=True))
         return PreparedData(kind="merged", merged=merged, selected=selected)
-    per_source = {}
-    for name in INPUT_SOURCES:
-        if name not in bundle.sources:
-            raise SchemaMismatchError(f"bundle lacks input source {name!r}")
-        per_source[name] = fitted(name, _source_with_class(bundle, name))
+    per_source = {
+        name: fitted(name, source_with_class(bundle, name)) for name in INPUT_SOURCES
+    }
     return PreparedData(kind="per_source", per_source=per_source, selected=selected)
 
 

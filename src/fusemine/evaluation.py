@@ -50,6 +50,15 @@ def stable_seed(*parts) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
+def cell_seeds(seed: int, approach: str, variant: str, algorithm: str) -> dict[str, int]:
+    """``cross_validate``'s ``seed`` and ``plan_seed`` for one grid cell of
+    master seed ``seed``; the fold plan depends on the variant alone."""
+    return {
+        "seed": stable_seed(seed, approach, variant, algorithm),
+        "plan_seed": stable_seed(seed, "folds", variant),
+    }
+
+
 @dataclass(frozen=True)
 class FoldPlan:
     folds: tuple[tuple[int, ...], ...]
@@ -326,7 +335,7 @@ def run_experiment_grid(
 ) -> GridResult:
     """Evaluate every (approach, variant, algorithm) cell in enumeration order.
 
-    Each cell is one ``cross_validate`` call with its own derived seed.
+    Each cell is one ``cross_validate`` call with its ``cell_seeds``.
     ``weights`` maps each (approach, variant) to its vote weights; without
     it every source weighs 1.
     """
@@ -346,17 +355,10 @@ def run_experiment_grid(
             prepared = prepare_approach(config, bundle)
             report = EvaluationReport(approach=approach, variant=variant, rows=[], k=k, seed=seed)
             for algorithm in algorithms:
-                report.rows.append(
-                    cross_validate(
-                        config,
-                        algorithm,
-                        bundle,
-                        k=k,
-                        seed=stable_seed(seed, approach, variant, algorithm),
-                        plan_seed=stable_seed(seed, "folds", variant),
-                        prepared=prepared,
-                    )
-                )
+                report.rows.append(cross_validate(
+                    config, algorithm, bundle, k=k, prepared=prepared,
+                    **cell_seeds(seed, approach, variant, algorithm),
+                ))
             reports[(approach, variant)] = report
     return GridResult(reports=reports, k=k, seed=seed)
 
@@ -364,14 +366,27 @@ def run_experiment_grid(
 # --- report rendering -------------------------------------------------------
 
 
+def cell_csv_row(variant: str, result: CvResult) -> str:
+    """One cell's line of ``report.csv``, as ``fusemine eval`` prints it."""
+    return (
+        f"{result.approach},{variant},{result.algorithm},"
+        f"{result.accuracy_pct:.4f},{result.auc:.4f}"
+    )
+
+
 def report_csv_rows(grid: GridResult) -> str:
     lines = ["approach,variant,algorithm,accuracy_pct,auc"]
-    for (approach, variant) in sorted(grid.reports):
-        report = grid.reports[(approach, variant)]
-        for row in report.rows:
-            lines.append(
-                f"{approach},{variant},{row.algorithm},{row.accuracy_pct:.4f},{row.auc:.4f}"
-            )
+    for (_approach, variant), report in sorted(grid.reports.items()):
+        lines += [cell_csv_row(variant, row) for row in report.rows]
+    return "\n".join(lines) + "\n"
+
+
+def summary_csv_rows(grid: GridResult) -> str:
+    """Average accuracy and AUC per approach and variant, as CSV."""
+    lines = ["approach,variant,avg_accuracy_pct,avg_auc"]
+    for (approach, variant), report in sorted(grid.reports.items()):
+        acc, auc = report.averages()
+        lines.append(f"{approach},{variant},{acc:.4f},{auc:.4f}")
     return "\n".join(lines) + "\n"
 
 
@@ -389,19 +404,10 @@ def render_report_text(report: EvaluationReport) -> str:
 def render_summary_text(grid: GridResult) -> str:
     """Average accuracy/AUC per approach and variant (the closing table)."""
     lines = ["Average results of the four data fusion approaches", ""]
-    header = f"{'Approach':<54}"
-    for variant in VARIANTS:
-        header += f"{VARIANT_TITLES[variant]:>26}"
-    lines.append(header)
-    sub = f"{'':<54}" + f"{'% Accuracy':>14}{'AUC':>12}" * 2
-    lines.append(sub)
-    approaches = []
-    for (approach, _variant) in sorted(grid.reports):
-        if approach not in approaches:
-            approaches.append(approach)
-    for approach in APPROACHES:
-        if approach not in approaches:
-            continue
+    lines.append(f"{'Approach':<54}" + "".join(f"{VARIANT_TITLES[v]:>26}" for v in VARIANTS))
+    lines.append(f"{'':<54}" + f"{'% Accuracy':>14}{'AUC':>12}" * 2)
+    present = {approach for approach, _variant in grid.reports}
+    for approach in (a for a in APPROACHES if a in present):
         line = f"{APPROACH_TITLES[approach]:<54}"
         for variant in VARIANTS:
             report = grid.reports.get((approach, variant))

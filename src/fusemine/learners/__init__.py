@@ -28,7 +28,7 @@ from .model import (
     tree_paths,
 )
 from .nnge import build_nnge
-from .render import parse_rules, render_rules
+from .render import parse_rules, render_rules, rule_head
 from .rules import build_part_rules, build_ripper_rules
 from .trees import build_c45, build_randomtree, build_reptree, class_counts
 
@@ -110,6 +110,7 @@ __all__ = [
     "predict_label",
     "render_rules",
     "row_path",
+    "rule_head",
     "train",
     "tree_paths",
 ]

@@ -834,7 +834,7 @@ def _check_exemplars(model: Model, structure: ExemplarSet) -> None:
             )
 
 
-def _check_model(model: Model) -> None:
+def check_model(model: Model) -> None:
     """Raise ``SchemaMismatchError`` unless the model fits its own schema,
     so that rendering it and predicting with it cannot fail."""
     labels = model.class_labels
@@ -880,5 +880,5 @@ def model_from_json(text: str) -> Model:
         structure=_structure_from_dict(payload["structure"]),
         metadata=payload["metadata"],
     )
-    _check_model(model)
+    check_model(model)
     return model

@@ -26,19 +26,25 @@ from .model import (
     Model,
     Rule,
     RuleList,
-    _check_model,
     branches,
+    check_model,
     decode_condition,
     slot_name,
 )
 
 
+def rule_head(rule: Rule) -> str:
+    """A rule's line before its class: ``IF <cond> AND <cond>``, or
+    ``ELSE`` for the default rule."""
+    if rule.is_default:
+        return "ELSE"
+    return "IF " + " AND ".join(c.render() for c in rule.conditions)
+
+
 def _render_rule_list(rules: RuleList) -> str:
-    lines = []
-    for rule in rules.rules[:-1]:
-        conds = " AND ".join(c.render() for c in rule.conditions)
-        lines.append(f"IF {conds} THEN {rule.cls}")
-    lines.append(f"ELSE {rules.rules[-1].cls}")
+    lines = [
+        f"{rule_head(rule)}{'' if rule.is_default else ' THEN'} {rule.cls}" for rule in rules.rules
+    ]
     lines.append(f"Number of Rules : {len(rules.rules)}")
     return "\n".join(lines) + "\n"
 
@@ -219,7 +225,7 @@ def parse_rules(text: str, specs=None) -> Model:
             for rule in rules
         )
         model = Model("rules", specs, labels, RuleList(bound), {"parsed": True})
-        _check_model(model)
+        check_model(model)
     except SchemaMismatchError as exc:
         raise RuleSyntaxError(1, str(exc)) from None
     return model

@@ -19,8 +19,8 @@ from itertools import product
 from typing import Mapping
 
 from .errors import FusemineError, InfeasibleRulesetError, SchemaMismatchError
-from .learners import Condition, Model, Rule, RuleList
-from .learners.model import _check_model, _fired
+from .learners import Condition, Model, Rule, RuleList, fired_rule_index
+from .learners.model import check_model
 from .preprocess import (
     DEFAULT_BIN_LABELS,
     DEFAULT_CLASS_LABELS,
@@ -111,14 +111,14 @@ def _fired_rules(ruleset: RuleList, constrained: list[str]) -> dict[tuple[int, .
     is a schema mismatch."""
     specs = fused_input_specs() + (AttributeSpec.nominal("Status", STATUS, role="class"),)
     model = Model("planted", specs, STATUS, ruleset)
-    _check_model(model)
+    check_model(model)
     at = [model.attr_index(attr) for attr in constrained]
     values = [0] * len(specs)
     fired = {}
     for combo in product(range(len(GRADE)), repeat=len(constrained)):
         for i, v in zip(at, combo):
             values[i] = v
-        fired[combo] = _fired(model, values)
+        fired[combo] = fired_rule_index(model, values)
     return fired
 
 

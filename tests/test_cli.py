@@ -13,12 +13,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fusemine import cli
 from fusemine.cli import CliError, load_model, main
-from fusemine.ensemble import VoteModel, vote_predict
+from fusemine.ensemble import FusionConfig, VoteModel, prepare_approach, vote_predict
 from fusemine.evaluation import VARIANTS
 from fusemine.learners import (
     ALGORITHMS, Model, RuleList, fired_rule_index, predict, train,
 )
-from fusemine.tabular import AttributeSpec, DataTable, SourceBundle
+from fusemine.tabular import AttributeSpec, DataTable, SourceBundle, join_on_id
 
 from helpers import json_values, planted_dataset
 
@@ -125,6 +125,20 @@ class TestSelect:
         ]) == 0
         names = json.loads(capsys.readouterr().out)
         assert len(names) == 10
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_prints_the_select_approach_pick(self, workspace, capsys, variant):
+        bundle = cli.load_bundle(workspace / "pre" / variant)
+        capsys.readouterr()
+        assert main(["select", "--data", str(workspace / "pre"), "--variant", variant]) == 0
+        picked = prepare_approach(FusionConfig("select"), bundle).selected["merged"]
+        assert json.loads(capsys.readouterr().out) == picked
+        assert main([
+            "select", "--data", str(workspace / "pre"), "--variant", variant, "--select", "none",
+        ]) == 0
+        merged = join_on_id(bundle, drop_id=True)
+        inputs = [s.name for s in merged.specs if s.role == "input"]
+        assert json.loads(capsys.readouterr().out) == inputs
 
 
 class TestTrainAndExplain:
@@ -275,6 +289,23 @@ class TestExperiment:
         assert sorted(row.split(",")[0] for row in rows) == [
             "ensemble", "ensemble-select", "merge", "select",
         ]
+
+    def test_every_row_equals_eval_of_its_cell(self, workspace, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main([
+            "experiment", "--data", str(workspace / "pre"), "--algorithm", "c45,nnge",
+            "--k", "3", "--seed", "4", "--out", str(out),
+        ]) == 0
+        rows = (out / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 4 * 2 * 2
+        for row in rows:
+            approach, variant, algorithm = row.split(",")[:3]
+            capsys.readouterr()
+            assert main([
+                "eval", "--data", str(workspace / "pre"), "--variant", variant,
+                "--approach", approach, "--algorithm", algorithm, "--k", "3", "--seed", "4",
+            ]) == 0
+            assert capsys.readouterr().out == row + "\n"
 
     @pytest.mark.parametrize("algorithms", [",", "cart", "c45,c45", "c45, part ,c45"])
     def test_bad_algorithm_list_exits_2(self, workspace, tmp_path, capsys, algorithms):
@@ -1123,19 +1154,29 @@ def empty_first_class_cell(pre: Path) -> None:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def drop_exam_schema(pre: Path) -> None:
-    for variant in VARIANTS:
-        path = pre / variant / "schema.json"
-        schemas = json.loads(path.read_text(encoding="utf-8"))
-        del schemas["exam"]
-        path.write_text(json.dumps(schemas), encoding="utf-8")
+def drop_schema(source: str):
+    """A damage that removes ``source`` from both variants' schema files."""
+
+    def damage(pre: Path) -> None:
+        for variant in VARIANTS:
+            path = pre / variant / "schema.json"
+            schemas = json.loads(path.read_text(encoding="utf-8"))
+            del schemas[source]
+            path.write_text(json.dumps(schemas), encoding="utf-8")
+
+    return damage
 
 
 @pytest.fixture(scope="module")
 def bad_class_bundles(workspace):
-    """Preprocessed cohorts whose class a command cannot use, by case name."""
+    """Preprocessed cohorts whose class or sources a command cannot use, by
+    case name."""
     roots = {}
-    for case, damage in (("no-exam", drop_exam_schema), ("empty-class-cell", empty_first_class_cell)):
+    for case, damage in (
+        ("no-exam", drop_schema("exam")),
+        ("empty-class-cell", empty_first_class_cell),
+        ("no-online", drop_schema("online")),
+    ):
         roots[case] = workspace / f"bad-{case}"
         shutil.copytree(workspace / "pre", roots[case])
         damage(roots[case])
@@ -1151,6 +1192,7 @@ BAD_CLASS_MESSAGES = {
     "no-exam": "error: bundle lacks the exam (class) source\n",
     "empty-class-cell": "error: class column must not contain missing values\n",
     "class-without-student": "error: class 'Dropout' has no student in the cohort\n",
+    "no-online": "error: bundle lacks input source 'online'\n",
 }
 
 BAD_CLASS_COMMANDS = {
@@ -1162,22 +1204,34 @@ BAD_CLASS_COMMANDS = {
         "experiment", "--variant", "discretized", "--algorithm", "c45", "--k", "3",
         "--weight-search",
     ],
+    "train-ensemble": [
+        "train", "--variant", "numeric", "--approach", "ensemble", "--algorithm", "c45",
+    ],
+    "eval-ensemble": [
+        "eval", "--variant", "discretized", "--approach", "ensemble", "--algorithm", "c45",
+        "--k", "3",
+    ],
 }
+
+#: The commands that train a per-source model of each input source.
+ENSEMBLE_COMMANDS = ("train-ensemble", "eval-ensemble", "experiment", "experiment-weight-search")
 
 
 class TestBadClass:
     """Bundles whose class is missing, holds an empty cell, or lacks a
     student of one label exit 2 in one line and write nothing.  Training on
-    a class without a student works, so only the fold commands refuse it."""
+    a class without a student works, so only the fold commands refuse it.
+    A bundle without the online source exits 2 in the same way, before any
+    cell runs, on every command that trains an ensemble."""
 
     @pytest.mark.parametrize("case, command", [
         (case, command)
         for case in ("no-exam", "empty-class-cell")
-        for command in BAD_CLASS_COMMANDS
+        for command in ("select", "train", "eval", "experiment", "experiment-weight-search")
     ] + [
         ("class-without-student", command)
         for command in ("eval", "experiment", "experiment-weight-search")
-    ])
+    ] + [("no-online", command) for command in ENSEMBLE_COMMANDS])
     def test_exits_2_in_one_line(self, bad_class_bundles, tmp_path, capsys, case, command):
         name, *flags = BAD_CLASS_COMMANDS[command]
         if name in ("train", "experiment"):
@@ -1188,6 +1242,13 @@ class TestBadClass:
         assert captured.err == BAD_CLASS_MESSAGES[case]
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    def test_merge_runs_without_online(self, bad_class_bundles, capsys):
+        assert main([
+            "eval", "--data", str(bad_class_bundles["no-online"]), "--approach", "merge",
+            "--algorithm", "c45", "--k", "3",
+        ]) == 0
+        assert capsys.readouterr().out.startswith("merge,discretized,c45,")
 
 
 class TestNonFiniteCell:

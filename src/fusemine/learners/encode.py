@@ -7,8 +7,8 @@ What it keeps is derived from its own rows: their content ranks, and
 the pruned C4.5 tree of all of them, which C4.5 and PART's first rule
 both take.  Missing numeric values are replaced by the training median;
 missing nominal values become an extra category one past the label
-range.  A trained model encodes each row it scores by the same rule,
-through its ``encoding_plan``.
+range.  A trained model encodes the inputs it tests of each row it
+scores by the same rule, through its ``encoding_plan``.
 """
 
 from __future__ import annotations
@@ -109,9 +109,10 @@ def encode_table(table: DataTable) -> Encoded:
 
 
 def encoding_plan(specs, input_idx, numeric_fill) -> tuple[tuple[int, bool, object], ...]:
-    """Per input, ``(index, is_numeric, substitute for a missing cell)``:
-    the stored fill of a numeric input (0.0 when none is stored), the
-    slot past the labels of a nominal one."""
+    """Per input of ``input_idx``, ``(index, is_numeric, substitute for a
+    missing cell)``: the stored fill of a numeric input (0.0 when none is
+    stored), the slot past the labels of a nominal one.  A model plans
+    only the inputs it tests, so it reads no other cell of a row."""
     return tuple(
         (i, True, numeric_fill.get(specs[i].name, 0.0))
         if specs[i].is_numeric

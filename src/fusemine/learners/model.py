@@ -101,6 +101,19 @@ def _count_nodes(node) -> int:
     return 1 + sum(_count_nodes(c) for c in node.children)
 
 
+def _split_attrs(root) -> set[int]:
+    """The attributes a tree's splits test, by a walk that builds no
+    paths: a grid fold's model scores about six rows, so its encoding
+    plan must cost less than the cells it leaves unread."""
+    attrs, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Split):
+            attrs.add(node.attr)
+            stack.extend(node.children)
+    return attrs
+
+
 @dataclass
 class Exemplar:
     cls: int
@@ -145,7 +158,19 @@ class Model:
 
     @cached_property
     def _encoding_plan(self) -> tuple[tuple[int, bool, object], ...]:
-        return encoding_plan(self.specs, self.input_indices, self.metadata.get("numeric_fill", {}))
+        """The encoding of the inputs the structure tests: a tree's split
+        attributes, a rule list's condition attributes, and an exemplar
+        set's every input, or none when the model is degenerate, since its
+        prediction then reads no exemplar."""
+        structure = self.structure
+        if isinstance(structure, DecisionTree):
+            tested = _split_attrs(structure.root)
+        elif isinstance(structure, RuleList):
+            tested = {i for conditions, _ in self._encoded_rules for i, _, _ in conditions}
+        else:
+            tested = () if self._constant is not None else self.input_indices
+        inputs = [i for i in self.input_indices if i in tested]
+        return encoding_plan(self.specs, inputs, self.metadata.get("numeric_fill", {}))
 
     @cached_property
     def _constant(self) -> tuple[float, ...] | None:
@@ -578,8 +603,9 @@ def _exemplar_distribution(model: Model, structure: ExemplarSet, enc_values) -> 
 
 
 def _encoded(model: Model, row: Sequence) -> dict:
-    """The encoded input values of an in-schema row; prediction and every
-    explanation read a row through this."""
+    """The encoded values of the inputs the model tests, from an in-schema
+    row; prediction and every explanation read a row through this, so each
+    test sees the same value."""
     if len(row) != len(model.specs):
         raise SchemaMismatchError(
             f"instance has {len(row)} values, schema expects {len(model.specs)}"
@@ -588,7 +614,11 @@ def _encoded(model: Model, row: Sequence) -> dict:
 
 
 def predict(model: Model, row: Sequence) -> tuple[float, ...]:
-    """Class probability distribution for one in-schema row."""
+    """Class probability distribution for one in-schema row.
+
+    The model reads only the inputs it tests (see ``_encoding_plan``): a
+    cell the model does not test is not converted, so it cannot change
+    the distribution or raise."""
     enc_values = _encoded(model, row)
     constant = model._constant
     if constant is not None:

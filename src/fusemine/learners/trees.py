@@ -442,8 +442,9 @@ def stratified_deal(groups, seed: int, folds: int):
     grow, prune = [], []
     for members in groups:
         rng.shuffle(members)
-        for pos, member in enumerate(members):
-            (prune if pos % folds == folds - 1 else grow).append(member)
+        prune += members[folds - 1::folds]
+        del members[folds - 1::folds]
+        grow += members
     if not grow:
         grow, prune = prune, []
     return grow, prune

@@ -479,9 +479,7 @@ def join_on_id(bundle: SourceBundle, drop_id: bool = True) -> DataTable:
     if class_spec is not None:
         specs.append(class_spec)
 
-    by_id = {
-        name: {row[bundle[name].id_index]: row for row in bundle[name].rows} for name in names
-    }
+    by_id = {name: dict(zip(bundle[name].id_values(), bundle[name].rows)) for name in names}
     rows = []
     for key in ids:
         row = []

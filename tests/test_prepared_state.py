@@ -12,13 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 from fusemine import ensemble
 from fusemine.learners import (
-    ALGORITHMS, Condition, Model, Rule, RuleList, model_from_json, model_to_json, predict, train,
+    ALGORITHMS, Condition, DecisionTree, Leaf, Model, Rule, RuleList, model_from_json,
+    model_to_json, predict, row_path, train, tree_paths,
 )
 from fusemine.learners import model as model_module
-from fusemine.learners.model import _encoded, fired_rule_index
+from fusemine.learners.model import Split, _encoded, branches, decode_condition, fired_rule_index
 from fusemine.tabular import AttributeSpec, DataTable
 
-from helpers import GRADE, STATUS, condition_matches, encode_row, planted_dataset
+from helpers import (
+    GRADE, NUMERIC_CELLS, STATUS, condition_matches, encode_row, full_scan_distribution,
+    mixed_tables, planted_dataset,
+)
 
 #: Thresholds, numeric cells and fills come from these, so rows often
 #: sit exactly at a threshold.
@@ -69,14 +73,122 @@ def rule_list_cases(draw):
 def test_the_encoded_matcher_fires_the_oracles_rule(case):
     model, rows = case
     rules = model.structure.rules
+    tested = {model.attr_index(c.attr) for rule in rules for c in rule.conditions}
     for row in rows:
         enc = encode_row(model.specs, model.input_indices, model.metadata["numeric_fill"], row)
-        assert _encoded(model, row) == enc
+        assert _encoded(model, row) == {i: v for i, v in enc.items() if i in tested}
         expected = next(
             no for no, rule in enumerate(rules)
             if all(condition_matches(model, c, enc) for c in rule.conditions)
         )
         assert fired_rule_index(model, row) == expected
+
+
+def score_cells(spec):
+    """A scored row's cells: missing ones, and ints as well as floats in a
+    numeric column; a non-input cell is missing."""
+    if spec.role != "input":
+        return st.none()
+    if spec.is_numeric:
+        return st.none() | st.integers(-3, 3) | NUMERIC_CELLS
+    return st.none() | st.integers(0, len(spec.labels) - 1)
+
+
+@st.composite
+def trained_cases(draw):
+    """A drawn table, now and then cut to one class so that every learner
+    trains a degenerate model on it, plus rows to score."""
+    table = draw(mixed_tables())
+    if draw(st.integers(0, 4)) == 4:
+        table = DataTable(table.specs, [row for row in table.rows if row[-1] == 0])
+    rows = draw(st.lists(
+        st.tuples(*(score_cells(spec) for spec in table.specs)), min_size=1, max_size=6,
+    ))
+    return table, rows
+
+
+def inputs_tested_by(model) -> set[int]:
+    """The inputs a model's structure tests, resolved by name: a tree's and
+    a rule list's conditions, an exemplar set's every input unless the
+    model is degenerate."""
+    structure = model.structure
+    if isinstance(structure, DecisionTree):
+        conditions = [c for conds, _ in tree_paths(model) for c in conds]
+    elif isinstance(structure, RuleList):
+        conditions = [c for rule in structure.rules for c in rule.conditions]
+    else:
+        return set() if model.metadata.get("degenerate") else set(model.input_indices)
+    return {model.attr_index(c.attr) for c in conditions}
+
+
+def oracle_walk(model, enc):
+    """The conditions a fully encoded row takes through a tree model by
+    ``condition_matches``, the node where it stops, and, at a split with no
+    branch for the row's value, that value's condition."""
+    node, taken = model.structure.root, []
+    while isinstance(node, Split):
+        named = [(decode_condition(model.specs, cond), child) for cond, child in branches(node)]
+        hit = next(((c, child) for c, child in named if condition_matches(model, c, enc)), None)
+        if hit is None:
+            stop = decode_condition(model.specs, (node.attr, "=", enc[node.attr]))
+            return tuple(taken), node, stop
+        taken.append(hit[0])
+        node = hit[1]
+    return tuple(taken), node, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=trained_cases())
+def test_a_model_reads_exactly_the_inputs_it_tests(case):
+    table, rows = case
+    for algorithm in ALGORITHMS:
+        model = train(algorithm, table, seed=1)
+        structure = model.structure
+        k = len(model.class_labels)
+        tested = inputs_tested_by(model)
+        for row in rows:
+            enc = encode_row(model.specs, model.input_indices, model.metadata["numeric_fill"], row)
+            assert set(_encoded(model, row)) == tested
+            if isinstance(structure, DecisionTree):
+                path, node, stop = oracle_walk(model, enc)
+                assert row_path(model, row) == (path, stop)
+                matching = [
+                    conds for conds, _ in tree_paths(model)
+                    if all(condition_matches(model, c, enc) for c in conds)
+                ]
+                assert matching == ([] if stop else [path])
+                expected = model_module._laplace(node.counts, k)
+            elif isinstance(structure, RuleList):
+                fired = next(
+                    no for no, rule in enumerate(structure.rules)
+                    if all(condition_matches(model, c, enc) for c in rule.conditions)
+                )
+                assert fired_rule_index(model, row) == fired
+                expected = model_module._laplace(structure.rules[fired].counts, k)
+            else:
+                expected = full_scan_distribution(model, row)
+            if model.metadata.get("degenerate"):
+                target = model.metadata["constant_class"]
+                expected = tuple(float(label == target) for label in model.class_labels)
+            assert predict(model, row) == expected
+
+
+def test_a_tree_reads_no_cell_but_its_split_input():
+    specs = (
+        AttributeSpec.numeric("x"), AttributeSpec.numeric("y"), AttributeSpec.nominal("g", GRADE),
+        AttributeSpec.nominal("Status", STATUS, role="class"),
+    )
+    low, high = Leaf((3.0, 0.0, 1.0), 0), Leaf((0.0, 2.0, 0.0), 1)
+    tree = DecisionTree(Split(0, 0.5, (low, high), (3.0, 2.0, 1.0), 0))
+    model = Model("c45", specs, STATUS, tree, {"numeric_fill": {"x": 0.25, "y": 0.0}})
+    for x, side, leaf in ((0.5, "<=", low), (1, ">", high), (None, "<=", low)):
+        threshold = Condition("x", side, 0.5)
+        for y in (None, 0.75, 3, "not a number"):
+            for g in (None, 0, 2):
+                row = (x, y, g, None)
+                assert _encoded(model, row) == {0: 0.25 if x is None else float(x)}
+                assert row_path(model, row) == ((threshold,), None)
+                assert predict(model, row) == model_module._laplace(leaf.counts, 3)
 
 
 def test_a_row_at_a_threshold_and_a_missing_label_fire_as_written():

@@ -4,7 +4,10 @@ Instances are absorbed one at a time in dataset order (this learner is
 deliberately order-sensitive): each new instance first shrinks or splits
 any wrong-class hyperrectangle that covers it, then tries to merge into
 its nearest same-class exemplar, falling back to a fresh point exemplar
-when the merge would swallow an instance of another class.
+when the merge would swallow an instance of another class.  An instance
+that its nearest same-class exemplar already covers joins it as a member
+with no merge test: the exemplar does not grow, so it swallows nothing
+new, even where it holds a point that another class shares.
 
 A box is an ``Exemplar`` of bounds and label sets, or, in an all-nominal
 set, one ``int`` of label bits with a field of slots per input (missing
@@ -121,7 +124,8 @@ def _build_by_bits(enc: Encoded, idx, nominal_attrs) -> list[Exemplar]:
     A box covers a row when ``row & box == row``.  A row's mismatch count
     with a box is its ``_planned_sum``, so the nearest same-class box is
     the first with the most matching bits.  A merge swallows where the
-    grown box covers a distinct row of another class seen so far.
+    grown box covers a distinct row of another class seen so far; a box
+    that covers the row (``box | row == box``) takes it in untested.
     """
     widths = [len(enc.specs[a].labels) + 1 for a in nominal_attrs]
     fields = list(zip(nominal_attrs, accumulate([0] + widths), widths))
@@ -152,6 +156,9 @@ def _build_by_bits(enc: Encoded, idx, nominal_attrs) -> list[Exemplar]:
             j = hits.index(max(hits))
             key, box, members = mine[j]
             grown = box | row
+            if grown == box:
+                members.append(vals)
+                continue
             for r in others[cls]:
                 if r & grown == r:
                     break
@@ -214,6 +221,13 @@ def build_nnge(enc: Encoded, idx):
         grown = None
         if nearest is not None:
             ex, members = boxes[nearest[1]]
+            # A box that covers the row sums to 0.0, but so can one a gap
+            # away whose squared term underflows; only a covering box
+            # takes the row in untested.
+            if nearest[2] == 0.0 and _covers(ex, vals, numeric_attrs, nominal_attrs):
+                ex.n_members += 1
+                members.append(vals)
+                continue
             grown = Exemplar(
                 cls,
                 {a: min(ex.lo[a], vals[a]) for a in numeric_attrs},

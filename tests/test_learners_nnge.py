@@ -248,7 +248,8 @@ def test_predict_matches_brute_force_on_mixed_inputs():
 # --- training matches the per-box distance it used to have ---------------
 # A verbatim copy of the training code from before training scored boxes
 # with prediction's distance plan: it summed the numeric terms first, then
-# the nominal ones, and took ``math.sqrt``.
+# the nominal ones, and took ``math.sqrt``.  Since then one rule was added:
+# a row that its nearest same-class box covers joins it without a merge test.
 
 
 @dataclass(eq=False)
@@ -391,15 +392,17 @@ def ref_build_nnge(enc: Encoded, idx):
                 ext_labels = {a: box.labels[a] | {vals[a]} for a in nominal_attrs}
                 probe = RefBox(cls, ext_lo, ext_hi, ext_labels)
                 conflict = False
-                for other_cls, others in seen_by_class.items():
-                    if other_cls == cls:
-                        continue
-                    for ovals in others:
-                        if ref_covers(probe, ovals, numeric_attrs, nominal_attrs):
-                            conflict = True
+                # A box that covers the row takes it in as it is, untested.
+                if not ref_covers(box, vals, numeric_attrs, nominal_attrs):
+                    for other_cls, others in seen_by_class.items():
+                        if other_cls == cls:
+                            continue
+                        for ovals in others:
+                            if ref_covers(probe, ovals, numeric_attrs, nominal_attrs):
+                                conflict = True
+                                break
+                        if conflict:
                             break
-                    if conflict:
-                        break
                 if not conflict:
                     box.lo = ext_lo
                     box.hi = ext_hi
@@ -484,6 +487,46 @@ def test_an_all_nominal_build_tests_boxes_by_label_bits(monkeypatch):
     specs = [AttributeSpec.numeric("x"), *nominal.specs]
     train("nnge", DataTable(specs, [(i / 7 % 1.0, *row) for i, row in enumerate(nominal.rows)]))
     assert set(calls) == {"_planned_sum", "_covers", "_swallows"}
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["all-nominal", "numeric-input"])
+def test_a_row_its_class_covers_joins_the_box(monkeypatch, numeric):
+    """Pass, Fail, Pass, Pass at one point: the Pass box holds a point
+    that Fail shares, yet the later Pass rows join it without a merge
+    test rather than each making a point box of its own."""
+    swallows = []
+
+    def counted(*args, test=nnge_module._swallows):
+        swallows.append(args[0])
+        return test(*args)
+
+    monkeypatch.setattr(nnge_module, "_swallows", counted)
+    specs = [AttributeSpec.nominal("g", GRADE), AttributeSpec.nominal("Status", STATUS, role="class")]
+    point = (1,)
+    if numeric:
+        specs.insert(0, AttributeSpec.numeric("x"))
+        point = (0.5, 1)
+    table = DataTable(specs, [(*point, cls) for cls in (0, 1, 0, 0)])
+    model = train("nnge", table)
+    assert [(ex.cls, ex.n_members) for ex in model.structure.exemplars] == [(0, 3), (1, 1)]
+    assert swallows == []
+    assert_trains_as_the_reference(table)
+
+
+def test_a_row_whose_squared_gap_underflows_is_still_vetoed():
+    """A Pass row 1e-170 past the Pass box at 0 has a distance sum of 0.0
+    over a span of 1, but the box does not cover it.  Grown to take it,
+    the box would swallow the Fail row between them, so the row keeps a
+    point box of its own."""
+    specs = [AttributeSpec.numeric("x"), AttributeSpec.nominal("Status", STATUS, role="class")]
+    table = DataTable(specs, [(0.0, 0), (5e-171, 1), (1e-170, 0), (1.0, 1)])
+    model = train("nnge", table)
+    box = model.structure.exemplars[0]
+    assert _planned_sum(box, plan_of(model, {0: 1e-170})) == 0.0
+    assert [(ex.cls, ex.lo[0], ex.hi[0], ex.n_members) for ex in model.structure.exemplars] == [
+        (0, 0.0, 0.0, 1), (1, 5e-171, 5e-171, 1), (0, 1e-170, 1e-170, 1), (1, 1.0, 1.0, 1),
+    ]
+    assert_trains_as_the_reference(table)
 
 
 # --- the pruned vote against a full scan --------------------------------

@@ -203,24 +203,24 @@ DIGESTS = {
         'fa3970edace7483767974754a51168a02be509d7155238e431d0d7be296daba7',
     ),
     ('nnge', 'select', 'discretized'): (
-        '2fab93321673f6710c97a4fc836d0d3205c4085fab811f7cc4cd05fb4c8f13c5',
-        '20176a39b2fa0809fb0c6f6a3d8aafbb21499883ed618c8304e3dfa6143f688e',
+        '29124bae6cc850cec083055675d2666be7da86fa40208909a64b5ca73f69ac22',
+        'eed2db78fe83c68f44242ce7223ff85b2fb5ae599334165737f93c5d8de0ed82',
     ),
     ('nnge', 'ensemble', 'numeric'): (
         'd9a68fdfd613a4ed282e01b8b7500bbd564aa0ef86432303b52a987a8010f571',
         '40ed8abef54fb2e21773615dfae28909974c863f1a40f5b948f8d0801180bdd4',
     ),
     ('nnge', 'ensemble', 'discretized'): (
-        '49c5dfac3e625c302b85ce7a12a59f5908456229df18fd0b5f1345e581e51b09',
-        'c7641e5dee0c756d256394f32c825244c440d06f73a379e4821a70640811b250',
+        '3fe3a23698e58a39428628a62e1455625abfcc0c6a25a3631a571efe146ff2da',
+        '5fcad54f2de6aabc3c4af3b806e9440dc5495f60324a54c5f7bb8fc60202b0e3',
     ),
     ('nnge', 'ensemble-select', 'numeric'): (
         '684648252d557ff84ea50c35043ec4d496faf1ab5502981e5b53b766f89ee9a6',
         'c6654cacb92bda0ec2636786b33ac56d48fcc1cddb661218c3bf31736b5a2162',
     ),
     ('nnge', 'ensemble-select', 'discretized'): (
-        '3800daf7874358cca03d729289f1f0b8394bc0da99714d0c913971da18cca9fa',
-        'e67b88c1a32aa285f6cec2835da4ae74f9f11abe90947ce704d539ba57211e1f',
+        '193ff1ebe8fc69667ddb6ba0f2106349e3f0a8dd0e757c8cbba9165831fbbca3',
+        'e56442051265c267b13f0945b350de84ecf1d1dfba57be4f04fc11e86c7d4d79',
     ),
 }
 

@@ -36,6 +36,7 @@ from fusemine.learners.trees import (
     cut_between,
     holdout_split,
     majority,
+    stratified_deal,
 )
 from fusemine.tabular import AttributeSpec, DataTable
 
@@ -229,6 +230,21 @@ def ref_holdout_split(enc: Encoded, idx, seed: int, folds: int):
     grow, prune = [], []
     for cls in sorted(by_class):
         members = by_class[cls]
+        rng.shuffle(members)
+        for pos, i in enumerate(members):
+            (prune if pos % folds == folds - 1 else grow).append(i)
+    if not grow:
+        grow, prune = prune, []
+    return grow, prune
+
+
+def ref_deal(groups, seed: int, folds: int):
+    """``stratified_deal`` by ``random.Random.shuffle``, shaped like
+    ``ref_holdout_split``."""
+    rng = random.Random(seed)
+    grow, prune = [], []
+    for members in groups:
+        members = list(members)
         rng.shuffle(members)
         for pos, i in enumerate(members):
             (prune if pos % folds == folds - 1 else grow).append(i)
@@ -672,6 +688,25 @@ class TestCanonicalOrder:
             for seed in (0, 11):
                 grow, prune = holdout_split(enc, rs.rows(mask), seed, 3)
                 assert _holdout(rs, mask, seed, 3) == (rs.of(grow), rs.of(prune))
+
+
+#: Group sizes at and past the powers of two, where the number of bits
+#: that a draw takes, and so the chance of drawing again, changes.
+DEAL_SIZES = (0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 33, 64, 65, 300)
+
+
+class TestStratifiedDeal:
+    # One fold deals every member to the prune part, so the grow/prune
+    # swap runs; 301 folds, more than any group holds, prune none.
+    @pytest.mark.parametrize("folds", [1, 2, 3, 4, 5, 301])
+    def test_draws_what_random_shuffle_draws(self, folds):
+        for seed in range(60):
+            sizes = list(DEAL_SIZES)
+            random.Random(seed).shuffle(sizes)
+            for deal in [[size] for size in DEAL_SIZES] + [sizes]:
+                groups = [[1000 * g + i for i in range(size)] for g, size in enumerate(deal)]
+                expected = ref_deal(groups, seed, folds)
+                assert stratified_deal(groups, seed, folds) == expected
 
 
 class TestAdjacentFloats:

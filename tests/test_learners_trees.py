@@ -484,6 +484,129 @@ class TestTermTable:
             assert list(trees._ROWS[m]) == [_term(c, m) for c in range(m + 1)]
 
 
+def scan_and_oracle(values, classes, min_size, n_classes=2):
+    """``cut_scan`` of an ascending column, and ``log2_best_cut``, which
+    scores every cut, of the same rows."""
+    values = [float(v) for v in values]
+    specs = [
+        AttributeSpec.numeric("x"),
+        AttributeSpec.nominal("Status", "ABCDE"[:n_classes], role="class"),
+    ]
+    enc = encode_table(DataTable(specs, list(zip(values, classes))))
+    idx = list(range(len(values)))
+    parent_h = entropy(class_counts(enc, idx), len(idx))
+    return (cut_scan(values, classes, n_classes, parent_h, min_size),
+            log2_best_cut(enc, idx, 0, parent_h, min_size))
+
+
+class CountedRow(list):
+    """A term table row that counts its reads in ``reads``."""
+
+    reads = 0
+
+    def __getitem__(self, c):
+        CountedRow.reads += 1
+        return super().__getitem__(c)
+
+
+def counted_row(m):
+    """Row ``m`` of the term table, counting its reads."""
+    return CountedRow(_term(c, m) for c in range(m + 1))
+
+
+@st.composite
+def one_class_runs(draw):
+    """An ascending column whose classes come in runs of 1-30 rows, with
+    tied values within and across runs, a minimum side of 1-12 rows, and
+    2-4 classes."""
+    n_classes = draw(st.integers(2, 4))
+    classes = []
+    for _ in range(draw(st.integers(1, 8))):
+        classes += [draw(st.integers(0, n_classes - 1))] * draw(st.integers(1, 30))
+    values = sorted(draw(st.lists(TIED_VALUES | SPREAD_VALUES,
+                                  min_size=len(classes), max_size=len(classes))))
+    min_size = draw(st.integers(1, 12) | st.floats(1.0, 12.0))
+    return values, classes, min_size, n_classes
+
+
+class TestCutScanSkipsOneClassRuns:
+    """The scan skips the entropy of a cut between two blocks of one
+    class, and still returns what scoring every cut returns."""
+
+    @pytest.mark.parametrize("classes", [
+        [0, 0] + [1] * 8,  # the best cut is the first allowed, inside a run
+        [1] * 8 + [0, 0],  # the best cut is the last allowed, inside a run
+    ])
+    @pytest.mark.parametrize("values", [
+        list(range(10)),
+        [0, 1, 2, 2, 2, 3, 4, 5, 6, 7],  # the first allowed cut is past min_size
+        [0, 1, 2, 3, 4, 5, 5, 5, 6, 7],  # and the last leaves more than min_size
+    ])
+    @pytest.mark.parametrize("min_size", [3, 2.5])  # J48's minimum may be fractional
+    def test_runs_that_touch_the_first_or_last_allowed_cut(self, values, classes, min_size):
+        scan, oracle = scan_and_oracle(values, classes, min_size)
+        assert repr(scan) == repr(oracle)
+        assert scan[1] in (3, 5, 7)
+
+    @pytest.mark.parametrize("block, after", [
+        ((0, 1), 1), ((1, 0), 1), ((0, 0, 1), 1), ((0, 1, 0), 1), ((1, 1, 1, 0), 0),
+        ((0, 1, 1, 1), 0),
+    ])
+    def test_a_tie_block_of_mixed_classes_between_runs(self, block, after):
+        # A run of class 0, the block, and a run of class ``after``: the
+        # best cut is one of the block's two edges.
+        classes = [0] * 6 + list(block) + [after] * 6
+        values = list(range(6)) + [6] * len(block) + list(range(7, 13))
+        scan, oracle = scan_and_oracle(values, classes, 1)
+        assert repr(scan) == repr(oracle)
+        assert scan[2:4] in ((5.0, 6.0), (6.0, 7.0))
+
+    @pytest.mark.parametrize("zeros", [(0, 1), (1, 0), (1, 1)])
+    def test_signed_zeros_tie_in_one_block(self, zeros):
+        # -0.0 and 0.0 are one value: no cut parts them, and their block
+        # is mixed when their classes differ.
+        values = [-2.0, -1.0, -0.0, 0.0, -0.0, 1.0, 2.0, 3.0]
+        classes = [1, 1, zeros[0], zeros[1], zeros[1], 1, 0, 0]
+        scan, oracle = scan_and_oracle(values, classes, 1)
+        assert repr(scan) == repr(oracle)
+        assert scan[4] == 5
+
+    def test_a_side_past_the_cap_scores_every_cut(self, monkeypatch):
+        n = trees._CAP + 100
+        classes = [0] * 400 + [1] * 300 + [0] * (n - 700)
+        scan, oracle = scan_and_oracle([v / 4.0 for v in range(n)], classes, 2)
+        assert repr(scan) == repr(oracle)
+        # Past the cap every side reads a computed row, and every cut
+        # reads two of them, an entry a class each.
+        monkeypatch.setattr(trees, "_ComputedRow", counted_row)
+        with term_table_capped_at(0):
+            CountedRow.reads = 0
+            scan = cut_scan(list(range(40)), [0] * 25 + [1] * 15, 2, entropy([25, 15], 40), 1)
+        assert scan[4] == 39
+        assert CountedRow.reads == 2 * 2 * 39
+
+    def test_cuts_inside_a_run_are_not_scored(self, monkeypatch):
+        # 40 rows in tied pairs: a run of 25 and one of 15, which meet
+        # inside the pair of value 14.
+        values = [v // 2 for v in range(4, 44)]
+        classes = [0] * 25 + [1] * 15
+        monkeypatch.setattr(trees, "_ROWS", [counted_row(m) for m in range(41)])
+        CountedRow.reads = 0
+        scan, oracle = scan_and_oracle(values, classes, 1)
+        assert repr(scan) == repr(oracle)
+        assert scan[1] in (24, 26)
+        # The first and last cut, and the two around the block of value
+        # 14 that holds both classes; two rows read a class each.
+        assert CountedRow.reads == 4 * 2 * 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=one_class_runs())
+    def test_matches_scoring_every_cut(self, case):
+        values, classes, min_size, n_classes = case
+        scan, oracle = scan_and_oracle(values, classes, min_size, n_classes)
+        assert repr(scan) == repr(oracle)
+
+
 def first_best(items, score):
     """The first item whose score beats every earlier one by more than
     ``_EPS``, starting from 0, as the choosers scan; None if none does."""
